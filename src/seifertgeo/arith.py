@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-Rational = Fraction
-
 
 class Handedness(Enum):
     """Chirality of a torus knot.  Never defaulted: every entry point
@@ -31,11 +29,6 @@ class Handedness(Enum):
             return cls(text.strip().lower())
         except ValueError:
             raise ValueError("handedness must be 'left' or 'right', got %r" % (text,))
-
-
-def gcd(a: int, b: int) -> int:
-    """Non-negative gcd; gcd(0, 0) == 0."""
-    return math.gcd(a, b)
 
 
 def bezout(a: int, b: int) -> tuple[int, int, int]:
@@ -56,14 +49,6 @@ def bezout(a: int, b: int) -> tuple[int, int, int]:
     if old_r < 0:
         old_r, old_x, old_y = -old_r, -old_x, -old_y
     return old_r, old_x, old_y
-
-
-def reduce(num: int, den: int) -> Fraction:
-    """Reduced fraction num/den with positive denominator.
-
-    ZeroDivisionError on den == 0, exactly like Fraction itself.
-    """
-    return Fraction(num, den)
 
 
 def _mod_inverse(a: int, n: int) -> int:
@@ -87,7 +72,7 @@ def fiber_coeffs(r: int, s: int, hand: Handedness) -> tuple[int, int]:
     """
     if not (r > s > 1):
         raise ValueError("torus knot needs r > s > 1, got (%d, %d)" % (r, s))
-    if gcd(r, s) != 1:
+    if math.gcd(r, s) != 1:
         raise ValueError("torus knot parameters must be coprime, got (%d, %d)" % (r, s))
     eps = -1 if hand is Handedness.LEFT else 1
     # b1*r == r*s + eps (mod s) reduces to b1 == eps * r^{-1} (mod s).
@@ -127,6 +112,8 @@ class PiRational:
             raise ValueError("cannot parse angle %r (expected e.g. '2pi' or '1/3pi')" % text)
         num = int(m.group(1))
         den = int(m.group(2)) if m.group(2) else 1
+        if den == 0:
+            raise ValueError("angle %r has a zero denominator" % text)
         return cls(Fraction(num, den))
 
     def text(self) -> str:

@@ -91,9 +91,6 @@ class BasePoint:
     def coeffs(self) -> tuple[Fraction, Fraction, Fraction]:
         return (self.alpha1.coeff, self.alpha2.coeff, self.alpha3.coeff)
 
-    def rotated(self) -> "BasePoint":
-        return BasePoint(self.alpha2, self.alpha3, self.alpha1)
-
     def __str__(self):
         return "(%s, %s, %s)" % (self.alpha1, self.alpha2, self.alpha3)
 

@@ -30,8 +30,6 @@ from .seifert import (
 )
 from .surgery import SurgerySpec, TorusKnot, atlas, classify_surgery_cone, line_of_surgery, surgery_signature
 
-GENERIC_KIND = FamilyKind.GENERIC
-
 
 def _arg_sig(text: str) -> SeifertSignature:
     try:
@@ -113,15 +111,11 @@ def _human(value):
     return str(value)
 
 
-def _rational_text(value: Fraction) -> str:
-    return str(value)
-
-
 def _family_label(sig: SeifertSignature) -> str:
     family = identify_family(sig)
     if family.kind is FamilyKind.BRIESKORN:
         named = named_family(sig)
-        if named.kind is not GENERIC_KIND:
+        if named.kind is not FamilyKind.GENERIC:
             return "%s-compatible %s" % (named, family)
     return str(family)
 
@@ -131,8 +125,8 @@ def _cmd_classify(args) -> int:
     return _emit(
         args,
         {
-            "euler": _rational_text(euler_number(sig)),
-            "chi": _rational_text(orbifold_euler_char(sig)),
+            "euler": str(euler_number(sig)),
+            "chi": str(orbifold_euler_char(sig)),
             "geometry": manifold_geometry(sig).value,
             "homology_order": homology_order(sig),
         },
@@ -163,7 +157,7 @@ def _cmd_limits(args) -> int:
     interval = sphericity_limits(others[0], others[1], singular)
     ratio = None
     if interval.beta_lower.coeff != 0:
-        ratio = _rational_text(interval.ratio())
+        ratio = str(interval.ratio())
     return _emit(
         args,
         {
@@ -192,7 +186,7 @@ def _cmd_surgery(args) -> int:
             "signature": sig.to_json(),
             "line": {"m": point.m, "n": point.n},
             "beta": beta.text(),
-            "euler": _rational_text(euler_number(sig)),
+            "euler": str(euler_number(sig)),
             "geometry": str(geometry),
             "homology_order": homology_order(sig),
             "family": _family_label(norm),

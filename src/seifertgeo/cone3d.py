@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import PiRational, TWO_PI
-from .base2d import STRUCTURE_CLASSES, BasePoint, RegionClass, classify_triangle
+from .base2d import STRUCTURE_CLASSES, BasePoint, RegionClass, base_limits, classify_triangle
 from .seifert import GeometryType, SeifertSignature, euler_number, normalize_with_order
 
 
@@ -135,9 +135,8 @@ def sphericity_limits(a1: int, a2: int, a3: int) -> SphericityInterval:
         )
     if a3 < 1:
         raise ValueError("singular multiplicity must be >= 1, got %d" % a3)
-    lower = PiRational(Fraction(2 * a3 * (a1 * a2 - a2 - a1), a1 * a2))
-    upper = PiRational(Fraction(2 * a3 * (a1 * a2 - a2 + a1), a1 * a2))
-    return SphericityInterval(lower, upper)
+    lower, upper = base_limits(a1, a2)
+    return SphericityInterval(lower * (2 * a3), upper * (2 * a3))
 
 
 def sphericity_ratio(a1: int, a2: int) -> Fraction:

@@ -1,55 +1,66 @@
-"""Backend selection for the exact region classifier.
+"""Exact region classifier for rational points of the angle cube.
 
-The compiled kernel is preferred when the extension built; otherwise
-the pure-Python kernel is used.  Both implement the identical decision
-tree, and benchmarks/bench_kernel.py compares them.  The compiled path
-is restricted to inputs below 2**20 so that its 64-bit products cannot
-overflow; larger inputs silently take the arbitrary-precision path and
-produce the same answer.
+A base cone point is a triple of angles (alpha1, alpha2, alpha3) in
+[0, pi], given here as fractions of pi: alpha_i = (n_i / d_i) * pi.
+The cube splits along four planes,
+
+    sum  = a1 + a2 + a3        (Euclidean face at sum == pi)
+    t1   = a1 - a2 + a3        (upper sphericity face at t1 == pi)
+    t2   = -a1 + a2 + a3       (upper sphericity face at t2 == pi)
+    t3   = a1 + a2 - a3        (upper sphericity face at t3 == pi)
+
+into the hyperbolic tetrahedron (sum < pi), the Euclidean face, the
+open spherical tetrahedron (sum > pi, all t_i < pi), its three edges
+from (pi,0,0)-type vertices to (pi,pi,pi) where one angle equals pi
+and the other two agree, and the remainder, which carries no structure.
+Points of the cube boundary that fall in that remainder are kept apart
+as degenerate: they are exactly the base points of fibrations whose
+base orbifold is a teardrop or an unequal spindle.
+
+All comparisons are exact integer arithmetic over the common
+denominator d1*d2*d3, so the module works for arbitrary precision.
 """
 
 from __future__ import annotations
 
-import os
-
-from . import _kernel_py
-
-HYPERBOLIC = _kernel_py.HYPERBOLIC
-EUCLIDEAN_FACE = _kernel_py.EUCLIDEAN_FACE
-SPHERICAL_INTERIOR = _kernel_py.SPHERICAL_INTERIOR
-SPHERICAL_EDGE = _kernel_py.SPHERICAL_EDGE
-NO_STRUCTURE_FACE = _kernel_py.NO_STRUCTURE_FACE
-DEGENERATE_BOUNDARY = _kernel_py.DEGENERATE_BOUNDARY
-OUTSIDE = _kernel_py.OUTSIDE
-
-classify_region_py = _kernel_py.classify_region
-
-if os.environ.get("SEIFERTGEO_PURE_PYTHON"):
-    _kernel_c = None
-    classify_region_compiled = None
-    BACKEND = "python"
-else:
-    try:
-        from . import _kernel_c
-
-        classify_region_compiled = _kernel_c.classify_region
-        BACKEND = "compiled"
-    except ImportError:
-        _kernel_c = None
-        classify_region_compiled = None
-        BACKEND = "python"
-
-# Inputs below this bound keep every product of three factors < 2**63.
-_C_LIMIT = 1 << 20
+HYPERBOLIC = 0
+EUCLIDEAN_FACE = 1
+SPHERICAL_INTERIOR = 2
+SPHERICAL_EDGE = 3
+NO_STRUCTURE_FACE = 4
+DEGENERATE_BOUNDARY = 5
+OUTSIDE = -1
 
 
 def classify_region(n1: int, d1: int, n2: int, d2: int, n3: int, d3: int) -> int:
-    if classify_region_compiled is not None and (
-        n1 < _C_LIMIT and d1 < _C_LIMIT
-        and n2 < _C_LIMIT and d2 < _C_LIMIT
-        and n3 < _C_LIMIT and d3 < _C_LIMIT
-        and n1 > -_C_LIMIT and n2 > -_C_LIMIT and n3 > -_C_LIMIT
-        and d1 > 0 and d2 > 0 and d3 > 0
-    ):
-        return classify_region_compiled(n1, d1, n2, d2, n3, d3)
-    return classify_region_py(n1, d1, n2, d2, n3, d3)
+    """Region code of the point (n1/d1, n2/d2, n3/d3) in units of pi."""
+    if d1 <= 0 or d2 <= 0 or d3 <= 0:
+        return OUTSIDE
+    if n1 < 0 or n2 < 0 or n3 < 0 or n1 > d1 or n2 > d2 or n3 > d3:
+        return OUTSIDE
+
+    unit = d1 * d2 * d3
+    s1 = n1 * d2 * d3
+    s2 = n2 * d1 * d3
+    s3 = n3 * d1 * d2
+    total = s1 + s2 + s3
+
+    if total < unit:
+        return HYPERBOLIC
+    if total == unit:
+        if n1 > 0 and n2 > 0 and n3 > 0:
+            return EUCLIDEAN_FACE
+        return DEGENERATE_BOUNDARY
+
+    # total > unit from here on.
+    if n1 == d1 and s2 == s3 and n2 > 0:
+        return SPHERICAL_EDGE
+    if n2 == d2 and s1 == s3 and n1 > 0:
+        return SPHERICAL_EDGE
+    if n3 == d3 and s1 == s2 and n1 > 0:
+        return SPHERICAL_EDGE
+    if n1 == 0 or n2 == 0 or n3 == 0 or n1 == d1 or n2 == d2 or n3 == d3:
+        return DEGENERATE_BOUNDARY
+    if s1 - s2 + s3 < unit and -s1 + s2 + s3 < unit and s1 + s2 - s3 < unit:
+        return SPHERICAL_INTERIOR
+    return NO_STRUCTURE_FACE

@@ -20,14 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import Handedness, PiRational, TWO_PI
+from .arith import Handedness, TWO_PI
 from .seifert import GeometryType
 from .surgery import (
-    LinePoint,
-    SurgerySpec,
     TorusKnot,
     classify_surgery_cone,
-    gcd,
+    primitive_rays,
     spherical_orbifold_angles,
     surgery_of_line,
     x_limits,
@@ -73,16 +71,10 @@ def build_plot(knot: TorusKnot, window: PlotWindow) -> PlotModel:
     rs = knot.r * knot.s
     slope = rs if knot.hand is Handedness.LEFT else -rs
     points = []
-    for m in range(1, int(window.x_max) + 1):
-        for n in range(window.y_min, window.y_max + 1):
-            if n == 0 and m != 1:
-                continue
-            if gcd(m, abs(n)) != 1:
-                continue
-            spec = surgery_of_line(knot, LinePoint(m, n))
-            geometry = classify_surgery_cone(spec, TWO_PI)
-            points.append(PlotPoint(m, n, spec.p, spec.q, str(geometry)))
-    points.sort(key=lambda pt: (pt.m, pt.n))
+    for point in primitive_rays(int(window.x_max), (window.y_min, window.y_max)):
+        spec = surgery_of_line(knot, point)
+        geometry = classify_surgery_cone(spec, TWO_PI)
+        points.append(PlotPoint(point.m, point.n, spec.p, spec.q, str(geometry)))
     return PlotModel(
         knot=knot,
         window=window,

@@ -25,8 +25,16 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import gcd
 
-from .arith import bezout, gcd
+from .arith import bezout
+
+
+def _json_int(value, field: str) -> int:
+    """value if it is a JSON integer; bools and floats are not coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError("%s must be an integer, got %r" % (field, value))
+    return value
 
 
 @dataclass(frozen=True)
@@ -63,7 +71,14 @@ class SeifertSignature:
     def from_json(cls, data) -> "SeifertSignature":
         if isinstance(data, str):
             data = json.loads(data)
-        return cls(data["b"], [tuple(p) for p in data["fibers"]])
+        b = _json_int(data["b"], "b")
+        fibers = []
+        for i, pair in enumerate(data["fibers"]):
+            a, bi = pair
+            fibers.append(
+                (_json_int(a, "fibers[%d][0]" % i), _json_int(bi, "fibers[%d][1]" % i))
+            )
+        return cls(b, fibers)
 
     def __str__(self):
         pairs = ",".join("(%d,%d)" % f for f in self.fibers)

@@ -26,8 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
-from .arith import Handedness, PiRational, TWO_PI, fiber_coeffs, gcd
+from .arith import Handedness, PiRational, TWO_PI, fiber_coeffs
 from .cone3d import ConeStructure, GeometryResult, classify_cone
 from .seifert import SeifertSignature
 
@@ -95,35 +96,47 @@ class LinePoint:
             raise ValueError("line point (%d, %d) is not primitive" % (self.m, self.n))
 
 
-def _signed_core(spec: SurgerySpec) -> int:
+def _core(spec: SurgerySpec) -> tuple[int, int]:
+    """(m, eps): multiplicity of the core fibre and the sign that n = eps*q carries.
+
+    Raises ValueError on the e = 0 exceptional slope, where m = 0.
+    """
     rs = spec.knot.r * spec.knot.s
     if spec.knot.hand is Handedness.LEFT:
-        return spec.q * rs + spec.p
-    return -spec.q * rs + spec.p
+        t = spec.q * rs + spec.p
+    else:
+        t = -spec.q * rs + spec.p
+    if t == 0:
+        raise ValueError(
+            "slope %s is the e = 0 exceptional slope (m = 0)" % spec.slope_text()
+        )
+    return abs(t), (1 if t > 0 else -1)
 
 
 def surgery_signature(spec: SurgerySpec) -> SeifertSignature:
     """Raw signature of the surgered manifold, core fibre last."""
-    t = _signed_core(spec)
-    if t == 0:
-        raise ValueError(
-            "slope %s is the e = 0 exceptional slope (m = 0)" % spec.slope_text()
-        )
+    m, eps = _core(spec)
     b1, b2 = spec.knot.coeffs()
-    eps = 1 if t > 0 else -1
     return SeifertSignature(
-        -1, ((spec.knot.s, b1), (spec.knot.r, b2), (abs(t), eps * spec.q))
+        -1, ((spec.knot.s, b1), (spec.knot.r, b2), (m, eps * spec.q))
     )
 
 
 def line_of_surgery(spec: SurgerySpec) -> LinePoint:
-    t = _signed_core(spec)
-    if t == 0:
-        raise ValueError(
-            "slope %s is the e = 0 exceptional slope (m = 0)" % spec.slope_text()
-        )
-    eps = 1 if t > 0 else -1
-    return LinePoint(abs(t), eps * spec.q)
+    m, eps = _core(spec)
+    return LinePoint(m, eps * spec.q)
+
+
+def primitive_rays(m_max: int, n_range: tuple[int, int]):
+    """Primitive points (m, n) with 1 <= m <= m_max, n in n_range, by (m, n).
+
+    gcd(m, 0) == m, so n = 0 appears only as (1, 0), the ray at infinity.
+    """
+    n_lo, n_hi = n_range
+    for m in range(1, m_max + 1):
+        for n in range(n_lo, n_hi + 1):
+            if gcd(m, n) == 1:
+                yield LinePoint(m, n)
 
 
 def surgery_of_line(knot: TorusKnot, point: LinePoint) -> SurgerySpec:
@@ -219,29 +232,22 @@ def atlas(knot: TorusKnot, m_max: int, n_range: tuple[int, int], k_max: int) -> 
         raise ValueError("m_max must be >= 1")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    n_lo, n_hi = n_range
     records = []
-    for m in range(1, m_max + 1):
-        for n in range(n_lo, n_hi + 1):
-            if n == 0 and m != 1:
-                continue
-            if gcd(m, abs(n)) != 1:
-                continue
-            point = LinePoint(m, n)
-            spec = surgery_of_line(knot, point)
-            for k in range(1, k_max + 1):
-                beta = PiRational(Fraction(2, k))
-                geometry = classify_surgery_cone(spec, beta)
-                records.append(
-                    {
-                        "knot": knot.to_json(),
-                        "m": m,
-                        "n": n,
-                        "p": spec.p,
-                        "q": spec.q,
-                        "x": k * m,
-                        "beta": beta.text(),
-                        "geometry": str(geometry),
-                    }
-                )
+    for point in primitive_rays(m_max, n_range):
+        spec = surgery_of_line(knot, point)
+        for k in range(1, k_max + 1):
+            beta = PiRational(Fraction(2, k))
+            geometry = classify_surgery_cone(spec, beta)
+            records.append(
+                {
+                    "knot": knot.to_json(),
+                    "m": point.m,
+                    "n": point.n,
+                    "p": spec.p,
+                    "q": spec.q,
+                    "x": k * point.m,
+                    "beta": beta.text(),
+                    "geometry": str(geometry),
+                }
+            )
     return records

@@ -15,7 +15,6 @@ from seifertgeo.arith import (
     Handedness,
     bezout,
     fiber_coeffs,
-    reduce,
 )
 
 
@@ -44,27 +43,6 @@ class TestBezout:
             g, x, y = bezout(a, b)
             assert g == math.gcd(a, b)
             assert a * x + b * y == g
-
-
-class TestReduce:
-    def test_sign_normalization(self):
-        assert reduce(-4, -6) == Fraction(2, 3)
-
-    def test_zero(self):
-        assert reduce(0, 5) == Fraction(0, 1)
-
-    def test_reduction(self):
-        assert reduce(6, 3) == Fraction(2, 1)
-
-    def test_zero_denominator(self):
-        with pytest.raises(ZeroDivisionError):
-            reduce(1, 0)
-
-    def test_idempotent(self):
-        rng = random.Random(7)
-        for _ in range(1000):
-            f = reduce(rng.randint(-500, 500), rng.randint(1, 500))
-            assert reduce(f.numerator, f.denominator) == f
 
 
 class TestFiberCoeffs:
@@ -136,6 +114,8 @@ class TestPiRational:
     def test_parse_rejects_junk(self):
         with pytest.raises(ValueError):
             PiRational.parse("2tau")
+        with pytest.raises(ValueError):
+            PiRational.parse("1/0pi")
 
     def test_float(self):
         assert float(PiRational(1, 2)) == pytest.approx(math.pi / 2, abs=1e-15)

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from seifertgeo import kernel
 from seifertgeo.arith import PI, PiRational
 from seifertgeo.base2d import (
     BasePoint,
@@ -28,6 +29,10 @@ class TestClassify:
 
     def test_right_angled_spherical(self):
         assert classify_triangle(pt("1/2", "1/2", "1/2")) is RegionClass.SPHERICAL_INTERIOR
+        # the same point unreduced, with products of three inputs above 2**63
+        big = 3 * 2**20
+        args = (big, 2 * big, big, 2 * big, big, 2 * big)
+        assert kernel.classify_region(*args) == kernel.SPHERICAL_INTERIOR
 
     def test_edge_point(self):
         assert classify_triangle(pt(1, "1/4", "1/4")) is RegionClass.SPHERICAL_EDGE

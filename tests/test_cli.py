@@ -235,6 +235,29 @@ class TestExitCodes:
         assert exc.value.code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (["surgery", "--knot", "3,2", "--hand", "left", "--slope", "1/1",
+              "--beta", "1/0pi"], "1/0pi"),
+            (["cone", "--sig", POINCARE, "--angles", "1/0pi"], "zero denominator"),
+            (["classify", "--sig", '{"b": 1.7, "fibers": [[2, 1.9]]}'], "b must be"),
+            (["classify", "--sig", '{"b": "2", "fibers": [[3, 1]]}'], "b must be"),
+            (["classify", "--sig", '{"b": 0, "fibers": [[2, true]]}'],
+             "fibers[0][1] must be"),
+            (["classify", "--sig", '{"b": 0, "fibers": [[1e400, 1]]}'],
+             "fibers[0][0] must be"),
+        ],
+        ids=["beta-zero-den", "angle-zero-den", "float", "str", "bool", "overflow"],
+    )
+    def test_malformed_number_is_two(self, capsys, argv, reason):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert reason in err
+        assert "Traceback" not in err
+
     def test_unwritable_output_is_one(self, capsys, tmp_path):
         code, payload = run_json(
             capsys,

@@ -12,6 +12,8 @@ from seifertgeo.seifert import (
     SeifertSignature,
     euler_number,
     homology_order,
+    lens_params,
+    normalize,
 )
 from seifertgeo.surgery import (
     LinePoint,
@@ -338,3 +340,26 @@ class TestAtlas:
         records = atlas(TorusKnot(3, 2, L), 4, (2, 2), 1)
         assert all(math.gcd(rec["m"], abs(rec["n"])) == 1 for rec in records)
         assert all(rec["m"] % 2 == 1 for rec in records)
+
+
+class TestMoserLensSpaces:
+    def test_moser_lens_slopes(self):
+        # Moser (Pacific J. Math. 38, 1971): p/q surgery on the (r, s)
+        # torus knot with p = eps*q*r*s +- 1 is the lens space L(p, q*s^2),
+        # eps = +1 for the right hand and -1 for the left.  L(p, k) and
+        # L(p, k') agree exactly when k' = +-k^{+-1} (mod p).
+        checked = 0
+        for r, s in coprime_knots(11):
+            for hand, eps in ((R, 1), (L, -1)):
+                for q in range(-6, 7):
+                    for p in (eps * q * r * s - 1, eps * q * r * s + 1):
+                        if q == 0 or p < 2 or math.gcd(p, abs(q)) != 1:
+                            continue
+                        k = q * s * s % p
+                        expected = {k, -k % p, pow(k, -1, p), -pow(k, -1, p) % p}
+                        spec = SurgerySpec(TorusKnot(r, s, hand), p, q)
+                        m, n = lens_params(normalize(surgery_signature(spec)))
+                        assert abs(m) == p, (r, s, hand, p, q)
+                        assert n in expected, (r, s, hand, p, q)
+                        checked += 1
+        assert checked == 744
