@@ -1,7 +1,8 @@
 """Exact integer and rational helpers shared by the whole package.
 
-Everything downstream (signature normalization, region classification,
-sphericity limits, surgery bookkeeping) is exact rational arithmetic.
+Every decision downstream is exact.  The cone and surgery path takes
+the signs of integers built from numerators over a common denominator;
+Fraction and PiRational are the types the API takes and returns.
 Floats appear only at the very end, in the curvature parameter and in
 plot coordinates.  Angles are handled as rational multiples of pi so
 that equalities such as "the cone angle sum equals pi" are decidable.

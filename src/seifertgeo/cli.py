@@ -208,8 +208,9 @@ def _cmd_plot(args) -> int:
     y_max = args.ymax if args.ymax is not None else args.xmax
     window = PlotWindow(Fraction(args.xmax), y_min, y_max)
     model = build_plot(knot, window)
+    svg = render_svg(model)
     with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write(render_svg(model))
+        handle.write(svg)
     csv_path = None
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as handle:
@@ -289,7 +290,7 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ZeroDivisionError, OSError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(json.dumps({"error": {"type": "domain", "message": str(exc)}}))
         return 1
 

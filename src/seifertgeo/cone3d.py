@@ -28,9 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import kernel
 from .arith import PiRational, TWO_PI
-from .base2d import STRUCTURE_CLASSES, BasePoint, RegionClass, base_limits, classify_triangle
-from .seifert import GeometryType, SeifertSignature, euler_number, normalize_with_order
+from .base2d import STRUCTURE_CLASSES, BasePoint, base_limits, classify_triangle
+from .seifert import GeometryType, SeifertSignature, _euler_numerator, normalize_with_order
 
 
 @dataclass(frozen=True)
@@ -74,7 +75,7 @@ class ConeStructure:
         norm, order = normalize_with_order(sig)
         angles = tuple(angles[i] for i in order)
         for (a, _), beta in zip(norm.fibers, angles):
-            if beta.coeff > 2 * a:
+            if beta.coeff.numerator > 2 * a * beta.coeff.denominator:
                 raise ValueError(
                     "cone angle %s exceeds 2*pi*%d on a fibre of multiplicity %d"
                     % (beta, a, a)
@@ -95,14 +96,24 @@ class ConeStructure:
 
 
 def classify_cone(cs: ConeStructure) -> GeometryResult:
-    """Geometry of the cone structure, or NO_STRUCTURE."""
-    region = classify_triangle(cs.base_point())
-    twisted = euler_number(cs.sig) != 0
-    if region is RegionClass.HYPERBOLIC:
+    """Geometry of the cone structure, or NO_STRUCTURE.
+
+    Decided on integers: base angle i is the unreduced num/(2*a_i*den)
+    for beta_i = num/den * pi, and the twist is the sign of e*a1*a2*a3.
+    """
+    (a1, _), (a2, _), (a3, _) = cs.sig.fibers
+    c1, c2, c3 = [beta.coeff for beta in cs.angles]
+    code = kernel.classify_region(
+        c1.numerator, 2 * a1 * c1.denominator,
+        c2.numerator, 2 * a2 * c2.denominator,
+        c3.numerator, 2 * a3 * c3.denominator,
+    )
+    twisted = _euler_numerator(cs.sig) != 0
+    if code == kernel.HYPERBOLIC:
         return GeometryResult(GeometryType.SL2R if twisted else GeometryType.H2XR)
-    if region is RegionClass.EUCLIDEAN_FACE:
+    if code == kernel.EUCLIDEAN_FACE:
         return GeometryResult(GeometryType.NIL if twisted else GeometryType.EUCLIDEAN)
-    if region in (RegionClass.SPHERICAL_INTERIOR, RegionClass.SPHERICAL_EDGE):
+    if code in (kernel.SPHERICAL_INTERIOR, kernel.SPHERICAL_EDGE):
         return GeometryResult(GeometryType.SPHERICAL if twisted else GeometryType.S2XR)
     return NO_STRUCTURE
 

@@ -19,6 +19,9 @@ base orbifold is a teardrop or an unequal spindle.
 
 All comparisons are exact integer arithmetic over the common
 denominator d1*d2*d3, so the module works for arbitrary precision.
+Each test compares terms of the same degree in every pair (n_i, d_i),
+so the pairs need not be reduced: (k*n_i, k*d_i) with k >= 1 gives the
+same code as (n_i, d_i).
 """
 
 from __future__ import annotations

@@ -24,10 +24,8 @@ from .arith import Handedness, TWO_PI
 from .seifert import GeometryType
 from .surgery import (
     TorusKnot,
-    classify_surgery_cone,
-    primitive_rays,
+    _ray_geometries,
     spherical_orbifold_angles,
-    surgery_of_line,
     x_limits,
 )
 
@@ -71,9 +69,10 @@ def build_plot(knot: TorusKnot, window: PlotWindow) -> PlotModel:
     rs = knot.r * knot.s
     slope = rs if knot.hand is Handedness.LEFT else -rs
     points = []
-    for point in primitive_rays(int(window.x_max), (window.y_min, window.y_max)):
-        spec = surgery_of_line(knot, point)
-        geometry = classify_surgery_cone(spec, TWO_PI)
+    rays = _ray_geometries(
+        knot, int(window.x_max), (window.y_min, window.y_max), (TWO_PI,)
+    )
+    for point, spec, (geometry,) in rays:
         points.append(PlotPoint(point.m, point.n, spec.p, spec.q, str(geometry)))
     return PlotModel(
         knot=knot,

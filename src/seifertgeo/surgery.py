@@ -115,8 +115,13 @@ def _core(spec: SurgerySpec) -> tuple[int, int]:
 
 def surgery_signature(spec: SurgerySpec) -> SeifertSignature:
     """Raw signature of the surgered manifold, core fibre last."""
+    return _signature(spec, spec.knot.coeffs())
+
+
+def _signature(spec: SurgerySpec, coeffs: tuple[int, int]) -> SeifertSignature:
+    """surgery_signature with the knot's fibre coefficients given."""
     m, eps = _core(spec)
-    b1, b2 = spec.knot.coeffs()
+    b1, b2 = coeffs
     return SeifertSignature(
         -1, ((spec.knot.s, b1), (spec.knot.r, b2), (m, eps * spec.q))
     )
@@ -178,6 +183,20 @@ def classify_surgery_cone(spec: SurgerySpec, beta: PiRational) -> GeometryResult
     return classify_cone(cs)
 
 
+def _ray_geometries(knot: TorusKnot, m_max: int, n_range: tuple[int, int], betas):
+    """(point, spec, geometry at each core angle in betas) per primitive ray.
+
+    The knot's fibre coefficients are computed once, not once per ray.
+    """
+    coeffs = knot.coeffs()
+    for point in primitive_rays(m_max, n_range):
+        spec = surgery_of_line(knot, point)
+        sig = _signature(spec, coeffs)
+        yield point, spec, [
+            classify_cone(ConeStructure(sig, (TWO_PI, TWO_PI, beta))) for beta in betas
+        ]
+
+
 def spherical_orbifold_angles(knot: TorusKnot) -> list[tuple[int, PiRational]]:
     """Integer abscissas in the open spherical band, with their angles.
 
@@ -232,12 +251,10 @@ def atlas(knot: TorusKnot, m_max: int, n_range: tuple[int, int], k_max: int) -> 
         raise ValueError("m_max must be >= 1")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
+    betas = [PiRational(Fraction(2, k)) for k in range(1, k_max + 1)]
     records = []
-    for point in primitive_rays(m_max, n_range):
-        spec = surgery_of_line(knot, point)
-        for k in range(1, k_max + 1):
-            beta = PiRational(Fraction(2, k))
-            geometry = classify_surgery_cone(spec, beta)
+    for point, spec, geometries in _ray_geometries(knot, m_max, n_range, betas):
+        for k, (beta, geometry) in enumerate(zip(betas, geometries), start=1):
             records.append(
                 {
                     "knot": knot.to_json(),

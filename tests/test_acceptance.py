@@ -19,7 +19,6 @@ from seifertgeo.plot import PlotWindow, build_plot, export_csv, render_svg
 from seifertgeo.seifert import SeifertSignature, manifold_geometry, normalize
 from seifertgeo.seifert import euler_number, homology_order
 from seifertgeo.surgery import (
-    LinePoint,
     SurgerySpec,
     TorusKnot,
     atlas,

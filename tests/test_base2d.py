@@ -131,6 +131,29 @@ class TestPartition:
                 )
 
 
+# Cube points with the faces, edges and vertices drawn often.
+special_or_any = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(1)]),
+    angles,
+)
+
+
+class TestScaleInvariance:
+    @given(
+        special_or_any, special_or_any, special_or_any,
+        st.tuples(*[st.integers(min_value=1, max_value=10**9)] * 3),
+    )
+    @settings(max_examples=800)
+    def test_unreduced_pairs_give_the_reduced_code(self, f1, f2, f3, ks):
+        # cone3d.classify_cone passes unreduced pairs (num, 2*a*den).
+        point = (f1, f2, f3)
+        reduced = [part for f in point for part in (f.numerator, f.denominator)]
+        scaled = [
+            k * part for k, f in zip(ks, point) for part in (f.numerator, f.denominator)
+        ]
+        assert kernel.classify_region(*scaled) == kernel.classify_region(*reduced)
+
+
 class TestCurvature:
     def test_euclidean_zero_exact(self):
         assert curvature_parameter(pt("1/3", "1/3", "1/3")) == 0.0

@@ -269,6 +269,22 @@ class TestExitCodes:
         assert code == 1
         assert payload["error"]["type"] == "domain"
 
+    def test_overflow_is_one_and_writes_nothing(self, capsys, tmp_path):
+        # A row index too large for a float overflows in render_svg.
+        out = tmp_path / "plot.svg"
+        huge = str(10 ** 400)
+        code = run(
+            [
+                "plot", "--knot", "3,2", "--hand", "left", "--xmax", "1",
+                "--ymin", huge, "--ymax", huge, "--out", str(out), "--json",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert json.loads(captured.out)["error"]["type"] == "domain"
+        assert "Traceback" not in captured.err
+        assert not out.exists()
+
 
 class TestEntryPoint:
     def test_module_invocation(self):

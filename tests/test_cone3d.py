@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -98,6 +99,48 @@ class TestClassifyCone:
                     tuple(ang[i] for i in perm),
                 )
                 assert classify_cone(cs) == base
+
+
+# Reference decision through the Fraction API: the region of the
+# BasePoint, then the sign of the Euler number as a Fraction sum.
+OLD_GEOMETRY = {
+    RegionClass.HYPERBOLIC: (GeometryType.SL2R, GeometryType.H2XR),
+    RegionClass.EUCLIDEAN_FACE: (GeometryType.NIL, GeometryType.EUCLIDEAN),
+    RegionClass.SPHERICAL_INTERIOR: (GeometryType.SPHERICAL, GeometryType.S2XR),
+    RegionClass.SPHERICAL_EDGE: (GeometryType.SPHERICAL, GeometryType.S2XR),
+}
+
+
+class TestIntegerPath:
+    def test_matches_base_point_and_euler_fraction(self):
+        # every fibre triple of the criterion-6 pool (a <= 12), b in -3..3
+        pool = [
+            (a, b) for a in range(12, 0, -1) for b in range(a if a > 1 else 1)
+            if math.gcd(a, b) == 1
+        ]
+        checked = 0
+        for i, fibers in enumerate(combinations_with_replacement(pool, 3)):
+            at = i % 3  # fibre that gets the special angle
+            top = PiRational(2 * fibers[at][0])
+            angle_sets = [
+                (TWO_PI,) * 3,
+                tuple(PiRational(0) if k == at else TWO_PI for k in range(3)),
+                tuple(top if k == at else TWO_PI for k in range(3)),
+                tuple(PiRational(Fraction(1, 2)) for _ in range(3)),
+            ]
+            regions = [
+                classify_triangle(ConeStructure(S(0, fibers), ang).base_point())
+                for ang in angle_sets
+            ]
+            for b in range(-3, 4):
+                sig = S(b, fibers)
+                twisted = -b - sum(Fraction(bi, a) for a, bi in fibers) != 0
+                for ang, region in zip(angle_sets, regions):
+                    pair = OLD_GEOMETRY.get(region)
+                    expected = (pair[0] if twisted else pair[1]) if pair else None
+                    assert classify_cone(ConeStructure(sig, ang)).geometry is expected
+                    checked += 1
+        assert checked == 4 * 7 * 17296
 
 
 class TestSphericityLimits:
