@@ -3,13 +3,15 @@
 Subcommands: classify, cone, limits, surgery, identify, plot, atlas.
 Results go to standard output, as JSON with --json and as plain
 key/value text otherwise.  Exit codes: 0 success, 2 usage error
-(argparse), 1 domain error, reported as a JSON error object.
+(argparse), 1 domain error or a batch over WORK_LIMIT, reported as a
+JSON error object.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -30,11 +32,48 @@ from .seifert import (
 )
 from .surgery import SurgerySpec, TorusKnot, atlas, classify_surgery_cone, line_of_surgery, surgery_signature
 
+# Most rays times angles (atlas) or lattice points (plot) one command may ask for.
+WORK_LIMIT = 10 ** 6
+
+
+class WorkLimitError(ValueError):
+    """A batch command asked for more than WORK_LIMIT items."""
+
+
+def _check_work(bound: int, what: str) -> None:
+    if bound > WORK_LIMIT:
+        raise WorkLimitError(
+            "%s would classify more than the limit of %d items; narrow its ranges"
+            % (what, WORK_LIMIT)
+        )
+
+
+def _write_files(outputs) -> None:
+    """Write each (path, text), or none of them if a path cannot be opened.
+
+    Every path is first opened for appending, which truncates nothing;
+    when one of those opens fails, the files they created are removed.
+    """
+    created = []
+    try:
+        for path, _ in outputs:
+            existed = os.path.exists(path)
+            open(path, "a", encoding="utf-8").close()
+            if not existed:
+                created.append(path)
+    except OSError:
+        for path in created:
+            os.remove(path)
+        raise
+    for path, text in outputs:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+
 
 def _arg_sig(text: str) -> SeifertSignature:
     try:
         return SeifertSignature.from_json(json.loads(text))
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise argparse.ArgumentTypeError("bad signature JSON: %s" % exc)
 
 
@@ -206,25 +245,27 @@ def _cmd_plot(args) -> int:
         raise ValueError("--xmax must be >= 1")
     y_min = args.ymin if args.ymin is not None else 0
     y_max = args.ymax if args.ymax is not None else args.xmax
+    _check_work(args.xmax * max(y_max - y_min + 1, 0), "plot")
     window = PlotWindow(Fraction(args.xmax), y_min, y_max)
     model = build_plot(knot, window)
-    svg = render_svg(model)
-    with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write(svg)
-    csv_path = None
+    outputs = [(args.out, render_svg(model))]
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as handle:
-            handle.write(export_csv(model))
-        csv_path = args.csv
+        outputs.append((args.csv, export_csv(model)))
+    _write_files(outputs)
     return _emit(
         args,
-        {"out": args.out, "csv": csv_path, "points": len(model.points)},
+        {"out": args.out, "csv": args.csv or None, "points": len(model.points)},
     )
 
 
 def _cmd_atlas(args) -> int:
     r, s = args.knot
     knot = TorusKnot(r, s, args.hand)
+    n_lo, n_hi = args.nrange
+    # An empty n range still loops over m and builds the k angles.
+    _check_work(
+        max(args.mmax, 0) * max(n_hi - n_lo + 1, 1) * max(args.kmax, 0), "atlas"
+    )
     records = atlas(knot, args.mmax, args.nrange, args.kmax)
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(records, handle, indent=1)
@@ -291,7 +332,8 @@ def run(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, ArithmeticError, OSError) as exc:
-        print(json.dumps({"error": {"type": "domain", "message": str(exc)}}))
+        kind = "limit" if isinstance(exc, WorkLimitError) else "domain"
+        print(json.dumps({"error": {"type": kind, "message": str(exc)}}))
         return 1
 
 

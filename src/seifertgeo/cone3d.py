@@ -75,11 +75,7 @@ class ConeStructure:
         norm, order = normalize_with_order(sig)
         angles = tuple(angles[i] for i in order)
         for (a, _), beta in zip(norm.fibers, angles):
-            if beta.coeff.numerator > 2 * a * beta.coeff.denominator:
-                raise ValueError(
-                    "cone angle %s exceeds 2*pi*%d on a fibre of multiplicity %d"
-                    % (beta, a, a)
-                )
+            _base_angle(beta, a)
         object.__setattr__(self, "sig", norm)
         object.__setattr__(self, "angles", angles)
 
@@ -108,7 +104,21 @@ def classify_cone(cs: ConeStructure) -> GeometryResult:
         c2.numerator, 2 * a2 * c2.denominator,
         c3.numerator, 2 * a3 * c3.denominator,
     )
-    twisted = _euler_numerator(cs.sig) != 0
+    return _geometry(code, _euler_numerator(cs.sig.b, cs.sig.fibers) != 0)
+
+
+def _base_angle(beta: PiRational, a: int) -> tuple[int, int]:
+    """Base angle beta/(2*a) over pi as (num, 2*a*den); beta must be <= 2*pi*a."""
+    num, den = beta.coeff.numerator, 2 * a * beta.coeff.denominator
+    if num > den:
+        raise ValueError(
+            "cone angle %s exceeds 2*pi*%d on a fibre of multiplicity %d" % (beta, a, a)
+        )
+    return num, den
+
+
+def _geometry(code: int, twisted: bool) -> GeometryResult:
+    """Geometry of a kernel region code; twisted means e != 0."""
     if code == kernel.HYPERBOLIC:
         return GeometryResult(GeometryType.SL2R if twisted else GeometryType.H2XR)
     if code == kernel.EUCLIDEAN_FACE:

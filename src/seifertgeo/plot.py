@@ -72,8 +72,8 @@ def build_plot(knot: TorusKnot, window: PlotWindow) -> PlotModel:
     rays = _ray_geometries(
         knot, int(window.x_max), (window.y_min, window.y_max), (TWO_PI,)
     )
-    for point, spec, (geometry,) in rays:
-        points.append(PlotPoint(point.m, point.n, spec.p, spec.q, str(geometry)))
+    for m, n, p, q, (geometry,) in rays:
+        points.append(PlotPoint(m, n, p, q, str(geometry)))
     return PlotModel(
         knot=knot,
         window=window,

@@ -117,16 +117,16 @@ def normalize(sig: SeifertSignature) -> SeifertSignature:
     return normalize_with_order(sig)[0]
 
 
-def _euler_numerator(sig: SeifertSignature) -> int:
-    """e*a1*a2*a3: the integer numerator of e over a1*a2*a3, unreduced."""
-    (a1, b1), (a2, b2), (a3, b3) = sig.fibers
-    return -(sig.b * a1 * a2 * a3 + b1 * a2 * a3 + b2 * a1 * a3 + b3 * a1 * a2)
+def _euler_numerator(b: int, fibers) -> int:
+    """e*a1*a2*a3 of (b; fibers), unreduced; normalization leaves it unchanged."""
+    (a1, b1), (a2, b2), (a3, b3) = fibers
+    return -(b * a1 * a2 * a3 + b1 * a2 * a3 + b2 * a1 * a3 + b3 * a1 * a2)
 
 
 def euler_number(sig: SeifertSignature) -> Fraction:
     """Euler number e = -b - sum(b_i / a_i) of the fibration."""
     (a1, _), (a2, _), (a3, _) = sig.fibers
-    return Fraction(_euler_numerator(sig), a1 * a2 * a3)
+    return Fraction(_euler_numerator(sig.b, sig.fibers), a1 * a2 * a3)
 
 
 def orbifold_euler_char(sig: SeifertSignature) -> Fraction:

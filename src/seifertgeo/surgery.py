@@ -20,6 +20,12 @@ On each ray the structure is spherical for x_U < x < x_L with
 Nil at the integer-or-not abscissa x_L (when the Euler number is
 nonzero) and SL2R beyond it.  Integer abscissas x in (x_U, x_L) are
 the spherical orbifold labels; the cone angle there is 2*pi/x.
+
+atlas and plot.build_plot decide each ray from integers alone: the
+region kernel gets the base angles (1, s), (1, r) and (num, 2*m*den)
+for beta = num/den*pi, and the twist is the sign of e*r*s*m.  No
+signature or cone structure is built; SurgerySpec, SeifertSignature
+and PiRational are the types of the public functions.
 """
 
 from __future__ import annotations
@@ -28,9 +34,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .arith import Handedness, PiRational, TWO_PI, fiber_coeffs
-from .cone3d import ConeStructure, GeometryResult, classify_cone
-from .seifert import SeifertSignature
+from . import kernel
+from .arith import Handedness, PiRational, fiber_coeffs
+from .cone3d import GeometryResult, _base_angle, _geometry
+from .seifert import SeifertSignature, _euler_numerator
 
 
 @dataclass(frozen=True)
@@ -115,13 +122,8 @@ def _core(spec: SurgerySpec) -> tuple[int, int]:
 
 def surgery_signature(spec: SurgerySpec) -> SeifertSignature:
     """Raw signature of the surgered manifold, core fibre last."""
-    return _signature(spec, spec.knot.coeffs())
-
-
-def _signature(spec: SurgerySpec, coeffs: tuple[int, int]) -> SeifertSignature:
-    """surgery_signature with the knot's fibre coefficients given."""
     m, eps = _core(spec)
-    b1, b2 = coeffs
+    b1, b2 = spec.knot.coeffs()
     return SeifertSignature(
         -1, ((spec.knot.s, b1), (spec.knot.r, b2), (m, eps * spec.q))
     )
@@ -141,30 +143,30 @@ def primitive_rays(m_max: int, n_range: tuple[int, int]):
     for m in range(1, m_max + 1):
         for n in range(n_lo, n_hi + 1):
             if gcd(m, n) == 1:
-                yield LinePoint(m, n)
+                yield m, n
 
 
 def surgery_of_line(knot: TorusKnot, point: LinePoint) -> SurgerySpec:
-    """Inverse chart: the slope whose surgery sits on the ray l_{m/n}.
+    """Inverse chart: the slope whose surgery sits on the ray l_{m/n}."""
+    return SurgerySpec(knot, *_slope(knot, point.m, point.n))
+
+
+def _slope(knot: TorusKnot, m: int, n: int) -> tuple[int, int]:
+    """(p, q) of the surgery on the ray l_{m/n}.
 
     n = 0 is the surgery at infinity (slope 1/0, only m = 1 is
     primitive); otherwise p/q = (m - r*s*n)/n for the left handle and
     (m + r*s*n)/n for the right, normalized to p >= 0.
     """
-    if point.n == 0:
-        if point.m != 1:
+    if n == 0:
+        if m != 1:
             raise ValueError("(m, 0) is primitive only for m = 1")
-        return SurgerySpec(knot, 1, 0)
+        return 1, 0
     rs = knot.r * knot.s
-    if knot.hand is Handedness.LEFT:
-        p, q = point.m - rs * point.n, point.n
-    else:
-        p, q = point.m + rs * point.n, point.n
+    p = m - rs * n if knot.hand is Handedness.LEFT else m + rs * n
     if p < 0:
-        p, q = -p, -q
-    elif p == 0:
-        q = abs(q)
-    return SurgerySpec(knot, p, q)
+        return -p, -n
+    return p, (abs(n) if p == 0 else n)
 
 
 def x_limits(knot: TorusKnot) -> tuple[Fraction, Fraction]:
@@ -178,23 +180,35 @@ def x_limits(knot: TorusKnot) -> tuple[Fraction, Fraction]:
 
 def classify_surgery_cone(spec: SurgerySpec, beta: PiRational) -> GeometryResult:
     """Geometry of the surgered manifold with cone angle beta on the core."""
-    sig = surgery_signature(spec)
-    cs = ConeStructure(sig, (TWO_PI, TWO_PI, beta))
-    return classify_cone(cs)
+    m, eps = _core(spec)
+    if not isinstance(beta, PiRational):
+        beta = PiRational(beta)
+    return _cone_geometry(spec.knot, spec.knot.coeffs(), m, eps * spec.q, beta)
+
+
+def _cone_geometry(knot: TorusKnot, coeffs, m: int, n: int, beta: PiRational) -> GeometryResult:
+    """Geometry on the ray l_{m/n} with cone angle beta on the core.
+
+    The fibres (s, b1) and (r, b2) keep angle 2*pi, base angles pi/s and
+    pi/r; the kernel is symmetric in its pairs, so no sort is needed.
+    The twist is the sign of e*s*r*m of (-1; (s, b1), (r, b2), (m, n)).
+    """
+    num, den = _base_angle(beta, m)
+    code = kernel.classify_region(1, knot.s, 1, knot.r, num, den)
+    b1, b2 = coeffs
+    e_a = _euler_numerator(-1, ((knot.s, b1), (knot.r, b2), (m, n)))
+    return _geometry(code, e_a != 0)
 
 
 def _ray_geometries(knot: TorusKnot, m_max: int, n_range: tuple[int, int], betas):
-    """(point, spec, geometry at each core angle in betas) per primitive ray.
+    """(m, n, p, q, geometry at each core angle in betas) per primitive ray.
 
     The knot's fibre coefficients are computed once, not once per ray.
     """
     coeffs = knot.coeffs()
-    for point in primitive_rays(m_max, n_range):
-        spec = surgery_of_line(knot, point)
-        sig = _signature(spec, coeffs)
-        yield point, spec, [
-            classify_cone(ConeStructure(sig, (TWO_PI, TWO_PI, beta))) for beta in betas
-        ]
+    for m, n in primitive_rays(m_max, n_range):
+        p, q = _slope(knot, m, n)
+        yield m, n, p, q, [_cone_geometry(knot, coeffs, m, n, beta) for beta in betas]
 
 
 def spherical_orbifold_angles(knot: TorusKnot) -> list[tuple[int, PiRational]]:
@@ -252,18 +266,20 @@ def atlas(knot: TorusKnot, m_max: int, n_range: tuple[int, int], k_max: int) -> 
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     betas = [PiRational(Fraction(2, k)) for k in range(1, k_max + 1)]
+    texts = [beta.text() for beta in betas]
+    knot_json = knot.to_json()
     records = []
-    for point, spec, geometries in _ray_geometries(knot, m_max, n_range, betas):
-        for k, (beta, geometry) in enumerate(zip(betas, geometries), start=1):
+    for m, n, p, q, geometries in _ray_geometries(knot, m_max, n_range, betas):
+        for k, (text, geometry) in enumerate(zip(texts, geometries), start=1):
             records.append(
                 {
-                    "knot": knot.to_json(),
-                    "m": point.m,
-                    "n": point.n,
-                    "p": spec.p,
-                    "q": spec.q,
-                    "x": k * point.m,
-                    "beta": beta.text(),
+                    "knot": dict(knot_json),
+                    "m": m,
+                    "n": n,
+                    "p": p,
+                    "q": q,
+                    "x": k * m,
+                    "beta": text,
                     "geometry": str(geometry),
                 }
             )

@@ -5,7 +5,9 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from seifertgeo import cli
 from seifertgeo.cli import run
 
 POINCARE = json.dumps({"b": -1, "fibers": [[2, 1], [3, 1], [5, 1]]})
@@ -284,6 +286,181 @@ class TestExitCodes:
         assert json.loads(captured.out)["error"]["type"] == "domain"
         assert "Traceback" not in captured.err
         assert not out.exists()
+
+
+    def test_unopenable_csv_writes_no_svg(self, capsys, tmp_path):
+        svg = tmp_path / "y.svg"
+        code, payload = run_json(
+            capsys,
+            [
+                "plot", "--knot", "3,2", "--hand", "left", "--xmax", "2",
+                "--out", str(svg), "--csv", str(tmp_path / "nodir" / "y.csv"),
+            ],
+        )
+        assert code == 1
+        assert payload["error"]["type"] == "domain"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unopenable_csv_keeps_existing_svg(self, capsys, tmp_path):
+        svg = tmp_path / "y.svg"
+        svg.write_text("old", encoding="utf-8")
+        code, _ = run_json(
+            capsys,
+            [
+                "plot", "--knot", "3,2", "--hand", "left", "--xmax", "2",
+                "--out", str(svg), "--csv", str(tmp_path / "nodir" / "y.csv"),
+            ],
+        )
+        assert code == 1
+        assert svg.read_text(encoding="utf-8") == "old"
+
+
+ATLAS = ["atlas", "--knot", "3,2", "--hand", "left"]
+PLOT = ["plot", "--knot", "3,2", "--hand", "left"]
+
+
+class TestWorkLimit:
+    def refused(self, capsys, argv, out):
+        code, payload = run_json(capsys, argv + ["--out", str(out)])
+        assert code == 1
+        assert payload["error"]["type"] == "limit"
+        assert not out.exists()
+
+    def test_huge_atlas_is_refused(self, capsys, tmp_path):
+        self.refused(
+            capsys,
+            ATLAS + ["--mmax", "100000", "--nrange=-100000..100000", "--kmax", "6"],
+            tmp_path / "atlas.json",
+        )
+
+    def test_huge_plot_is_refused(self, capsys, tmp_path):
+        self.refused(capsys, PLOT + ["--xmax", "100000"], tmp_path / "plot.svg")
+
+    @pytest.mark.parametrize(
+        "ranges",
+        [
+            ["--mmax", str(10 ** 12), "--nrange=1..0", "--kmax", "1"],
+            ["--mmax", "1", "--nrange=1..0", "--kmax", str(10 ** 12)],
+        ],
+        ids=["m-loop", "angle-list"],
+    )
+    def test_empty_n_range_still_counts_m_and_k(self, capsys, tmp_path, ranges):
+        self.refused(capsys, ATLAS + ranges, tmp_path / "atlas.json")
+
+    def test_atlas_boundary_at_the_limit(self, capsys, tmp_path):
+        # mmax * 1 * kmax is exactly the limit; only (1, 0) is primitive.
+        out = tmp_path / "atlas.json"
+        argv = ATLAS + ["--nrange", "0..0", "--kmax", "1", "--out", str(out)]
+        code, payload = run_json(capsys, argv + ["--mmax", str(cli.WORK_LIMIT)])
+        assert code == 0
+        assert payload["records"] == 1
+        out.unlink()
+        self.refused(capsys, argv[:-2] + ["--mmax", str(cli.WORK_LIMIT + 1)], out)
+
+    def test_plot_boundary_at_the_limit(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "WORK_LIMIT", 4 * 5)
+        out = tmp_path / "plot.svg"
+        argv = PLOT + ["--xmax", "4", "--ymin", "0"]
+        code, payload = run_json(capsys, argv + ["--ymax", "4", "--out", str(out)])
+        assert code == 0
+        assert payload["points"] > 0
+        out.unlink()
+        self.refused(capsys, argv + ["--ymax", "5"], out)
+
+    def test_documented_batches_are_far_below(self):
+        # the atlas compared byte for byte across changes, and the README plot
+        assert 60 * 61 * 6 * 10 < cli.WORK_LIMIT
+        assert 8 * 7 * 10 < cli.WORK_LIMIT
+
+
+def _any(typed):
+    return st.one_of(st.text(max_size=24), typed)
+
+
+_INT = st.one_of(st.integers(-40, 40), st.integers()).map(str)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["b", "fibers"]), inner, max_size=2),
+    max_leaves=10,
+)
+_SIG = st.one_of(
+    _JSON.map(json.dumps),
+    st.builds(
+        lambda b, fibers: json.dumps({"b": b, "fibers": fibers}),
+        st.integers(-5, 5),
+        st.lists(st.lists(st.integers(-12, 12), min_size=2, max_size=2), max_size=4),
+    ),
+)
+_ANGLE = st.builds("{}/{}pi".format, st.integers(-3, 40), st.integers(0, 12))
+_KNOT = st.builds("{},{}".format, st.integers(-2, 15), st.integers(-2, 15))
+_HAND = st.sampled_from(["left", "right", "LEFT", " right", "up"])
+# Output names, resolved in a scratch working directory.
+_PATH = st.sampled_from(["out.txt", "other.txt", "missing/out.txt", ".", ""])
+
+_OPTIONS = {
+    "classify": {"--sig": _SIG},
+    "cone": {"--sig": _SIG, "--angles": st.lists(_ANGLE, min_size=1, max_size=4).map(",".join)},
+    "limits": {
+        "--fibers": st.builds("{},{},{}".format, *[st.integers(-1, 12)] * 3),
+        "--singular": _INT,
+    },
+    "surgery": {
+        "--knot": _KNOT, "--hand": _HAND,
+        "--slope": st.builds("{}/{}".format, st.integers(-40, 40), st.integers(-9, 9)),
+        "--beta": _ANGLE,
+    },
+    "identify": {"--sig": _SIG},
+    "plot": {
+        "--knot": _KNOT, "--hand": _HAND, "--xmax": _INT, "--ymin": _INT,
+        "--ymax": _INT, "--out": _PATH, "--csv": _PATH,
+    },
+    "atlas": {
+        "--knot": _KNOT, "--hand": _HAND, "--mmax": _INT,
+        "--nrange": st.builds("{}..{}".format, st.integers(-30, 30), st.integers(-30, 30)),
+        "--kmax": _INT, "--out": _PATH,
+    },
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    argv = [command]
+    for option, typed in _OPTIONS[command].items():
+        if draw(st.integers(0, 9)) == 0:
+            continue  # a missing required option is a usage error
+        value = draw(typed if option in ("--out", "--csv") else _any(typed))
+        if draw(st.booleans()):
+            argv.append("%s=%s" % (option, value))
+        else:
+            argv += [option, value]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+class TestFuzz:
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(argv=_argv())
+    @example(argv=["classify", "--sig", "[" * 100000, "--json"])
+    @example(argv=ATLAS + ["--mmax", "1", "--nrange=1..0", "--kmax", str(10 ** 12)])
+    def test_every_input_ends_in_an_exit_code(self, tmp_path, monkeypatch, capsys, argv):
+        # Small enough that any batch the limit admits runs in milliseconds.
+        monkeypatch.setattr(cli, "WORK_LIMIT", 2000)
+        monkeypatch.chdir(tmp_path)
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr().out
+        assert code in (0, 1, 2)
+        if "--json" in argv and code != 2:
+            json.loads(out)
 
 
 class TestEntryPoint:

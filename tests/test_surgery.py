@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from seifertgeo.arith import Handedness, PI, PiRational, TWO_PI
+from seifertgeo.cone3d import ConeStructure, classify_cone
 from seifertgeo.seifert import (
     GeometryType,
     SeifertSignature,
@@ -19,6 +20,7 @@ from seifertgeo.surgery import (
     LinePoint,
     SurgerySpec,
     TorusKnot,
+    _cone_geometry,
     atlas,
     brieskorn_surgery,
     classify_surgery_cone,
@@ -273,6 +275,38 @@ class TestClassify:
 
 def _sign(f):
     return (f > 0) - (f < 0)
+
+
+class TestIntegerRayPath:
+    def test_matches_cone_structure_path(self):
+        # The per-ray decision on integers agrees with the object path
+        # (signature, normalized cone structure, classify_cone) on every
+        # knot with r <= 13, both hands, every primitive ray with m <= 12
+        # and |n| <= 16, at beta = 2*pi/k (k <= 6) and at the bound 2*pi*m.
+        checked = 0
+        for r, s in coprime_knots(13):
+            for hand in (L, R):
+                knot = TorusKnot(r, s, hand)
+                coeffs = knot.coeffs()
+                for m in range(1, 13):
+                    for n in range(-16, 17):
+                        if math.gcd(m, n) != 1:
+                            continue
+                        sig = surgery_signature(surgery_of_line(knot, LinePoint(m, n)))
+                        betas = [PiRational(Fraction(2, k)) for k in range(1, 7)]
+                        for beta in betas + [PiRational(2 * m)]:
+                            want = classify_cone(ConeStructure(sig, (TWO_PI, TWO_PI, beta)))
+                            assert _cone_geometry(knot, coeffs, m, n, beta) == want, (
+                                r, s, hand, m, n, beta,
+                            )
+                            checked += 1
+                        above = PiRational(Fraction(4 * m + 1, 2))
+                        with pytest.raises(ValueError) as want_exc:
+                            ConeStructure(sig, (TWO_PI, TWO_PI, above))
+                        with pytest.raises(ValueError) as got_exc:
+                            _cone_geometry(knot, coeffs, m, n, above)
+                        assert str(got_exc.value) == str(want_exc.value)
+        assert checked == 151830
 
 
 class TestBrieskorn:
