@@ -72,8 +72,8 @@ def _write_files(outputs) -> None:
 
 def _arg_sig(text: str) -> SeifertSignature:
     try:
-        return SeifertSignature.from_json(json.loads(text))
-    except (ValueError, KeyError, TypeError, RecursionError) as exc:
+        return SeifertSignature.from_json(text)
+    except ValueError as exc:
         raise argparse.ArgumentTypeError("bad signature JSON: %s" % exc)
 
 

@@ -17,6 +17,12 @@ manifold, the order of its first homology, lens parameters when at
 most two fibres are exceptional, and membership in the standard
 families (prism, tetrahedral, octahedral, icosahedral, the three
 Euclidean-base families, Brieskorn homology spheres).
+
+The homology order, the lens parameters and the family parameters all
+come from one integer, e*a1*a2*a3 (_euler_numerator).  Each named
+family is fixed by its multiplicity set, which also fixes a constant
+L, and its parameter is m = -e*L, as in Orlik, Seifert Manifolds,
+LNM 291 (1972).
 """
 
 from __future__ import annotations
@@ -69,11 +75,24 @@ class SeifertSignature:
 
     @classmethod
     def from_json(cls, data) -> "SeifertSignature":
+        """Signature from its JSON object or text; ValueError names the bad field."""
         if isinstance(data, str):
-            data = json.loads(data)
+            try:
+                data = json.loads(data)
+            except RecursionError:
+                raise ValueError("signature JSON is nested too deeply") from None
+        if not isinstance(data, dict):
+            raise ValueError("signature must be an object, got %s" % type(data).__name__)
+        for field in ("b", "fibers"):
+            if field not in data:
+                raise ValueError("signature is missing field %r" % field)
+        if not isinstance(data["fibers"], (list, tuple)):
+            raise ValueError("fibers must be a list, got %s" % type(data["fibers"]).__name__)
         b = _json_int(data["b"], "b")
         fibers = []
         for i, pair in enumerate(data["fibers"]):
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                raise ValueError("fibers[%d] must be a pair [a, b]" % i)
             a, bi = pair
             fibers.append(
                 (_json_int(a, "fibers[%d][0]" % i), _json_int(bi, "fibers[%d][1]" % i))
@@ -153,35 +172,36 @@ def manifold_geometry(sig: SeifertSignature) -> GeometryType:
 
 def homology_order(sig: SeifertSignature):
     """Order of H1, which is |e| * a1 * a2 * a3; None means infinite (e == 0)."""
-    e = euler_number(sig)
-    if e == 0:
-        return None
-    a1, a2, a3 = sig.multiplicities()
-    order = abs(e) * a1 * a2 * a3
-    assert order.denominator == 1
-    return int(order)
+    return abs(_euler_numerator(sig.b, sig.fibers)) or None
 
 
 def lens_params(sig: SeifertSignature) -> tuple[int, int]:
     """Lens space parameters (m, n) of a signature with <= 2 exceptional fibres.
 
-    With fibres (a1, b1), (a2, b2) taken in the order given,
+    General fibres (1, k) are folded into b.  With the exceptional fibres
+    (a1, b1), (a2, b2) taken in the order given (padded with (1, 0)),
 
-        m = b*a1*a2 + a1*b2 + a2*b1,      n = rho*a2 + sigma*b2
+        m = -e*a1*a2 = b*a1*a2 + a1*b2 + a2*b1,      n = rho*a2 + sigma*b2
 
     where -rho*a1 + sigma*(b*a1 + b1) = 1.  n is reported modulo m in
     [0, |m|).  Swapping the fibres replaces n by its inverse mod m,
     which is the same lens space.  m = 0 (that is e = 0) is an error.
     """
-    exceptional = [f for f in sig.fibers if f[0] > 1]
+    b = sig.b
+    exceptional = []
+    for a, bi in sig.fibers:
+        if a > 1:
+            exceptional.append((a, bi))
+        else:
+            b += bi
     if len(exceptional) > 2:
         raise ValueError("lens parameters need at most two exceptional fibres")
     exceptional += [(1, 0)] * (2 - len(exceptional))
     (a1, b1), (a2, b2) = exceptional
-    m = sig.b * a1 * a2 + a1 * b2 + a2 * b1
+    m = -_euler_numerator(sig.b, sig.fibers)
     if m == 0:
         raise ValueError("m = 0: the Euler number vanishes, not a lens space")
-    g, rho, sigma = bezout(-a1, sig.b * a1 + b1)
+    g, rho, sigma = bezout(-a1, b * a1 + b1)
     assert g == 1
     n = (rho * a2 + sigma * b2) % abs(m)
     return m, n
@@ -214,8 +234,27 @@ class FamilyId:
 GENERIC = FamilyId(FamilyKind.GENERIC)
 
 
-def _coeff_by_multiplicity(fibers, a):
-    return [bi for ai, bi in fibers if ai == a]
+# Sorted multiplicities -> (family, L).  L is fixed by the multiplicities,
+# and the family parameter is the integer m = -e*L.  The prism {2, 2, n}
+# has L = n; _family_of adds it.
+_FAMILIES = {
+    (2, 3, 3): (FamilyKind.TETRAHEDRAL, 6),
+    (2, 3, 4): (FamilyKind.OCTAHEDRAL, 12),
+    (2, 3, 5): (FamilyKind.ICOSAHEDRAL, 30),
+    (3, 3, 3): (FamilyKind.N333, 3),
+    (2, 4, 4): (FamilyKind.N244, 4),
+    (2, 3, 6): (FamilyKind.N236, 6),
+}
+_MULTIPLICITIES = {kind: mults for mults, (kind, _) in _FAMILIES.items()}
+# The Euclidean-base families carry a second parameter.
+_NIL_KINDS = (FamilyKind.N333, FamilyKind.N244, FamilyKind.N236)
+
+
+def _family_of(mults):
+    """(family, L) of sorted multiplicities, or None outside the table."""
+    if mults[0] == mults[1] == 2:
+        return FamilyKind.PRISM, mults[2]
+    return _FAMILIES.get(mults)
 
 
 def identify_family(sig: SeifertSignature) -> FamilyId:
@@ -226,13 +265,10 @@ def identify_family(sig: SeifertSignature) -> FamilyId:
     pairwise coprime multiplicities), then the congruence families of
     named_family.  Anything else is Generic.
     """
-    sig = normalize(sig)
-
     if sig.exceptional_count() <= 2:
-        if euler_number(sig) == 0:
+        if _euler_numerator(sig.b, sig.fibers) == 0:
             return GENERIC
-        m, n = lens_params(sig)
-        return FamilyId(FamilyKind.LENS, (m, n))
+        return FamilyId(FamilyKind.LENS, lens_params(normalize(sig)))
 
     a1, a2, a3 = sorted(sig.multiplicities())
     if gcd(a1, a2) == gcd(a1, a3) == gcd(a2, a3) == 1:
@@ -245,134 +281,23 @@ def named_family(sig: SeifertSignature) -> FamilyId:
     """Family given by the multiplicity set alone (no homology check).
 
     Recognizes the spherical-base sets {2,2,n}, {2,3,3}, {2,3,4},
-    {2,3,5} and the Euclidean-base sets {3,3,3}, {2,4,4}, {2,3,6}
-    with their position parameters; Generic otherwise.
+    {2,3,5} and the Euclidean-base sets {3,3,3}, {2,4,4}, {2,3,6}.
+    The parameter is m = -e*L with L = n, 6, 12, 30, 3, 4, 6 in that
+    order; the prism is Prism(n, m), and a Euclidean-base family adds
+    the least normalized b_i with a_i > 2.  Generic otherwise.
     """
-    sig = normalize(sig)
-    b = sig.b
-    fibers = sig.fibers
-    mult = sorted(sig.multiplicities())
-    a1, a2, _ = mult
-
-    if a1 == 2 and a2 == 2:
-        n = mult[2]
-        b3 = _coeff_by_multiplicity(fibers, n)[0] if n > 2 else 1
-        return FamilyId(FamilyKind.PRISM, (n, (b + 1) * n + b3))
-    if mult == [2, 3, 3]:
-        b2, b3 = _coeff_by_multiplicity(fibers, 3)
-        return FamilyId(FamilyKind.TETRAHEDRAL, (6 * b + 3 + 2 * (b2 + b3),))
-    if mult == [2, 3, 4]:
-        (b2,) = _coeff_by_multiplicity(fibers, 3)
-        (b3,) = _coeff_by_multiplicity(fibers, 4)
-        return FamilyId(FamilyKind.OCTAHEDRAL, (12 * b + 6 + 4 * b2 + 3 * b3,))
-    if mult == [2, 3, 5]:
-        (b2,) = _coeff_by_multiplicity(fibers, 3)
-        (b3,) = _coeff_by_multiplicity(fibers, 5)
-        return FamilyId(FamilyKind.ICOSAHEDRAL, (30 * b + 15 + 10 * b2 + 6 * b3,))
-    if mult == [3, 3, 3]:
-        bs = _coeff_by_multiplicity(fibers, 3)
-        return FamilyId(FamilyKind.N333, (3 * b + sum(bs), min(bs)))
-    if mult == [2, 4, 4]:
-        b2, b3 = _coeff_by_multiplicity(fibers, 4)
-        return FamilyId(FamilyKind.N244, (4 * b + 2 + b2 + b3, min(b2, b3)))
-    if mult == [2, 3, 6]:
-        (b2,) = _coeff_by_multiplicity(fibers, 3)
-        (b3,) = _coeff_by_multiplicity(fibers, 6)
-        return FamilyId(FamilyKind.N236, (6 * b + 3 + 2 * b2 + b3, min(b2, b3)))
-    return GENERIC
-
-
-def _prism_signature(n, m):
-    if n < 2:
-        raise ValueError("prism family needs n >= 2")
-    if m == 0 or gcd(m, n) != 1:
-        raise ValueError("prism parameter m must be nonzero and coprime to n")
-    b3 = m % n
-    b = (m - b3) // n - 1
-    return SeifertSignature(b, ((n, b3), (2, 1), (2, 1)))
-
-
-def _t_signature(m):
-    if m % 2 == 0:
-        raise ValueError("tetrahedral parameter m must be odd")
-    pairs = {1: (1, 1), 3: (1, 2), 5: (2, 2)}
-    b2, b3 = pairs[m % 6]
-    b = (m - 3 - 2 * (b2 + b3)) // 6
-    return SeifertSignature(b, ((3, b2), (3, b3), (2, 1)))
-
-
-def _o_signature(m):
-    pairs = {1: (1, 1), 5: (2, 1), 7: (1, 3), 11: (2, 3)}
-    if m % 12 not in pairs:
-        raise ValueError("octahedral parameter m must be a unit modulo 12")
-    b2, b3 = pairs[m % 12]
-    b = (m - 6 - 4 * b2 - 3 * b3) // 12
-    return SeifertSignature(b, ((4, b3), (3, b2), (2, 1)))
-
-
-def _i_signature(m):
-    pairs = {}
-    for b2 in (1, 2):
-        for b3 in (1, 2, 3, 4):
-            pairs[(15 + 10 * b2 + 6 * b3) % 30] = (b2, b3)
-    if m % 30 not in pairs:
-        raise ValueError("icosahedral parameter m must be a unit modulo 30")
-    b2, b3 = pairs[m % 30]
-    b = (m - 15 - 10 * b2 - 6 * b3) // 30
-    return SeifertSignature(b, ((5, b3), (3, b2), (2, 1)))
-
-
-def _n333_signature(m, n):
-    r = m % 3
-    if r == 0:
-        if n not in (1, 2):
-            raise ValueError("N333 with 3 | m needs n in {1, 2}")
-        bs = (1, 1, 1) if n == 1 else (2, 2, 2)
-    elif r == 1:
-        if n != 1:
-            raise ValueError("N333 with m = 3k+1 forces n = 1")
-        bs = (1, 1, 2)
-    else:
-        if n != 1:
-            raise ValueError("N333 with m = 3k+2 forces n = 1")
-        bs = (1, 2, 2)
-    b = (m - sum(bs)) // 3
-    return SeifertSignature(b, tuple((3, bi) for bi in bs))
-
-
-def _n244_signature(m, n):
-    if m % 2 != 0:
-        raise ValueError("N244 parameter m must be even")
-    if m % 4 == 0:
-        if n not in (1, 3):
-            raise ValueError("N244 with 4 | m needs n in {1, 3}")
-        b2, b3 = (1, 1) if n == 1 else (3, 3)
-    else:
-        if n != 1:
-            raise ValueError("N244 with m = 4k+2 forces n = 1")
-        b2, b3 = 1, 3
-    b = (m - 2 - b2 - b3) // 4
-    return SeifertSignature(b, ((4, b2), (4, b3), (2, 1)))
-
-
-def _n236_signature(m, n):
-    if m % 2 != 0:
-        raise ValueError("N236 parameter m must be even")
-    r = m % 6
-    if r == 0:
-        if n not in (1, 2):
-            raise ValueError("N236 with 6 | m needs n in {1, 2}")
-        b2, b3 = (1, 1) if n == 1 else (2, 5)
-    elif r == 2:
-        if n != 1:
-            raise ValueError("N236 with m = 6k+2 forces n = 1")
-        b2, b3 = 2, 1
-    else:
-        if n != 1:
-            raise ValueError("N236 with m = 6k+4 forces n = 1")
-        b2, b3 = 1, 5
-    b = (m - 3 - 2 * b2 - b3) // 6
-    return SeifertSignature(b, ((6, b3), (3, b2), (2, 1)))
+    mults = tuple(sorted(sig.multiplicities()))
+    family = _family_of(mults)
+    if family is None:
+        return GENERIC
+    kind, L = family
+    a1, a2, a3 = mults
+    m = -_euler_numerator(sig.b, sig.fibers) * L // (a1 * a2 * a3)
+    if kind is FamilyKind.PRISM:
+        return FamilyId(kind, (L, m))
+    if kind in _NIL_KINDS:
+        return FamilyId(kind, (m, min(bi % a for a, bi in sig.fibers if a > 2)))
+    return FamilyId(kind, (m,))
 
 
 def family_signature(family: FamilyId) -> SeifertSignature:
@@ -380,23 +305,31 @@ def family_signature(family: FamilyId) -> SeifertSignature:
 
     Defined for Prism/T/O/I and the three Euclidean-base families;
     these parameters determine the signature, so identify_family and
-    family_signature are mutually inverse on them.
+    family_signature are mutually inverse on them.  For each coprime
+    residue r1, r2 of the two smaller fibres x, y, the equation
+    -e*L = m fixes b*z + r3 of the largest fibre z; the candidate whose
+    named_family gives back the parameters is the answer.
     """
     kind, params = family.kind, family.params
     if kind is FamilyKind.PRISM:
-        sig = _prism_signature(*params)
-    elif kind is FamilyKind.TETRAHEDRAL:
-        sig = _t_signature(*params)
-    elif kind is FamilyKind.OCTAHEDRAL:
-        sig = _o_signature(*params)
-    elif kind is FamilyKind.ICOSAHEDRAL:
-        sig = _i_signature(*params)
-    elif kind is FamilyKind.N333:
-        sig = _n333_signature(*params)
-    elif kind is FamilyKind.N244:
-        sig = _n244_signature(*params)
-    elif kind is FamilyKind.N236:
-        sig = _n236_signature(*params)
+        if len(params) != 2 or params[0] < 2:
+            raise ValueError("prism family needs parameters (n, m) with n >= 2")
+        mults, m = (2, 2, params[0]), params[1]
+    elif kind in _MULTIPLICITIES and params:
+        mults, m = _MULTIPLICITIES[kind], params[0]
     else:
         raise ValueError("no signature reconstruction for family %s" % family)
-    return normalize(sig)
+    x, y, z = mults
+    rhs = m * (x * y * z // _family_of(mults)[1])
+    for r1 in range(1, x):
+        for r2 in range(1, y):
+            if gcd(r1, x) != 1 or gcd(r2, y) != 1:
+                continue
+            q, rem = divmod(rhs - r1 * y * z - r2 * x * z, x * y)
+            b, r3 = divmod(q, z)
+            if rem or gcd(r3, z) != 1:
+                continue
+            sig = normalize(SeifertSignature(b, ((x, r1), (y, r2), (z, r3))))
+            if named_family(sig) == family:
+                return sig
+    raise ValueError("parameters of %s name no signature of the family" % family)

@@ -1,5 +1,8 @@
 """Repository hygiene checks."""
 
+import contextlib
+import io
+import re
 import shutil
 import subprocess
 from pathlib import Path
@@ -22,3 +25,17 @@ def test_no_tracked_file_is_gitignored():
         check=True,
     )
     assert proc.stdout.splitlines() == []
+
+
+def test_readme_library_example():
+    # each print in the README's Library block shows its output as "# ..."
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (code,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    expected = [
+        line.split("#", 1)[1].strip() for line in code.splitlines() if line.startswith("print(")
+    ]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), {})
+    assert out.getvalue().splitlines() == expected
+    assert expected == ["<-1; (5,1),(3,1),(2,1)>", "Spherical", "5/3pi 25/3pi", "Nil"]

@@ -1,5 +1,6 @@
 """Signature algebra, the geometry table, and family recognition."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -45,6 +46,22 @@ class TestSignature:
     def test_json_round_trip(self):
         sig = S(-2, ((5, 3), (4, 1)))
         assert S.from_json(sig.to_json()) == sig
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[" * 100000,
+            '{"b": 1}',
+            "[1]",
+            '"x"',
+            '{"b": 1, "fibers": 5}',
+            '{"b": 1, "fibers": [[2]]}',
+        ],
+        ids=["nested", "no-fibers", "list", "string", "fibers-not-list", "short-pair"],
+    )
+    def test_from_json_malformed_is_value_error(self, text):
+        with pytest.raises(ValueError):
+            S.from_json(text)
 
     def test_exceptional_count(self):
         assert S(0, ((1, 0), (1, 0), (1, 0))).exceptional_count() == 0
@@ -173,6 +190,13 @@ class TestLensParams:
         assert lens_params(sig) == (7, 2)
         assert homology_order(sig) == 7
 
+    def test_general_fibres_fold_into_b(self):
+        # a general fibre (1, k) moves k into b; the normal form agrees
+        assert lens_params(S(0, ((3, 1), (1, 1)))) == (4, 1)
+        assert lens_params(normalize(S(0, ((3, 1), (1, 1))))) == (4, 1)
+        assert lens_params(S(-1, ((5, 2), (1, -2), (3, 1)))) == (-34, 13)
+        assert homology_order(S(-1, ((5, 2), (1, -2), (3, 1)))) == 34
+
     def test_rejects_three_exceptional(self):
         with pytest.raises(ValueError):
             lens_params(S(-1, ((2, 1), (3, 1), (5, 1))))
@@ -278,6 +302,67 @@ class TestFamilies:
                         assert named_family(sig) == fam
                     checked += 1
         assert checked > 200
+
+    def test_paper_formulas(self):
+        # every normalized signature of each multiplicity set, b in -5..5
+        checked = 0
+        for mults in [(n, 2, 2) for n in range(2, 9)] + [
+            (3, 3, 2), (4, 3, 2), (5, 3, 2), (3, 3, 3), (4, 4, 2), (6, 3, 2)
+        ]:
+            residues = [[k for k in range(1, a) if math.gcd(a, k) == 1] for a in mults]
+            sigs = {
+                normalize(S(b, tuple(zip(mults, bs))))
+                for b in range(-5, 6)
+                for bs in itertools.product(*residues)
+            }
+            for sig in sigs:
+                fam = _paper_family(sig)
+                assert named_family(sig) == fam, str(sig)
+                assert family_signature(fam) == sig, str(sig)
+                # the same manifold, unnormalized: b_i + a_i, b - 3, reversed
+                moved = S(sig.b - 3, tuple((a, bi + a) for a, bi in reversed(sig.fibers)))
+                assert named_family(moved) == fam, str(moved)
+                checked += 1
+        assert checked == 11 * (21 + 3 + 4 + 8 + 4 + 3 + 4)
+
+    @pytest.mark.parametrize("n", [10**6 + 1, 10**30 + 1])
+    def test_prism_reconstruction_is_bounded(self, n):
+        # no loop over the n residues: 10**30 of them would never finish
+        sig = family_signature(FamilyId(FamilyKind.PRISM, (n, 5)))
+        assert sig == S(-1, ((n, 5), (2, 1), (2, 1)))
+
+    def test_wrong_arity_is_value_error(self):
+        with pytest.raises(ValueError):
+            family_signature(FamilyId(FamilyKind.PRISM, (5,)))
+
+
+def _paper_family(sig):
+    """Family parameters by the classical per-family formulas (Orlik 1972)."""
+    b = sig.b
+    c = {}
+    for a, bi in sig.fibers:
+        c.setdefault(a, []).append(bi)
+    mults = tuple(sorted(a for a, _ in sig.fibers))
+    if mults[:2] == (2, 2):
+        n = mults[2]
+        b3 = c[n][0] if n > 2 else 1
+        return FamilyId(FamilyKind.PRISM, (n, (b + 1) * n + b3))
+    if mults == (2, 3, 3):
+        b2, b3 = c[3]
+        return FamilyId(FamilyKind.TETRAHEDRAL, (6 * b + 3 + 2 * (b2 + b3),))
+    if mults == (2, 3, 4):
+        return FamilyId(FamilyKind.OCTAHEDRAL, (12 * b + 6 + 4 * c[3][0] + 3 * c[4][0],))
+    if mults == (2, 3, 5):
+        return FamilyId(FamilyKind.ICOSAHEDRAL, (30 * b + 15 + 10 * c[3][0] + 6 * c[5][0],))
+    if mults == (3, 3, 3):
+        return FamilyId(FamilyKind.N333, (3 * b + sum(c[3]), min(c[3])))
+    if mults == (2, 4, 4):
+        b2, b3 = c[4]
+        return FamilyId(FamilyKind.N244, (4 * b + 2 + b2 + b3, min(b2, b3)))
+    if mults == (2, 3, 6):
+        b2, b3 = c[3][0], c[6][0]
+        return FamilyId(FamilyKind.N236, (6 * b + 3 + 2 * b2 + b3, min(b2, b3)))
+    raise AssertionError("no family formula for %s" % sig)
 
 
 def _family_parameter_grid(b):
