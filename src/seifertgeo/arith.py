@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import total_ordering
+from operator import attrgetter
 
 
 class Handedness(Enum):
@@ -84,18 +85,53 @@ def fiber_coeffs(r: int, s: int, hand: Handedness) -> tuple[int, int]:
     return b1, b2
 
 
+class _Value:
+    """Immutable value: equality, hash, repr and pickling by the fields in
+    __slots__.  __init__ sets the fields through _set or object.__setattr__."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._key = attrgetter(*cls.__slots__)
+
+    def _set(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ("%s=%r" % (name, getattr(self, name)) for name in self.__slots__)
+        return "%s(%s)" % (type(self).__name__, ", ".join(fields))
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("%s is immutable: cannot change %r" % (type(self).__name__, name))
+
+    __delattr__ = __setattr__
+
+
 _PI_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?pi$")
 
 
-@dataclass(frozen=True, order=True)
-class PiRational:
+@total_ordering
+class PiRational(_Value):
     """A non-negative angle written as an exact rational multiple of pi.
 
     The textual form is "<num>/<den>pi"; integer multiples drop the
-    denominator ("2pi").  Ratios of two angles are exact Fractions.
+    denominator ("2pi").  Ratios of two angles are exact Fractions, and
+    angles are ordered by their coefficient.
     """
 
-    coeff: Fraction
+    __slots__ = ("coeff",)
 
     def __init__(self, coeff, den=None):
         value = Fraction(coeff, den) if den is not None else Fraction(coeff)
@@ -150,6 +186,9 @@ class PiRational:
         if isinstance(other, (int, Fraction)):
             return PiRational(self.coeff / other)
         return NotImplemented
+
+    def __lt__(self, other):
+        return self.coeff < other.coeff if other.__class__ is PiRational else NotImplemented
 
     def __bool__(self):
         return self.coeff != 0

@@ -30,12 +30,11 @@ value in the package; degenerate lines are resolved exactly first.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from . import kernel
-from .arith import PiRational
+from .arith import PiRational, _Value
 
 
 class RegionClass(Enum):
@@ -70,11 +69,8 @@ STRUCTURE_CLASSES = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class BasePoint:
-    alpha1: PiRational
-    alpha2: PiRational
-    alpha3: PiRational
+class BasePoint(_Value):
+    __slots__ = ("alpha1", "alpha2", "alpha3")
 
     def __init__(self, alpha1, alpha2, alpha3):
         angles = []

@@ -5,11 +5,15 @@ Results go to standard output, as JSON with --json and as plain
 key/value text otherwise.  Exit codes: 0 success, 2 usage error
 (argparse), 1 domain error or a batch over WORK_LIMIT, reported as a
 JSON error object.
+
+The plot module is imported on demand, by the plot subcommand only, and
+the argument parser is built once per process, on the first run.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -18,7 +22,6 @@ from fractions import Fraction
 from .arith import Handedness, PiRational, TWO_PI
 from .base2d import classify_triangle
 from .cone3d import ConeStructure, classify_cone, sphericity_limits
-from .plot import PlotWindow, build_plot, export_csv, render_svg
 from .seifert import (
     FamilyKind,
     SeifertSignature,
@@ -239,6 +242,8 @@ def _cmd_identify(args) -> int:
 
 
 def _cmd_plot(args) -> int:
+    from .plot import PlotWindow, build_plot, export_csv, render_svg
+
     r, s = args.knot
     knot = TorusKnot(r, s, args.hand)
     if args.xmax < 1:
@@ -273,6 +278,7 @@ def _cmd_atlas(args) -> int:
     return _emit(args, {"out": args.out, "records": len(records)})
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="seifertgeo",

@@ -25,20 +25,21 @@ The ratio beta_U / beta_L does not depend on a3 and the width is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import kernel
-from .arith import PiRational, TWO_PI
+from .arith import PiRational, TWO_PI, _Value
 from .base2d import STRUCTURE_CLASSES, BasePoint, base_limits, classify_triangle
 from .seifert import GeometryType, SeifertSignature, _euler_numerator, normalize_with_order
 
 
-@dataclass(frozen=True)
-class GeometryResult:
+class GeometryResult(_Value):
     """Either one of the six geometries or no structure at all."""
 
-    geometry: GeometryType | None
+    __slots__ = ("geometry",)
+
+    def __init__(self, geometry: GeometryType | None):
+        object.__setattr__(self, "geometry", geometry)
 
     @property
     def has_structure(self) -> bool:
@@ -51,8 +52,7 @@ class GeometryResult:
 NO_STRUCTURE = GeometryResult(None)
 
 
-@dataclass(frozen=True)
-class ConeStructure:
+class ConeStructure(_Value):
     """A normalized signature with one cone angle per fibre.
 
     The constructor accepts a raw signature; normalization carries the
@@ -60,8 +60,7 @@ class ConeStructure:
     fibre k of the stored signature.
     """
 
-    sig: SeifertSignature
-    angles: tuple[PiRational, PiRational, PiRational]
+    __slots__ = ("sig", "angles")
 
     def __init__(self, sig: SeifertSignature, angles):
         angles = tuple(
@@ -128,10 +127,11 @@ def _geometry(code: int, twisted: bool) -> GeometryResult:
     return NO_STRUCTURE
 
 
-@dataclass(frozen=True)
-class SphericityInterval:
-    beta_lower: PiRational
-    beta_upper: PiRational
+class SphericityInterval(_Value):
+    __slots__ = ("beta_lower", "beta_upper")
+
+    def __init__(self, beta_lower: PiRational, beta_upper: PiRational):
+        self._set(beta_lower, beta_upper)
 
     def amplitude(self) -> PiRational:
         return self.beta_upper - self.beta_lower
@@ -194,16 +194,17 @@ def manifold_geometry_from_limits(
     return GeometryType.S2XR if euler_zero else GeometryType.SPHERICAL
 
 
-@dataclass(frozen=True)
-class FamilyDimension:
+class FamilyDimension(_Value):
     """Dimension report for the cone structures with a fixed singular set.
 
     kind is "continuous" (with dim parameters), "orbifold_only" (an
     isolated structure) or "none".
     """
 
-    kind: str
-    dim: int | None = None
+    __slots__ = ("kind", "dim")
+
+    def __init__(self, kind: str, dim: int | None = None):
+        self._set(kind, dim)
 
     def __str__(self):
         if self.kind == "continuous":

@@ -17,10 +17,10 @@ coordinate text of the band boundaries is the exact abscissa.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
-from .arith import Handedness, TWO_PI
+from .arith import Handedness, TWO_PI, _Value
 from .seifert import GeometryType
 from .surgery import (
     TorusKnot,
@@ -30,37 +30,30 @@ from .surgery import (
 )
 
 
-@dataclass(frozen=True)
-class PlotWindow:
-    x_max: Fraction
-    y_min: int
-    y_max: int
+class PlotWindow(_Value):
+    __slots__ = ("x_max", "y_min", "y_max")
 
-    def __post_init__(self):
-        if self.x_max < 1:
+    def __init__(self, x_max: Fraction, y_min: int, y_max: int):
+        if x_max < 1:
             raise ValueError("window needs x_max >= 1")
-        if self.y_min > self.y_max:
+        if y_min > y_max:
             raise ValueError("window needs y_min <= y_max")
+        self._set(x_max, y_min, y_max)
 
 
-@dataclass(frozen=True)
-class PlotPoint:
-    m: int
-    n: int
-    p: int
-    q: int
-    geometry: str
+PlotPoint = namedtuple("PlotPoint", "m n p q geometry")
 
 
-@dataclass(frozen=True)
-class PlotModel:
-    knot: TorusKnot
-    window: PlotWindow
-    x_upper: Fraction
-    x_lower: Fraction
-    euler_zero_slope: int
-    orbifold_xs: tuple[int, ...]
-    points: tuple[PlotPoint, ...]
+class PlotModel(_Value):
+    __slots__ = (
+        "knot", "window", "x_upper", "x_lower", "euler_zero_slope", "orbifold_xs", "points"
+    )
+
+    def __init__(
+        self, knot: TorusKnot, window: PlotWindow, x_upper: Fraction, x_lower: Fraction,
+        euler_zero_slope: int, orbifold_xs: tuple[int, ...], points: tuple[PlotPoint, ...],
+    ):
+        self._set(knot, window, x_upper, x_lower, euler_zero_slope, orbifold_xs, points)
 
 
 def build_plot(knot: TorusKnot, window: PlotWindow) -> PlotModel:

@@ -28,37 +28,39 @@ LNM 291 (1972).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd
 
-from .arith import bezout
+from .arith import _Value, bezout
 
 
-def _json_int(value, field: str) -> int:
-    """value if it is a JSON integer; bools and floats are not coerced."""
+def _require_int(value, field: str) -> None:
+    """ValueError naming the field unless value is an int; a bool, float
+    or string is refused, never coerced."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError("%s must be an integer, got %r" % (field, value))
-    return value
 
 
-@dataclass(frozen=True)
-class SeifertSignature:
-    b: int
-    fibers: tuple[tuple[int, int], ...]
+class SeifertSignature(_Value):
+    __slots__ = ("b", "fibers")
 
     def __init__(self, b: int, fibers):
-        fibers = tuple((int(a), int(bi)) for a, bi in fibers)
+        _require_int(b, "b")
+        fibers = tuple([(a, bi) for a, bi in fibers])
         if not 1 <= len(fibers) <= 3:
             raise ValueError("signature needs 1 to 3 fibre pairs, got %d" % len(fibers))
-        fibers = fibers + ((1, 0),) * (3 - len(fibers))
-        for a, bi in fibers:
+        fibers += ((1, 0),) * (3 - len(fibers))
+        for i, (a, bi) in enumerate(fibers):
+            # exact ints skip the call; an int subclass other than bool passes it
+            if a.__class__ is not int or bi.__class__ is not int:
+                _require_int(a, "fibers[%d][0]" % i)
+                _require_int(bi, "fibers[%d][1]" % i)
             if a < 1:
                 raise ValueError("fibre multiplicity must be >= 1, got %d" % a)
             if gcd(a, bi) != 1:
                 raise ValueError("fibre pair (%d, %d) is not coprime" % (a, bi))
-        object.__setattr__(self, "b", int(b))
+        object.__setattr__(self, "b", b)
         object.__setattr__(self, "fibers", fibers)
 
     def multiplicities(self) -> tuple[int, int, int]:
@@ -88,16 +90,10 @@ class SeifertSignature:
                 raise ValueError("signature is missing field %r" % field)
         if not isinstance(data["fibers"], (list, tuple)):
             raise ValueError("fibers must be a list, got %s" % type(data["fibers"]).__name__)
-        b = _json_int(data["b"], "b")
-        fibers = []
         for i, pair in enumerate(data["fibers"]):
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise ValueError("fibers[%d] must be a pair [a, b]" % i)
-            a, bi = pair
-            fibers.append(
-                (_json_int(a, "fibers[%d][0]" % i), _json_int(bi, "fibers[%d][1]" % i))
-            )
-        return cls(b, fibers)
+        return cls(data["b"], data["fibers"])
 
     def __str__(self):
         pairs = ",".join("(%d,%d)" % f for f in self.fibers)
@@ -220,10 +216,11 @@ class FamilyKind(Enum):
     GENERIC = "Generic"
 
 
-@dataclass(frozen=True)
-class FamilyId:
-    kind: FamilyKind
-    params: tuple[int, ...] = ()
+class FamilyId(_Value):
+    __slots__ = ("kind", "params")
+
+    def __init__(self, kind: FamilyKind, params: tuple[int, ...] = ()):
+        self._set(kind, params)
 
     def __str__(self):
         if not self.params:

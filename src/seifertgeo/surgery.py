@@ -30,34 +30,28 @@ and PiRational are the types of the public functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from . import kernel
-from .arith import Handedness, PiRational, fiber_coeffs
+from .arith import Handedness, PiRational, _Value, fiber_coeffs
 from .cone3d import GeometryResult, _base_angle, _geometry
 from .seifert import SeifertSignature, _euler_numerator
 
 
-@dataclass(frozen=True)
-class TorusKnot:
-    r: int
-    s: int
-    hand: Handedness
+class TorusKnot(_Value):
+    __slots__ = ("r", "s", "hand")
 
-    def __post_init__(self):
-        if not (self.r > self.s > 1):
+    def __init__(self, r: int, s: int, hand: Handedness):
+        if not (r > s > 1):
+            raise ValueError("torus knot needs r > s > 1, got (%d, %d)" % (r, s))
+        if gcd(r, s) != 1:
             raise ValueError(
-                "torus knot needs r > s > 1, got (%d, %d)" % (self.r, self.s)
+                "torus knot parameters must be coprime, got (%d, %d)" % (r, s)
             )
-        if gcd(self.r, self.s) != 1:
-            raise ValueError(
-                "torus knot parameters must be coprime, got (%d, %d)"
-                % (self.r, self.s)
-            )
-        if not isinstance(self.hand, Handedness):
+        if not isinstance(hand, Handedness):
             raise ValueError("hand must be a Handedness value")
+        self._set(r, s, hand)
 
     def coeffs(self) -> tuple[int, int]:
         return fiber_coeffs(self.r, self.s, self.hand)
@@ -69,38 +63,35 @@ class TorusKnot:
         return "K(%d,%d) %s" % (self.r, self.s, self.hand.value)
 
 
-@dataclass(frozen=True)
-class SurgerySpec:
+class SurgerySpec(_Value):
     """Slope p/q with p >= 0 and the sign carried by q; (1, 0) is infinity."""
 
-    knot: TorusKnot
-    p: int
-    q: int
+    __slots__ = ("knot", "p", "q")
 
-    def __post_init__(self):
-        if self.p < 0:
+    def __init__(self, knot: TorusKnot, p: int, q: int):
+        if p < 0:
             raise ValueError("slope numerator must be >= 0 (sign lives in q)")
-        if (self.p, self.q) == (0, 0):
+        if (p, q) == (0, 0):
             raise ValueError("slope 0/0 is not a surgery")
-        if gcd(self.p, abs(self.q)) != 1:
-            raise ValueError("slope %d/%d is not reduced" % (self.p, self.q))
+        if gcd(p, abs(q)) != 1:
+            raise ValueError("slope %d/%d is not reduced" % (p, q))
+        self._set(knot, p, q)
 
     def slope_text(self) -> str:
         return "%d/%d" % (self.p, self.q)
 
 
-@dataclass(frozen=True)
-class LinePoint:
+class LinePoint(_Value):
     """Primitive lattice point (m, n) naming the ray l_{m/n}."""
 
-    m: int
-    n: int
+    __slots__ = ("m", "n")
 
-    def __post_init__(self):
-        if self.m < 0:
+    def __init__(self, m: int, n: int):
+        if m < 0:
             raise ValueError("line point needs m >= 0")
-        if gcd(self.m, abs(self.n)) != 1:
-            raise ValueError("line point (%d, %d) is not primitive" % (self.m, self.n))
+        if gcd(m, abs(n)) != 1:
+            raise ValueError("line point (%d, %d) is not primitive" % (m, n))
+        self._set(m, n)
 
 
 def _core(spec: SurgerySpec) -> tuple[int, int]:

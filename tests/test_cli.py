@@ -174,6 +174,32 @@ class TestIdentify:
         assert payload["family"] == "Lens(-5,2)"
 
 
+class TestRepeatedRuns:
+    """The parser is built once per process; no option outlives its run."""
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_surgery_beta_does_not_leak(self, capsys):
+        argv = ["surgery", "--knot", "3,2", "--hand", "left", "--slope", "4/-1"]
+        _, first = run_json(capsys, argv)
+        _, with_beta = run_json(capsys, argv + ["--beta", "2/3pi"])
+        _, again = run_json(capsys, argv)
+        assert with_beta["beta"] == "2/3pi"
+        assert again["beta"] == first["beta"] == "2pi"
+        assert again == first
+
+    def test_plot_options_do_not_leak(self, capsys, tmp_path):
+        svg, csv = str(tmp_path / "k.svg"), str(tmp_path / "k.csv")
+        argv = ["plot", "--knot", "3,2", "--hand", "left", "--xmax", "3", "--out", svg]
+        _, first = run_json(capsys, argv)
+        _, with_options = run_json(capsys, argv + ["--csv", csv, "--ymin", "-2", "--ymax", "1"])
+        _, again = run_json(capsys, argv)
+        # (m, n) primitive with 1 <= m <= 3: 8 rays for n in 0..3, 9 for n in -2..1
+        assert with_options == {"out": svg, "csv": csv, "points": 9}
+        assert again == first == {"out": svg, "csv": None, "points": 8}
+
+
 class TestFileOutputs:
     def test_plot(self, capsys, tmp_path):
         svg = tmp_path / "trefoil.svg"
@@ -475,6 +501,22 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["geometry"] == "Spherical"
+
+    def test_import_loads_no_dataclasses_and_no_plot(self):
+        # only modules new to this import count, so a .pth file that
+        # loads something at interpreter start cannot fail the test
+        code = (
+            "import json, sys\n"
+            "before = set(sys.modules)\n"
+            "import seifertgeo.cli\n"
+            "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        new = set(json.loads(proc.stdout))
+        assert "seifertgeo.cli" in new
+        assert new.isdisjoint({"dataclasses", "inspect", "seifertgeo.plot"})
 
     def test_module_usage_error(self):
         proc = subprocess.run(

@@ -25,6 +25,7 @@ from seifertgeo.seifert import (
 )
 
 S = SeifertSignature
+POINCARE = ((2, 1), (3, 1), (5, 1))
 
 
 class TestSignature:
@@ -62,6 +63,30 @@ class TestSignature:
     def test_from_json_malformed_is_value_error(self, text):
         with pytest.raises(ValueError):
             S.from_json(text)
+
+    @pytest.mark.parametrize(
+        "b, fibers, message",
+        [
+            (1.7, ((2, 1.9),), "b must be an integer, got 1.7"),
+            (True, (("3", "1"),), "b must be an integer, got True"),
+            (1, ((2, 1.9),), "fibers[0][1] must be an integer, got 1.9"),
+            (1, ((2, 1), ("3", "1")), "fibers[1][0] must be an integer, got '3'"),
+            (0, ((2, 1), (3, 1), (5, False)), "fibers[2][1] must be an integer, got False"),
+            (Fraction(-1), POINCARE, "b must be an integer"),
+        ],
+        ids=["float", "bool-and-str", "float-fibre", "str-fibre", "bool-fibre", "fraction"],
+    )
+    def test_refuses_non_int_fields(self, b, fibers, message):
+        # nothing is coerced with int(): the field is named, as in from_json
+        with pytest.raises(ValueError) as exc:
+            S(b, fibers)
+        assert str(exc.value).startswith(message)
+
+    def test_keeps_given_ints_and_takes_lists(self):
+        sig = S(-1, [[2, 1], [3, 1], [5, 1]])
+        assert sig == S(-1, POINCARE)
+        assert sig.fibers == POINCARE
+        assert type(sig.b) is int
 
     def test_exceptional_count(self):
         assert S(0, ((1, 0), (1, 0), (1, 0))).exceptional_count() == 0
