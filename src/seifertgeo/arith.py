@@ -33,6 +33,13 @@ class Handedness(Enum):
             raise ValueError("handedness must be 'left' or 'right', got %r" % (text,))
 
 
+def _require_int(value, field: str) -> None:
+    """ValueError naming the field unless value is an int; a bool, float
+    or string is refused, never coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError("%s must be an integer, got %r" % (field, value))
+
+
 def bezout(a: int, b: int) -> tuple[int, int, int]:
     """Extended Euclid: return (g, x, y) with a*x + b*y == g == gcd(a, b) > 0.
 
@@ -128,12 +135,20 @@ class PiRational(_Value):
 
     The textual form is "<num>/<den>pi"; integer multiples drop the
     denominator ("2pi").  Ratios of two angles are exact Fractions, and
-    angles are ordered by their coefficient.
+    angles are ordered by their coefficient.  The coefficient is an int
+    or a Fraction and the optional denominator an int; a float, whose
+    binary value is rarely the rational meant, is refused.
     """
 
     __slots__ = ("coeff",)
 
     def __init__(self, coeff, den=None):
+        if coeff.__class__ is not Fraction and (
+            isinstance(coeff, bool) or not isinstance(coeff, (int, Fraction))
+        ):
+            raise ValueError("angle coefficient must be an int or a Fraction, got %r" % (coeff,))
+        if den is not None:
+            _require_int(den, "angle denominator")
         value = Fraction(coeff, den) if den is not None else Fraction(coeff)
         if value < 0:
             raise ValueError("angle must be non-negative, got %s*pi" % value)

@@ -73,67 +73,43 @@ def _write_files(outputs) -> None:
             handle.write(text)
 
 
-def _arg_sig(text: str) -> SeifertSignature:
-    try:
-        return SeifertSignature.from_json(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError("bad signature JSON: %s" % exc)
+def _arg(parse):
+    """argparse type that reports a ValueError of parse as a usage error
+    with the error's own message."""
+
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+
+    return convert
 
 
-def _arg_knot(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError("knot must be 'r,s'")
-    try:
-        return int(parts[0]), int(parts[1])
-    except ValueError:
-        raise argparse.ArgumentTypeError("knot must be two integers 'r,s'")
+def _ints(form: str, sep: str):
+    """Parser of integers written as form, such as 'r,s', split at sep."""
+    count = len(form.split(sep))
+
+    def parse(text: str) -> tuple[int, ...]:
+        parts = text.split(sep)
+        if len(parts) != count:
+            raise ValueError("expected '%s', got %r" % (form, text))
+        try:
+            return tuple(int(part) for part in parts)
+        except ValueError:
+            raise ValueError("expected integers as '%s', got %r" % (form, text)) from None
+
+    return parse
 
 
-def _arg_slope(text: str) -> tuple[int, int]:
-    parts = text.split("/")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError("slope must be 'p/q'")
-    try:
-        p, q = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise argparse.ArgumentTypeError("slope must be two integers 'p/q'")
+def _slope(text: str) -> tuple[int, int]:
+    p, q = _ints("p/q", "/")(text)
     # canonical form keeps the sign in q
     return (-p, -q) if p < 0 else (p, q)
 
 
-def _arg_angles(text: str) -> list[PiRational]:
-    try:
-        return [PiRational.parse(part) for part in text.split(",")]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-
-
-def _arg_fibers(text: str) -> tuple[int, int, int]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("fibers must be 'a1,a2,a3'")
-    try:
-        return tuple(int(p) for p in parts)
-    except ValueError:
-        raise argparse.ArgumentTypeError("fibers must be three integers")
-
-
-def _arg_nrange(text: str) -> tuple[int, int]:
-    parts = text.split("..")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError("nrange must be 'A..B'")
-    try:
-        return int(parts[0]), int(parts[1])
-    except ValueError:
-        raise argparse.ArgumentTypeError("nrange bounds must be integers")
-
-
-def _arg_hand(text: str) -> Handedness:
-    try:
-        return Handedness.parse(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+def _angles(text: str) -> list[PiRational]:
+    return [PiRational.parse(part) for part in text.split(",")]
 
 
 def _emit(args, payload: dict) -> int:
@@ -293,28 +269,28 @@ def _build_parser() -> argparse.ArgumentParser:
         return cmd
 
     cmd = add("classify", _cmd_classify, "invariants and geometry of a signature")
-    cmd.add_argument("--sig", type=_arg_sig, required=True)
+    cmd.add_argument("--sig", type=_arg(SeifertSignature.from_json), required=True)
 
     cmd = add("cone", _cmd_cone, "geometry of a cone structure")
-    cmd.add_argument("--sig", type=_arg_sig, required=True)
-    cmd.add_argument("--angles", type=_arg_angles, required=True)
+    cmd.add_argument("--sig", type=_arg(SeifertSignature.from_json), required=True)
+    cmd.add_argument("--angles", type=_arg(_angles), required=True)
 
     cmd = add("limits", _cmd_limits, "sphericity limits of a singular fibre")
-    cmd.add_argument("--fibers", type=_arg_fibers, required=True)
+    cmd.add_argument("--fibers", type=_arg(_ints("a1,a2,a3", ",")), required=True)
     cmd.add_argument("--singular", type=int, default=3)
 
     cmd = add("surgery", _cmd_surgery, "classify a Dehn surgery on a torus knot")
-    cmd.add_argument("--knot", type=_arg_knot, required=True)
-    cmd.add_argument("--hand", type=_arg_hand, required=True)
-    cmd.add_argument("--slope", type=_arg_slope, required=True)
-    cmd.add_argument("--beta", type=PiRational.parse, default=None)
+    cmd.add_argument("--knot", type=_arg(_ints("r,s", ",")), required=True)
+    cmd.add_argument("--hand", type=_arg(Handedness.parse), required=True)
+    cmd.add_argument("--slope", type=_arg(_slope), required=True)
+    cmd.add_argument("--beta", type=_arg(PiRational.parse), default=None)
 
     cmd = add("identify", _cmd_identify, "standard family of a signature")
-    cmd.add_argument("--sig", type=_arg_sig, required=True)
+    cmd.add_argument("--sig", type=_arg(SeifertSignature.from_json), required=True)
 
     cmd = add("plot", _cmd_plot, "render the surgery-line diagram of a knot")
-    cmd.add_argument("--knot", type=_arg_knot, required=True)
-    cmd.add_argument("--hand", type=_arg_hand, required=True)
+    cmd.add_argument("--knot", type=_arg(_ints("r,s", ",")), required=True)
+    cmd.add_argument("--hand", type=_arg(Handedness.parse), required=True)
     cmd.add_argument("--xmax", type=int, required=True)
     cmd.add_argument("--out", required=True)
     cmd.add_argument("--csv", default=None)
@@ -322,10 +298,10 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--ymax", type=int, default=None)
 
     cmd = add("atlas", _cmd_atlas, "batch-classify orbifold structures on surgery lines")
-    cmd.add_argument("--knot", type=_arg_knot, required=True)
-    cmd.add_argument("--hand", type=_arg_hand, required=True)
+    cmd.add_argument("--knot", type=_arg(_ints("r,s", ",")), required=True)
+    cmd.add_argument("--hand", type=_arg(Handedness.parse), required=True)
     cmd.add_argument("--mmax", type=int, required=True)
-    cmd.add_argument("--nrange", type=_arg_nrange, required=True)
+    cmd.add_argument("--nrange", type=_arg(_ints("A..B", "..")), required=True)
     cmd.add_argument("--kmax", type=int, required=True)
     cmd.add_argument("--out", required=True)
 

@@ -5,22 +5,23 @@ A cone structure assigns each fibre (a_i, b_i) a cone angle beta_i in
 
     alpha_i = beta_i / (2 * a_i),
 
-and the geometry follows from the region of the base point together
-with the Euler number of the fibration: the hyperbolic region gives
-SL2R (H2xR when e = 0), the Euclidean face gives Nil (Euclidean),
-the spherical tetrahedron and its edges give Spherical (S2xR), and
-everything else carries no geometric Seifert conemanifold structure.
+and the region kernel places it in the angle cube.  The hyperbolic
+region, the Euclidean face and the spherical tetrahedron with its edges
+give the sign (-1, 0, +1) of the base curvature, and seifert's
+geometry table, read at that sign and at e != 0, gives the geometry.
+Every other region carries no geometric Seifert conemanifold structure.
 
 When one fibre of multiplicity a3 is singular and the other two, of
 multiplicities 1 < a1 <= a2, stay at 2*pi, the structure is spherical
 exactly between the sphericity limits
 
-    beta_L = 2*pi*a3*(a1*a2 - a2 - a1)/(a1*a2)
-    beta_U = 2*pi*a3*(a1*a2 - a2 + a1)/(a1*a2)
+    beta_L = 2*a3*alpha_L,      beta_U = 2*a3*alpha_U,
 
-with Nil (Euclidean when e = 0) at beta_L and SL2R (H2xR) below it.
-The ratio beta_U / beta_L does not depend on a3 and the width is
-4*pi*a3/a2.
+where (alpha_L, alpha_U) = base2d.base_limits(a1, a2) is the band of
+the singular fibre's base angle.  The base curvature has the sign of
+beta - beta_L below beta_U, so the geometry is Nil (Euclidean when
+e = 0) at beta_L and SL2R (H2xR) below it.  The ratio beta_U / beta_L
+does not depend on a3 and the width is 4*pi*a3/a2.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from fractions import Fraction
 
 from . import kernel
 from .arith import PiRational, TWO_PI, _Value
-from .base2d import STRUCTURE_CLASSES, BasePoint, base_limits, classify_triangle
-from .seifert import GeometryType, SeifertSignature, _euler_numerator, normalize_with_order
+from .base2d import BasePoint, base_limits
+from .seifert import _GEOMETRIES, GeometryType, SeifertSignature, _euler_numerator, normalize, normalize_with_order
 
 
 class GeometryResult(_Value):
@@ -50,6 +51,16 @@ class GeometryResult(_Value):
 
 
 NO_STRUCTURE = GeometryResult(None)
+
+# Kernel region code -> its row of _GEOMETRIES, prebuilt; other codes carry no structure.
+_ROWS = {
+    code: tuple(map(GeometryResult, _GEOMETRIES[sign]))
+    for code, sign in (
+        (kernel.HYPERBOLIC, -1), (kernel.EUCLIDEAN_FACE, 0),
+        (kernel.SPHERICAL_INTERIOR, 1), (kernel.SPHERICAL_EDGE, 1),
+    )
+}
+_NO_ROW = (NO_STRUCTURE, NO_STRUCTURE)
 
 
 class ConeStructure(_Value):
@@ -118,13 +129,7 @@ def _base_angle(beta: PiRational, a: int) -> tuple[int, int]:
 
 def _geometry(code: int, twisted: bool) -> GeometryResult:
     """Geometry of a kernel region code; twisted means e != 0."""
-    if code == kernel.HYPERBOLIC:
-        return GeometryResult(GeometryType.SL2R if twisted else GeometryType.H2XR)
-    if code == kernel.EUCLIDEAN_FACE:
-        return GeometryResult(GeometryType.NIL if twisted else GeometryType.EUCLIDEAN)
-    if code in (kernel.SPHERICAL_INTERIOR, kernel.SPHERICAL_EDGE):
-        return GeometryResult(GeometryType.SPHERICAL if twisted else GeometryType.S2XR)
-    return NO_STRUCTURE
+    return _ROWS.get(code, _NO_ROW)[twisted]
 
 
 class SphericityInterval(_Value):
@@ -165,12 +170,12 @@ def sphericity_ratio(a1: int, a2: int) -> Fraction:
     a1, a2 = sorted((a1, a2))
     if a1 <= 1:
         raise ValueError("sphericity ratio needs both multiplicities > 1")
-    den = a1 * a2 - a2 - a1
-    if den <= 0:
+    lower, upper = base_limits(a1, a2)
+    if not lower:
         raise ValueError(
             "sphericity ratio undefined for (%d, %d): beta_L = 0" % (a1, a2)
         )
-    return Fraction(a1 * a2 - a2 + a1, den)
+    return upper / lower
 
 
 def manifold_geometry_from_limits(
@@ -184,14 +189,11 @@ def manifold_geometry_from_limits(
     The answer agrees with the sign table on the signature.
     """
     interval = sphericity_limits(a1, a2, a3)
-    two_pi = TWO_PI
-    if two_pi > interval.beta_upper:
+    if TWO_PI > interval.beta_upper:
         raise ValueError("2*pi exceeds beta_U: no such fibration")
-    if two_pi < interval.beta_lower:
-        return GeometryType.H2XR if euler_zero else GeometryType.SL2R
-    if two_pi == interval.beta_lower:
-        return GeometryType.EUCLIDEAN if euler_zero else GeometryType.NIL
-    return GeometryType.S2XR if euler_zero else GeometryType.SPHERICAL
+    # The base curvature has the sign of 2*pi - beta_L.
+    sign = (TWO_PI > interval.beta_lower) - (TWO_PI < interval.beta_lower)
+    return _GEOMETRIES[sign][not euler_zero]
 
 
 class FamilyDimension(_Value):
@@ -242,8 +244,7 @@ def family_dimension(sig: SeifertSignature, singular) -> FamilyDimension:
     singular = frozenset(singular)
     if not singular <= {1, 2, 3}:
         raise ValueError("singular set must be a subset of {1, 2, 3}")
-    sig_n, order = normalize_with_order(sig)
-    if sig_n != sig:
+    if normalize(sig) != sig:
         raise ValueError("family_dimension expects a normalized signature")
 
     free = sorted(singular)
@@ -254,10 +255,8 @@ def family_dimension(sig: SeifertSignature, singular) -> FamilyDimension:
     k = len(free)
 
     if k == 0:
-        point = BasePoint(
-            *(PiRational(Fraction(1, a)) for a, _ in sig.fibers)
-        )
-        if classify_triangle(point) in STRUCTURE_CLASSES:
+        a1, a2, a3 = sig.multiplicities()
+        if _geometry(kernel.classify_region(1, a1, 1, a2, 1, a3), True).has_structure:
             return Dim(0)
         return NO_FAMILY
     if k == 3:

@@ -21,7 +21,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .arith import Handedness, TWO_PI, _Value
-from .seifert import GeometryType
+from .seifert import _GEOMETRIES
 from .surgery import (
     TorusKnot,
     _ray_geometries,
@@ -78,9 +78,8 @@ def build_plot(knot: TorusKnot, window: PlotWindow) -> PlotModel:
     )
 
 
-_SPHERICAL = {GeometryType.SPHERICAL.value, GeometryType.S2XR.value}
-_FLAT = {GeometryType.NIL.value, GeometryType.EUCLIDEAN.value}
-_NEGATIVE = {GeometryType.SL2R.value, GeometryType.H2XR.value}
+# One marker shape per row of the geometry table: positive, zero, negative curvature.
+_SPHERICAL, _FLAT, _NEGATIVE = ({g.value for g in _GEOMETRIES[sign]} for sign in (1, 0, -1))
 
 
 def _num(v) -> str:

@@ -18,6 +18,10 @@ most two fibres are exceptional, and membership in the standard
 families (prism, tetrahedral, octahedral, icosahedral, the three
 Euclidean-base families, Brieskorn homology spheres).
 
+The geometry is one lookup in _GEOMETRIES, Scott's table indexed by the
+sign of the base curvature (here the sign of chi) and by e != 0; cone3d
+and plot read the same table.
+
 The homology order, the lens parameters and the family parameters all
 come from one integer, e*a1*a2*a3 (_euler_numerator).  Each named
 family is fixed by its multiplicity set, which also fixes a constant
@@ -32,14 +36,7 @@ from enum import Enum
 from fractions import Fraction
 from math import gcd
 
-from .arith import _Value, bezout
-
-
-def _require_int(value, field: str) -> None:
-    """ValueError naming the field unless value is an int; a bool, float
-    or string is refused, never coerced."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError("%s must be an integer, got %r" % (field, value))
+from .arith import _Value, _require_int, bezout
 
 
 class SeifertSignature(_Value):
@@ -112,6 +109,15 @@ class GeometryType(Enum):
         return self.value
 
 
+# Scott's table: the sign of the base curvature (-1, 0, +1) picks the
+# row, e != 0 the entry.  Every geometry decision in the package reads it.
+_GEOMETRIES = {
+    -1: (GeometryType.H2XR, GeometryType.SL2R),
+    0: (GeometryType.EUCLIDEAN, GeometryType.NIL),
+    1: (GeometryType.S2XR, GeometryType.SPHERICAL),
+}
+
+
 def normalize_with_order(sig: SeifertSignature) -> tuple[SeifertSignature, tuple[int, ...]]:
     """Normal form together with the fibre permutation that produced it.
 
@@ -150,20 +156,9 @@ def orbifold_euler_char(sig: SeifertSignature) -> Fraction:
 
 
 def manifold_geometry(sig: SeifertSignature) -> GeometryType:
-    """Geometry of the manifold by the sign table (e, chi) -> geometry."""
-    e = euler_number(sig)
+    """Geometry of the manifold: _GEOMETRIES[sign of chi][e != 0]."""
     chi = orbifold_euler_char(sig)
-    if e != 0:
-        if chi > 0:
-            return GeometryType.SPHERICAL
-        if chi == 0:
-            return GeometryType.NIL
-        return GeometryType.SL2R
-    if chi > 0:
-        return GeometryType.S2XR
-    if chi == 0:
-        return GeometryType.EUCLIDEAN
-    return GeometryType.H2XR
+    return _GEOMETRIES[(chi > 0) - (chi < 0)][euler_number(sig) != 0]
 
 
 def homology_order(sig: SeifertSignature):

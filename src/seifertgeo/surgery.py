@@ -13,13 +13,12 @@ the surgery lives on the ray l_{m/n} through the origin and the
 primitive point (m, n) with n = eps*q; the structure with cone angle
 beta around the core sits at abscissa x = 2*pi*m/beta.
 
-On each ray the structure is spherical for x_U < x < x_L with
-
-    x_U = r*s/(r*s - r + s),      x_L = r*s/(r*s - r - s),
-
-Nil at the integer-or-not abscissa x_L (when the Euler number is
-nonzero) and SL2R beyond it.  Integer abscissas x in (x_U, x_L) are
-the spherical orbifold labels; the cone angle there is 2*pi/x.
+On each ray the core's base angle is pi/x, so the structure is
+spherical for x_U < x < x_L, where x_U and x_L are pi over the base
+limits alpha_U and alpha_L of base2d.base_limits(s, r).  It is Nil at
+the integer-or-not abscissa x_L (when the Euler number is nonzero) and
+SL2R beyond it.  Integer abscissas x in (x_U, x_L) are the spherical
+orbifold labels; the cone angle there is 2*pi/x.
 
 atlas and plot.build_plot decide each ray from integers alone: the
 region kernel gets the base angles (1, s), (1, r) and (num, 2*m*den)
@@ -35,6 +34,7 @@ from math import gcd
 
 from . import kernel
 from .arith import Handedness, PiRational, _Value, fiber_coeffs
+from .base2d import base_limits
 from .cone3d import GeometryResult, _base_angle, _geometry
 from .seifert import SeifertSignature, _euler_numerator
 
@@ -162,11 +162,8 @@ def _slope(knot: TorusKnot, m: int, n: int) -> tuple[int, int]:
 
 def x_limits(knot: TorusKnot) -> tuple[Fraction, Fraction]:
     """(x_U, x_L): abscissas of the sphericity limits on every ray."""
-    rs = knot.r * knot.s
-    return (
-        Fraction(rs, rs - knot.r + knot.s),
-        Fraction(rs, rs - knot.r - knot.s),
-    )
+    alpha_lower, alpha_upper = base_limits(knot.s, knot.r)
+    return 1 / alpha_upper.coeff, 1 / alpha_lower.coeff
 
 
 def classify_surgery_cone(spec: SurgerySpec, beta: PiRational) -> GeometryResult:

@@ -2,11 +2,13 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from seifertgeo import BasePoint, ConeStructure, SeifertSignature, SurgerySpec, TorusKnot, classify_surgery_cone
 from seifertgeo.arith import (
     PI,
     PiRational,
@@ -130,6 +132,24 @@ class TestPiRational:
         assert TWO_PI / PI == Fraction(2)
         assert TWO_PI / 4 == RIGHT_ANGLE
 
+    def test_int_and_fraction_are_exact(self):
+        assert PiRational(2, 3) == PiRational(Fraction(2, 3)) == PiRational(Fraction(4), 6)
+
+    @pytest.mark.parametrize(
+        "args, shown",
+        [
+            ((2 / 3,), "0.6666666666666666"),
+            ((True,), "True"),
+            (("2/3",), "'2/3'"),
+            ((2, 3.0), "3.0"),
+            ((2, True), "True"),
+        ],
+    )
+    def test_refuses_float_bool_and_str(self, args, shown):
+        # 2/3 as a float is 6004799503160661/9007199254740992, not 2/3
+        with pytest.raises(ValueError, match=re.escape("got %s" % shown)):
+            PiRational(*args)
+
     @given(st.integers(0, 400), st.integers(1, 400))
     def test_parse_text_round_trip(self, num, den):
         angle = PiRational(num, den)
@@ -139,3 +159,23 @@ class TestPiRational:
     def test_addition_matches_fractions(self, n1, d1, n2, d2):
         a, b = PiRational(n1, d1), PiRational(n2, d2)
         assert (a + b).coeff == Fraction(n1, d1) + Fraction(n2, d2)
+
+
+class TestNoFloatAngles:
+    """Every type that converts an angle through PiRational refuses a float,
+    which would otherwise move an exact point off its region."""
+
+    def test_surgery_cone_angle(self):
+        spec = SurgerySpec(TorusKnot(3, 2, Handedness.LEFT), 4, -1)
+        assert str(classify_surgery_cone(spec, PiRational(Fraction(2, 3)))) == "Nil"
+        with pytest.raises(ValueError, match="angle coefficient"):
+            classify_surgery_cone(spec, 2 / 3)
+
+    def test_base_point(self):
+        with pytest.raises(ValueError, match="angle coefficient"):
+            BasePoint(1 / 3, 1 / 3, 1 / 3)
+
+    def test_cone_structure(self):
+        sig = SeifertSignature(-1, ((2, 1), (3, 1), (5, 1)))
+        with pytest.raises(ValueError, match="angle coefficient"):
+            ConeStructure(sig, (2.0, 2, 2))

@@ -275,8 +275,13 @@ class TestExitCodes:
              "fibers[0][1] must be"),
             (["classify", "--sig", '{"b": 0, "fibers": [[1e400, 1]]}'],
              "fibers[0][0] must be"),
+            (["surgery", "--knot", "3,2", "--hand", "left", "--slope", "1/1",
+              "--beta", "junk"], "cannot parse angle"),
+            (["surgery", "--knot", "3,2", "--hand", "left", "--slope", "1/1",
+              "--beta", "1/0pi"], "zero denominator"),
         ],
-        ids=["beta-zero-den", "angle-zero-den", "float", "str", "bool", "overflow"],
+        ids=["beta-zero-den", "angle-zero-den", "float", "str", "bool", "overflow",
+             "beta-junk", "beta-zero-den-reason"],
     )
     def test_malformed_number_is_two(self, capsys, argv, reason):
         with pytest.raises(SystemExit) as exc:

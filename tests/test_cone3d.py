@@ -7,10 +7,12 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from seifertgeo import kernel
 from seifertgeo.arith import PI, PiRational, TWO_PI
-from seifertgeo.base2d import RegionClass, classify_triangle
+from seifertgeo.base2d import STRUCTURE_CLASSES, BasePoint, RegionClass, classify_triangle
 from seifertgeo.cone3d import (
     ConeStructure,
+    _geometry,
     Dim,
     NO_FAMILY,
     ORBIFOLD_ONLY,
@@ -181,6 +183,19 @@ class TestSphericityLimits:
         with pytest.raises(ValueError):
             sphericity_ratio(2, 2)
 
+    def test_ratio_matches_the_written_out_band_formula(self):
+        for a1 in range(2, 41):
+            for a2 in range(max(a1, 3), 41):
+                want = Fraction(a1 * a2 - a2 + a1, a1 * a2 - a2 - a1)
+                assert sphericity_ratio(a1, a2) == want, (a1, a2)
+                assert sphericity_ratio(a2, a1) == want, (a2, a1)
+        with pytest.raises(ValueError) as exc:
+            sphericity_ratio(2, 2)
+        assert str(exc.value) == "sphericity ratio undefined for (2, 2): beta_L = 0"
+        with pytest.raises(ValueError) as exc:
+            sphericity_ratio(5, 1)
+        assert str(exc.value) == "sphericity ratio needs both multiplicities > 1"
+
     def test_ratio_independent_of_singular_multiplicity(self):
         for a1, a2 in ((2, 3), (3, 4), (2, 5), (3, 5), (4, 5)):
             want = sphericity_ratio(a1, a2)
@@ -308,6 +323,35 @@ class TestFamilyDimension:
     def test_requires_normalized(self):
         with pytest.raises(ValueError):
             family_dimension(S(0, ((2, 1), (3, 1), (5, -4))), (1,))
+
+    def test_manifold_point_matches_the_base_point_region(self):
+        # structure at the base point (pi/a1, pi/a2, pi/a3), as a region class
+        pool = [(a, b) for a in range(12, 0, -1) for b in range(a) if math.gcd(a, b) == 1]
+        for fibers in combinations_with_replacement(pool, 3):
+            sig = normalize(S(0, fibers))
+            point = BasePoint(*(PiRational(Fraction(1, a)) for a in sig.multiplicities()))
+            want = Dim(0) if classify_triangle(point) in STRUCTURE_CLASSES else NO_FAMILY
+            assert family_dimension(sig, ()) == want, sig
+
+
+class TestGeometryOfRegionCode:
+    # kernel code -> (geometry when e = 0, geometry when e != 0)
+    TABLE = {
+        kernel.HYPERBOLIC: ("H2xR", "SL2R"),
+        kernel.EUCLIDEAN_FACE: ("Euclidean", "Nil"),
+        kernel.SPHERICAL_INTERIOR: ("S2xR", "Spherical"),
+        kernel.SPHERICAL_EDGE: ("S2xR", "Spherical"),
+        kernel.NO_STRUCTURE_FACE: ("NoStructure", "NoStructure"),
+        kernel.DEGENERATE_BOUNDARY: ("NoStructure", "NoStructure"),
+        kernel.OUTSIDE: ("NoStructure", "NoStructure"),
+    }
+
+    @pytest.mark.parametrize("twisted", [False, True])
+    @pytest.mark.parametrize("code", sorted(TABLE))
+    def test_matches_the_written_out_table(self, code, twisted):
+        result = _geometry(code, twisted)
+        assert str(result) == self.TABLE[code][twisted]
+        assert result.has_structure == (self.TABLE[code][twisted] != "NoStructure")
 
 
 class TestGeometryTableConsistency:

@@ -1,5 +1,6 @@
 """Repository hygiene checks."""
 
+import ast
 import contextlib
 import io
 import re
@@ -39,3 +40,37 @@ def test_readme_library_example():
         exec(compile(code, "README.md", "exec"), {})
     assert out.getvalue().splitlines() == expected
     assert expected == ["<-1; (5,1),(3,1),(2,1)>", "Spherical", "5/3pi 25/3pi", "Nil"]
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names bound by an import that the module neither reads nor lists in __all__."""
+    tree = ast.parse(source)
+    bound, read, exported = {}, set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            exported.update(ast.literal_eval(node.value))
+    return ["line %d: %s" % (line, name) for name, line in bound.items() if name not in read | exported]
+
+
+def test_unused_import_guard_sees_an_orphan():
+    source = "from fractions import Fraction\nfrom math import gcd\n__all__ = ['gcd']\n"
+    assert _unused_imports(source) == ["line 1: Fraction"]
+    assert _unused_imports("import os.path\nos.sep\n") == []
+
+
+def test_no_unused_imports():
+    unused = {
+        path.name: found
+        for path in sorted((ROOT / "src" / "seifertgeo").glob("*.py"))
+        if (found := _unused_imports(path.read_text(encoding="utf-8")))
+    }
+    assert unused == {}

@@ -191,6 +191,13 @@ class TestXLimits:
     def test_hand_independent(self):
         assert x_limits(TorusKnot(5, 2, L)) == x_limits(TorusKnot(5, 2, R))
 
+    def test_matches_the_written_out_band_formula(self):
+        for r, s in coprime_knots(60):
+            rs = r * s
+            want = (Fraction(rs, rs - r + s), Fraction(rs, rs - r - s))
+            for hand in (L, R):
+                assert x_limits(TorusKnot(r, s, hand)) == want, (r, s, hand)
+
     def test_low_limit_below_two_iff(self):
         for r, s in coprime_knots(100):
             _, x_low = x_limits(TorusKnot(r, s, L))
