@@ -86,6 +86,15 @@ def _arg(parse):
     return convert
 
 
+def _int(text: str) -> int:
+    """An optional '-' and ASCII digits, nothing else: no spaces, '+',
+    '_' or non-ASCII digits, all of which int() would take."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError("expected an integer, got %r" % text)
+    return int(text)
+
+
 def _ints(form: str, sep: str):
     """Parser of integers written as form, such as 'r,s', split at sep."""
     count = len(form.split(sep))
@@ -95,7 +104,7 @@ def _ints(form: str, sep: str):
         if len(parts) != count:
             raise ValueError("expected '%s', got %r" % (form, text))
         try:
-            return tuple(int(part) for part in parts)
+            return tuple(_int(part) for part in parts)
         except ValueError:
             raise ValueError("expected integers as '%s', got %r" % (form, text)) from None
 
@@ -168,8 +177,6 @@ def _cmd_cone(args) -> int:
 
 def _cmd_limits(args) -> int:
     a1, a2, a3 = args.fibers
-    if not 1 <= args.singular <= 3:
-        raise ValueError("--singular must be 1, 2 or 3")
     others = [a for i, a in enumerate((a1, a2, a3), start=1) if i != args.singular]
     singular = (a1, a2, a3)[args.singular - 1]
     interval = sphericity_limits(others[0], others[1], singular)
@@ -277,7 +284,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     cmd = add("limits", _cmd_limits, "sphericity limits of a singular fibre")
     cmd.add_argument("--fibers", type=_arg(_ints("a1,a2,a3", ",")), required=True)
-    cmd.add_argument("--singular", type=int, default=3)
+    cmd.add_argument("--singular", type=_arg(_int), choices=(1, 2, 3), default=3)
 
     cmd = add("surgery", _cmd_surgery, "classify a Dehn surgery on a torus knot")
     cmd.add_argument("--knot", type=_arg(_ints("r,s", ",")), required=True)
@@ -291,18 +298,18 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd = add("plot", _cmd_plot, "render the surgery-line diagram of a knot")
     cmd.add_argument("--knot", type=_arg(_ints("r,s", ",")), required=True)
     cmd.add_argument("--hand", type=_arg(Handedness.parse), required=True)
-    cmd.add_argument("--xmax", type=int, required=True)
+    cmd.add_argument("--xmax", type=_arg(_int), required=True)
     cmd.add_argument("--out", required=True)
     cmd.add_argument("--csv", default=None)
-    cmd.add_argument("--ymin", type=int, default=None)
-    cmd.add_argument("--ymax", type=int, default=None)
+    cmd.add_argument("--ymin", type=_arg(_int), default=None)
+    cmd.add_argument("--ymax", type=_arg(_int), default=None)
 
     cmd = add("atlas", _cmd_atlas, "batch-classify orbifold structures on surgery lines")
     cmd.add_argument("--knot", type=_arg(_ints("r,s", ",")), required=True)
     cmd.add_argument("--hand", type=_arg(Handedness.parse), required=True)
-    cmd.add_argument("--mmax", type=int, required=True)
+    cmd.add_argument("--mmax", type=_arg(_int), required=True)
     cmd.add_argument("--nrange", type=_arg(_ints("A..B", "..")), required=True)
-    cmd.add_argument("--kmax", type=int, required=True)
+    cmd.add_argument("--kmax", type=_arg(_int), required=True)
     cmd.add_argument("--out", required=True)
 
     return parser

@@ -66,7 +66,7 @@ def build_plot(knot: TorusKnot, window: PlotWindow) -> PlotModel:
         knot, int(window.x_max), (window.y_min, window.y_max), (TWO_PI,)
     )
     for m, n, p, q, (geometry,) in rays:
-        points.append(PlotPoint(m, n, p, q, str(geometry)))
+        points.append(PlotPoint(m, n, p, q, geometry))
     return PlotModel(
         knot=knot,
         window=window,
@@ -84,29 +84,6 @@ _SPHERICAL, _FLAT, _NEGATIVE = ({g.value for g in _GEOMETRIES[sign]} for sign in
 
 def _num(v) -> str:
     return format(float(v), ".12g")
-
-
-def _marker(point: PlotPoint, h: float) -> str:
-    x, y, g = point.m, point.n, point.geometry
-    if g in _SPHERICAL:
-        d = "M %s %s L %s %s L %s %s L %s %s Z" % (
-            _num(x), _num(y + h), _num(x + h), _num(y),
-            _num(x), _num(y - h), _num(x - h), _num(y),
-        )
-        return '<path class="pt spherical" d="%s"/>' % d
-    if g in _FLAT:
-        return '<rect class="pt flat" x="%s" y="%s" width="%s" height="%s"/>' % (
-            _num(x - h), _num(y - h), _num(2 * h), _num(2 * h),
-        )
-    if g in _NEGATIVE:
-        return '<circle class="pt negative" cx="%s" cy="%s" r="%s"/>' % (
-            _num(x), _num(y), _num(h),
-        )
-    d = "M %s %s L %s %s M %s %s L %s %s" % (
-        _num(x - h), _num(y - h), _num(x + h), _num(y + h),
-        _num(x - h), _num(y + h), _num(x + h), _num(y - h),
-    )
-    return '<path class="pt excluded" d="%s"/>' % d
 
 
 _LEGEND = (
@@ -208,8 +185,23 @@ def render_svg(model: PlotModel) -> str:
             % (_num(x), _num(-0.3), _num(x), _num(0.3))
         )
 
-    for point in model.points:
-        out.append(_marker(point, h))
+    # Each column's x, x+h, x-h and each row's y, y+h, y-h are formatted once.
+    xs = {x: (_num(x), _num(x + h), _num(x - h)) for x in {pt.m for pt in model.points}}
+    ys = {y: (_num(y), _num(y + h), _num(y - h)) for y in {pt.n for pt in model.points}}
+    h_text, side = _num(h), _num(2 * h)
+    for x, y, _, _, g in model.points:
+        (xc, xp, xm), (yc, yp, ym) = xs[x], ys[y]
+        if g in _SPHERICAL:
+            out.append('<path class="pt spherical" d="M %s %s L %s %s L %s %s L %s %s Z"/>'
+                       % (xc, yp, xp, yc, xc, ym, xm, yc))
+        elif g in _FLAT:
+            out.append('<rect class="pt flat" x="%s" y="%s" width="%s" height="%s"/>'
+                       % (xm, ym, side, side))
+        elif g in _NEGATIVE:
+            out.append('<circle class="pt negative" cx="%s" cy="%s" r="%s"/>' % (xc, yc, h_text))
+        else:
+            out.append('<path class="pt excluded" d="M %s %s L %s %s M %s %s L %s %s"/>'
+                       % (xm, ym, xp, yp, xm, yp, xp, ym))
     out.append("</g>")
 
     title = "%s: x_U=%s x_L=%s" % (model.knot, _num(x_u), _num(x_l))

@@ -20,11 +20,12 @@ the integer-or-not abscissa x_L (when the Euler number is nonzero) and
 SL2R beyond it.  Integer abscissas x in (x_U, x_L) are the spherical
 orbifold labels; the cone angle there is 2*pi/x.
 
-atlas and plot.build_plot decide each ray from integers alone: the
+atlas and plot.build_plot decide each ray from integers alone.  The
 region kernel gets the base angles (1, s), (1, r) and (num, 2*m*den)
-for beta = num/den*pi, and the twist is the sign of e*r*s*m.  No
-signature or cone structure is built; SurgerySpec, SeifertSignature
-and PiRational are the types of the public functions.
+for beta = num/den*pi.  None of them holds n, so the kernel runs once
+per (m, beta) column, and each ray reads only the sign of e*r*s*m, its
+twist.  No signature or cone structure is built; SurgerySpec,
+SeifertSignature and PiRational are the types of the public functions.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from math import gcd
 from . import kernel
 from .arith import Handedness, PiRational, _Value, fiber_coeffs
 from .base2d import base_limits
-from .cone3d import GeometryResult, _base_angle, _geometry
+from .cone3d import _NO_ROW, _ROWS, GeometryResult, _base_angle, _geometry
 from .seifert import SeifertSignature, _euler_numerator
 
 
@@ -189,14 +190,26 @@ def _cone_geometry(knot: TorusKnot, coeffs, m: int, n: int, beta: PiRational) ->
 
 
 def _ray_geometries(knot: TorusKnot, m_max: int, n_range: tuple[int, int], betas):
-    """(m, n, p, q, geometry at each core angle in betas) per primitive ray.
+    """(m, n, p, q, geometry name at each core angle in betas) per primitive ray.
 
-    The knot's fibre coefficients are computed once, not once per ray.
+    No base angle holds n, so the kernel runs once per (m, beta) column,
+    at the column's first primitive ray, and gives the row of geometry
+    names for that column.  Each ray then reads only the sign of
+    e*r*s*m, its twist.
     """
-    coeffs = knot.coeffs()
+    s, r = knot.s, knot.r
+    b1, b2 = knot.coeffs()
+    column, rows = None, ()
     for m, n in primitive_rays(m_max, n_range):
+        if m != column:
+            column = m
+            rows = []
+            for beta in betas:
+                code = kernel.classify_region(1, s, 1, r, *_base_angle(beta, m))
+                rows.append(tuple(map(str, _ROWS.get(code, _NO_ROW))))
         p, q = _slope(knot, m, n)
-        yield m, n, p, q, [_cone_geometry(knot, coeffs, m, n, beta) for beta in betas]
+        twisted = _euler_numerator(-1, ((s, b1), (r, b2), (m, n))) != 0
+        yield m, n, p, q, [row[twisted] for row in rows]
 
 
 def spherical_orbifold_angles(knot: TorusKnot) -> list[tuple[int, PiRational]]:
@@ -268,7 +281,7 @@ def atlas(knot: TorusKnot, m_max: int, n_range: tuple[int, int], k_max: int) -> 
                     "q": q,
                     "x": k * m,
                     "beta": text,
-                    "geometry": str(geometry),
+                    "geometry": geometry,
                 }
             )
     return records

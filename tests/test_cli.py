@@ -244,12 +244,53 @@ class TestExitCodes:
         assert payload["error"]["type"] == "domain"
         assert "exceptional" in payload["error"]["message"]
 
-    def test_bad_singular_is_one(self, capsys):
-        code, payload = run_json(
-            capsys, ["limits", "--fibers", "2,3,5", "--singular", "4"]
-        )
-        assert code == 1
-        assert payload["error"]["type"] == "domain"
+    @pytest.mark.parametrize("singular", ["0", "4"])
+    def test_bad_singular_is_two(self, capsys, singular):
+        with pytest.raises(SystemExit) as exc:
+            run(["limits", "--fibers", "2,3,5", "--singular", singular, "--json"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--singular: invalid choice: %s" % singular in captured.err
+
+    # One command per integer option; V is replaced by the value under test.
+    INTEGER_OPTIONS = {
+        "--knot": ["surgery", "--knot=V,2", "--hand", "left", "--slope", "1/1"],
+        "--slope": ["surgery", "--knot", "3,2", "--hand", "left", "--slope=V/1"],
+        "--fibers": ["limits", "--fibers=2,V,5"],
+        "--singular": ["limits", "--fibers", "2,3,5", "--singular=V"],
+        "--xmax": ["plot", "--knot", "3,2", "--hand", "left", "--xmax=V", "--out", "p.svg"],
+        "--ymin": ["plot", "--knot", "3,2", "--hand", "left", "--xmax", "3", "--ymin=V",
+                   "--ymax", "5", "--out", "p.svg"],
+        "--ymax": ["plot", "--knot", "3,2", "--hand", "left", "--xmax", "3", "--ymax=V",
+                   "--out", "p.svg"],
+        "--mmax": ["atlas", "--knot", "3,2", "--hand", "left", "--mmax=V", "--nrange=0..1",
+                   "--kmax", "1", "--out", "a.json"],
+        "--nrange": ["atlas", "--knot", "3,2", "--hand", "left", "--mmax", "1",
+                     "--nrange=V..4", "--kmax", "1", "--out", "a.json"],
+        "--kmax": ["atlas", "--knot", "3,2", "--hand", "left", "--mmax", "1", "--nrange=0..1",
+                   "--kmax=V", "--out", "a.json"],
+    }
+
+    @pytest.mark.parametrize("option", sorted(INTEGER_OPTIONS))
+    @pytest.mark.parametrize(
+        "value", ["\u0663", "1_0", " 3", "+3", "3 "],
+        ids=["arabic-indic", "underscore", "leading-space", "plus", "trailing-space"],
+    )
+    def test_integer_options_take_only_ascii_digits(
+        self, capsys, tmp_path, monkeypatch, option, value
+    ):
+        # int() reads each of these values as 3 or 10; the option must not.
+        monkeypatch.chdir(tmp_path)
+        template = self.INTEGER_OPTIONS[option]
+        assert run([arg.replace("V", "3") for arg in template] + ["--json"]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run([arg.replace("V", value) for arg in template] + ["--json"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "expected" in captured.err and "Traceback" not in captured.err
 
     def test_usage_error_is_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -8,6 +8,7 @@ import pytest
 
 from seifertgeo.arith import Handedness, PI, PiRational, TWO_PI
 from seifertgeo.cone3d import ConeStructure, classify_cone
+from seifertgeo.plot import PlotWindow, build_plot
 from seifertgeo.seifert import (
     GeometryType,
     SeifertSignature,
@@ -314,6 +315,41 @@ class TestIntegerRayPath:
                             _cone_geometry(knot, coeffs, m, n, above)
                         assert str(got_exc.value) == str(want_exc.value)
         assert checked == 151830
+
+
+class TestColumnRayPath:
+    def test_atlas_and_plot_match_cone_structure_path(self):
+        # atlas and build_plot run the kernel once per (m, beta) column and
+        # read only each ray's twist.  On the grid of TestIntegerRayPath,
+        # every record and every point at 2*pi must still name the geometry
+        # of the object path (signature, cone structure, classify_cone).
+        betas = [PiRational(Fraction(2, k)) for k in range(1, 7)]
+        records = points = 0
+        for r, s in coprime_knots(13):
+            for hand in (L, R):
+                knot = TorusKnot(r, s, hand)
+                want = {}
+                for m in range(1, 13):
+                    for n in range(-16, 17):
+                        if math.gcd(m, n) == 1:
+                            sig = surgery_signature(surgery_of_line(knot, LinePoint(m, n)))
+                            want[m, n] = [
+                                str(classify_cone(ConeStructure(sig, (TWO_PI, TWO_PI, beta))))
+                                for beta in betas
+                            ]
+                got = atlas(knot, 12, (-16, 16), 6)
+                assert [(rec["m"], rec["n"]) for rec in got[::6]] == list(want)
+                for rec in got:
+                    k = rec["x"] // rec["m"]
+                    assert rec["beta"] == betas[k - 1].text()
+                    assert rec["geometry"] == want[rec["m"], rec["n"]][k - 1], (r, s, hand, rec)
+                    records += 1
+                model = build_plot(knot, PlotWindow(Fraction(12), -16, 16))
+                assert [(pt.m, pt.n) for pt in model.points] == list(want)
+                for pt in model.points:
+                    assert pt.geometry == want[pt.m, pt.n][0], (r, s, hand, pt)
+                    points += 1
+        assert (records, points) == (6 * 21690, 21690)
 
 
 class TestBrieskorn:
