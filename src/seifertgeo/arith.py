@@ -126,7 +126,7 @@ class _Value:
     __delattr__ = __setattr__
 
 
-_PI_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?pi$")
+_PI_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?pi")
 
 
 @total_ordering
@@ -159,7 +159,7 @@ class PiRational(_Value):
         text = text.strip().lower().replace(" ", "")
         if text == "pi":
             return cls(1)
-        m = _PI_RE.match(text)
+        m = _PI_RE.fullmatch(text)
         if not m:
             raise ValueError("cannot parse angle %r (expected e.g. '2pi' or '1/3pi')" % text)
         num = int(m.group(1))

@@ -61,12 +61,10 @@ def build_plot(knot: TorusKnot, window: PlotWindow) -> PlotModel:
     x_upper, x_lower = x_limits(knot)
     rs = knot.r * knot.s
     slope = rs if knot.hand is Handedness.LEFT else -rs
-    points = []
     rays = _ray_geometries(
         knot, int(window.x_max), (window.y_min, window.y_max), (TWO_PI,)
     )
-    for m, n, p, q, (geometry,) in rays:
-        points.append(PlotPoint(m, n, p, q, geometry))
+    points = [PlotPoint(m, n, p, q, geometry) for m, n, p, q, (geometry,) in rays]
     return PlotModel(
         knot=knot,
         window=window,
@@ -174,10 +172,11 @@ def render_svg(model: PlotModel) -> str:
         '<line class="axis" x1="0" y1="%s" x2="0" y2="%s"/>'
         % (_num(y_lo), _num(y_hi))
     )
+    tick_lo, tick_hi = _num(-0.12), _num(0.12)
     for x in range(0, int(model.window.x_max) + 1):
         out.append(
             '<line class="tick" x1="%s" y1="%s" x2="%s" y2="%s"/>'
-            % (_num(x), _num(-0.12), _num(x), _num(0.12))
+            % (_num(x), tick_lo, _num(x), tick_hi)
         )
     for x in model.orbifold_xs:
         out.append(
@@ -225,6 +224,5 @@ def render_svg(model: PlotModel) -> str:
 def export_csv(model: PlotModel) -> str:
     """CSV of the classified manifold points: m,n,p,q,x,geometry."""
     lines = ["m,n,p,q,x,geometry"]
-    for pt in model.points:
-        lines.append("%d,%d,%d,%d,%d,%s" % (pt.m, pt.n, pt.p, pt.q, pt.m, pt.geometry))
+    lines += ["%d,%d,%d,%d,%d,%s" % (m, n, p, q, m, g) for m, n, p, q, g in model.points]
     return "\n".join(lines) + "\n"

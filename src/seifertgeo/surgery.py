@@ -7,11 +7,12 @@ explicit) yields the Seifert manifold
 
 where (b1, b2) are the knot's fibre coefficients, m = |q*r*s + p| for
 the left handle and |p - q*r*s| for the right, and eps is the sign of
-the expression inside the absolute value.  m = 0 (the e = 0 slope,
-p/q = -+ r*s) is excluded.  Surgeries are charted on the line model:
-the surgery lives on the ray l_{m/n} through the origin and the
-primitive point (m, n) with n = eps*q; the structure with cone angle
-beta around the core sits at abscissa x = 2*pi*m/beta.
+the expression inside the absolute value.  m = 0 (the fibre slope
+p/q = -+ r*s, whose surgery is the reducible L(r,s)#L(s,r)) is
+excluded.  Surgeries are charted on the line model: the surgery lives
+on the ray l_{m/n} through the origin and the primitive point (m, n)
+with n = eps*q; the structure with cone angle beta around the core
+sits at abscissa x = 2*pi*m/beta.
 
 On each ray the core's base angle is pi/x, so the structure is
 spherical for x_U < x < x_L, where x_U and x_L are pi over the base
@@ -23,9 +24,10 @@ orbifold labels; the cone angle there is 2*pi/x.
 atlas and plot.build_plot decide each ray from integers alone.  The
 region kernel gets the base angles (1, s), (1, r) and (num, 2*m*den)
 for beta = num/den*pi.  None of them holds n, so the kernel runs once
-per (m, beta) column, and each ray reads only the sign of e*r*s*m, its
-twist.  No signature or cone structure is built; SurgerySpec,
-SeifertSignature and PiRational are the types of the public functions.
+per (m, beta) column.  Each ray's twist is p != 0: |e*r*s*m| = |H1| = p
+(Moser), so e vanishes only on the ray (r*s, +-1), which is slope 0.
+No signature or cone structure is built; SurgerySpec, SeifertSignature
+and PiRational are the types of the public functions.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from math import gcd
 from . import kernel
 from .arith import Handedness, PiRational, _Value, fiber_coeffs
 from .base2d import base_limits
-from .cone3d import _NO_ROW, _ROWS, GeometryResult, _base_angle, _geometry
+from .cone3d import GeometryResult, _base_angle, _geometry
 from .seifert import SeifertSignature, _euler_numerator
 
 
@@ -98,7 +100,8 @@ class LinePoint(_Value):
 def _core(spec: SurgerySpec) -> tuple[int, int]:
     """(m, eps): multiplicity of the core fibre and the sign that n = eps*q carries.
 
-    Raises ValueError on the e = 0 exceptional slope, where m = 0.
+    Raises ValueError on the fibre slope -+r*s, where m = 0 and the
+    surgery is reducible.
     """
     rs = spec.knot.r * spec.knot.s
     if spec.knot.hand is Handedness.LEFT:
@@ -107,7 +110,8 @@ def _core(spec: SurgerySpec) -> tuple[int, int]:
         t = -spec.q * rs + spec.p
     if t == 0:
         raise ValueError(
-            "slope %s is the e = 0 exceptional slope (m = 0)" % spec.slope_text()
+            "slope %s is the exceptional fibre slope (m = 0): the surgery is reducible"
+            % spec.slope_text()
         )
     return abs(t), (1 if t > 0 else -1)
 
@@ -193,23 +197,19 @@ def _ray_geometries(knot: TorusKnot, m_max: int, n_range: tuple[int, int], betas
     """(m, n, p, q, geometry name at each core angle in betas) per primitive ray.
 
     No base angle holds n, so the kernel runs once per (m, beta) column,
-    at the column's first primitive ray, and gives the row of geometry
-    names for that column.  Each ray then reads only the sign of
-    e*r*s*m, its twist.
+    at the column's first primitive ray, and gives that column's names
+    untwisted and twisted.  The twist is p != 0: |e*r*s*m| = |H1| = p,
+    so e vanishes only on the ray (r*s, +-1), which is slope 0.
     """
     s, r = knot.s, knot.r
-    b1, b2 = knot.coeffs()
-    column, rows = None, ()
+    column, names = None, ()
     for m, n in primitive_rays(m_max, n_range):
         if m != column:
             column = m
-            rows = []
-            for beta in betas:
-                code = kernel.classify_region(1, s, 1, r, *_base_angle(beta, m))
-                rows.append(tuple(map(str, _ROWS.get(code, _NO_ROW))))
+            codes = [kernel.classify_region(1, s, 1, r, *_base_angle(beta, m)) for beta in betas]
+            names = [[str(_geometry(code, twisted)) for code in codes] for twisted in (False, True)]
         p, q = _slope(knot, m, n)
-        twisted = _euler_numerator(-1, ((s, b1), (r, b2), (m, n))) != 0
-        yield m, n, p, q, [row[twisted] for row in rows]
+        yield m, n, p, q, names[p != 0]
 
 
 def spherical_orbifold_angles(knot: TorusKnot) -> list[tuple[int, PiRational]]:

@@ -114,10 +114,10 @@ class TestPiRational:
             PiRational.parse("-1/2pi")
 
     def test_parse_rejects_junk(self):
-        with pytest.raises(ValueError):
-            PiRational.parse("2tau")
-        with pytest.raises(ValueError):
-            PiRational.parse("1/0pi")
+        # int() would read the Unicode digits of the last three as 2 and 3.
+        for text in ("2tau", "1/0pi", "\u0662pi", "1/\u0663pi", "\uff12pi"):
+            with pytest.raises(ValueError):
+                PiRational.parse(text)
 
     def test_float(self):
         assert float(PiRational(1, 2)) == pytest.approx(math.pi / 2, abs=1e-15)

@@ -150,8 +150,8 @@ class TestSurgery:
         assert payload["geometry"] == "Nil"
 
     def test_negative_numerator_equals_form(self, capsys):
-        # argparse needs --slope=-6/1; the slope is then rejected as the
-        # e = 0 exceptional slope of the right trefoil
+        # argparse needs --slope=-6/1; the fibre slope of the right trefoil
+        # is +6, so -6 is an ordinary surgery with core multiplicity 12
         code, payload = run_json(
             capsys,
             ["surgery", "--knot", "3,2", "--hand", "right", "--slope=-6/1"],
@@ -244,6 +244,23 @@ class TestExitCodes:
         assert payload["error"]["type"] == "domain"
         assert "exceptional" in payload["error"]["message"]
 
+    @pytest.mark.parametrize("hand, slope", [("left", "6/-1"), ("right", "6/1")])
+    def test_fibre_slope_is_reducible_not_euler_zero(self, capsys, hand, slope):
+        # The fibre slope -+6 of the trefoil has core multiplicity m = 0 and
+        # a reducible surgery; the e = 0 slope is 0/1, which runs.
+        code, payload = run_json(
+            capsys, ["surgery", "--knot", "3,2", "--hand", hand, "--slope", slope]
+        )
+        assert code == 1
+        assert payload["error"]["message"] == (
+            "slope %s is the exceptional fibre slope (m = 0): the surgery is reducible" % slope
+        )
+        code, payload = run_json(
+            capsys, ["surgery", "--knot", "3,2", "--hand", hand, "--slope", "0/1"]
+        )
+        assert code == 0
+        assert payload["euler"] == "0"
+
     @pytest.mark.parametrize("singular", ["0", "4"])
     def test_bad_singular_is_two(self, capsys, singular):
         with pytest.raises(SystemExit) as exc:
@@ -320,9 +337,14 @@ class TestExitCodes:
               "--beta", "junk"], "cannot parse angle"),
             (["surgery", "--knot", "3,2", "--hand", "left", "--slope", "1/1",
               "--beta", "1/0pi"], "zero denominator"),
+            (["surgery", "--knot", "3,2", "--hand", "left", "--slope", "1/1",
+              "--beta", "\u0662pi"], "cannot parse angle"),
+            (["cone", "--sig", POINCARE, "--angles", "2pi,1/\u0663pi"], "cannot parse angle"),
+            (["cone", "--sig", POINCARE, "--angles", "\uff12pi"], "cannot parse angle"),
         ],
         ids=["beta-zero-den", "angle-zero-den", "float", "str", "bool", "overflow",
-             "beta-junk", "beta-zero-den-reason"],
+             "beta-junk", "beta-zero-den-reason", "beta-arabic-indic", "angles-arabic-indic",
+             "angles-fullwidth"],
     )
     def test_malformed_number_is_two(self, capsys, argv, reason):
         with pytest.raises(SystemExit) as exc:

@@ -110,6 +110,23 @@ class TestSurgerySignature:
                     else:
                         assert homology_order(sig) == p
 
+    def test_homology_is_p_on_every_slope(self):
+        # |H1| = p (Moser), the identity behind the ray twist p != 0: every
+        # reduced slope p/q with 0 <= p <= 60 and 1 <= |q| <= 8 on every knot
+        # with r <= 13, except the fibre slope -+r*s where m = 0.
+        checked = 0
+        for r, s in coprime_knots(13):
+            for hand, fibre_q in ((L, -1), (R, 1)):
+                knot = TorusKnot(r, s, hand)
+                for q in [k for k in range(-8, 9) if k != 0]:
+                    for p in range(0, 61):
+                        if math.gcd(p, abs(q)) != 1 or (p, q) == (r * s, fibre_q):
+                            continue
+                        sig = surgery_signature(SurgerySpec(knot, p, q))
+                        assert homology_order(sig) == (p or None), (r, s, hand, p, q)
+                        checked += 1
+        assert checked == 55928
+
     def test_euler_formula(self):
         rng = random.Random(67)
         for r, s in coprime_knots(12):
