@@ -6,8 +6,10 @@ key/value text otherwise.  Exit codes: 0 success, 2 usage error
 (argparse), 1 domain error or a batch over WORK_LIMIT, reported as a
 JSON error object.
 
-The plot module is imported on demand, by the plot subcommand only, and
-the argument parser is built once per process, on the first run.
+Each handler imports the modules beyond arith and seifert that it
+calls, so classify and identify load only those two.  A run whose first
+argument names a subcommand builds a parser with that subparser alone;
+each parser is built once per process.
 """
 
 from __future__ import annotations
@@ -19,9 +21,8 @@ import os
 import sys
 from fractions import Fraction
 
+from . import __version__
 from .arith import Handedness, PiRational, TWO_PI
-from .base2d import classify_triangle
-from .cone3d import ConeStructure, classify_cone, sphericity_limits
 from .seifert import (
     FamilyKind,
     SeifertSignature,
@@ -33,7 +34,6 @@ from .seifert import (
     normalize,
     orbifold_euler_char,
 )
-from .surgery import SurgerySpec, TorusKnot, atlas, classify_surgery_cone, line_of_surgery, surgery_signature
 
 # Most rays times angles (atlas) or lattice points (plot) one command may ask for.
 WORK_LIMIT = 10 ** 6
@@ -161,10 +161,10 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_cone(args) -> int:
-    angles = list(args.angles)
-    while len(angles) < 3:
-        angles.append(TWO_PI)
-    cs = ConeStructure(args.sig, angles)
+    from .base2d import classify_triangle
+    from .cone3d import ConeStructure, classify_cone
+
+    cs = ConeStructure(args.sig, args.angles + [TWO_PI] * (3 - len(args.angles)))
     result = classify_cone(cs)
     return _emit(
         args,
@@ -176,10 +176,11 @@ def _cmd_cone(args) -> int:
 
 
 def _cmd_limits(args) -> int:
-    a1, a2, a3 = args.fibers
-    others = [a for i, a in enumerate((a1, a2, a3), start=1) if i != args.singular]
-    singular = (a1, a2, a3)[args.singular - 1]
-    interval = sphericity_limits(others[0], others[1], singular)
+    from .cone3d import sphericity_limits
+
+    others = list(args.fibers)
+    singular = others.pop(args.singular - 1)
+    interval = sphericity_limits(*others, singular)
     ratio = None
     if interval.beta_lower.coeff != 0:
         ratio = str(interval.ratio())
@@ -194,6 +195,8 @@ def _cmd_limits(args) -> int:
 
 
 def _cmd_surgery(args) -> int:
+    from .surgery import SurgerySpec, TorusKnot, classify_surgery_cone, line_of_surgery, surgery_signature
+
     r, s = args.knot
     knot = TorusKnot(r, s, args.hand)
     p, q = args.slope
@@ -226,6 +229,7 @@ def _cmd_identify(args) -> int:
 
 def _cmd_plot(args) -> int:
     from .plot import PlotWindow, build_plot, export_csv, render_svg
+    from .surgery import TorusKnot
 
     r, s = args.knot
     knot = TorusKnot(r, s, args.hand)
@@ -247,6 +251,8 @@ def _cmd_plot(args) -> int:
 
 
 def _cmd_atlas(args) -> int:
+    from .surgery import TorusKnot, atlas
+
     r, s = args.knot
     knot = TorusKnot(r, s, args.hand)
     n_lo, n_hi = args.nrange
@@ -261,62 +267,63 @@ def _cmd_atlas(args) -> int:
     return _emit(args, {"out": args.out, "records": len(records)})
 
 
+def _opt(flag, type=None, **options):
+    """An option of a subcommand, required unless it has a default."""
+    return flag, dict(options, type=type, required="default" not in options)
+
+
+_SIG = _opt("--sig", _arg(SeifertSignature.from_json))
+_KNOT = _opt("--knot", _arg(_ints("r,s", ",")))
+_HAND = _opt("--hand", _arg(Handedness.parse))
+
+# name -> (handler, help, options after --json), in the order --help lists them
+COMMANDS = {
+    "classify": (_cmd_classify, "invariants and geometry of a signature", [_SIG]),
+    "cone": (_cmd_cone, "geometry of a cone structure", [_SIG, _opt("--angles", _arg(_angles))]),
+    "limits": (_cmd_limits, "sphericity limits of a singular fibre", [
+        _opt("--fibers", _arg(_ints("a1,a2,a3", ","))),
+        _opt("--singular", _arg(_int), choices=(1, 2, 3), default=3),
+    ]),
+    "surgery": (_cmd_surgery, "classify a Dehn surgery on a torus knot", [
+        _KNOT, _HAND, _opt("--slope", _arg(_slope)), _opt("--beta", _arg(PiRational.parse), default=None),
+    ]),
+    "identify": (_cmd_identify, "standard family of a signature", [_SIG]),
+    "plot": (_cmd_plot, "render the surgery-line diagram of a knot", [
+        _KNOT, _HAND, _opt("--xmax", _arg(_int)), _opt("--out"), _opt("--csv", default=None),
+        _opt("--ymin", _arg(_int), default=None), _opt("--ymax", _arg(_int), default=None),
+    ]),
+    "atlas": (_cmd_atlas, "batch-classify orbifold structures on surgery lines", [
+        _KNOT, _HAND, _opt("--mmax", _arg(_int)), _opt("--nrange", _arg(_ints("A..B", ".."))),
+        _opt("--kmax", _arg(_int)), _opt("--out"),
+    ]),
+}
+
+
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command) -> argparse.ArgumentParser:
+    """Parser with the subparser of command alone, or of all for None; its
+    usage line names every command either way."""
     parser = argparse.ArgumentParser(
         prog="seifertgeo",
         description="Geometries of Seifert conemanifold structures and torus knot surgeries",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, help_text):
+    # Hidden, so it stays out of the usage line that every usage error repeats.
+    parser.add_argument("--version", action="version", version="seifertgeo " + __version__, help=argparse.SUPPRESS)
+    metavar = None if command is None else "{%s}" % ",".join(COMMANDS)
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in COMMANDS if command is None else (command,):
+        func, help_text, arguments = COMMANDS[name]
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--json", action="store_true", help="emit JSON")
+        for flag, options in arguments:
+            cmd.add_argument(flag, **options)
         cmd.set_defaults(func=func)
-        return cmd
-
-    cmd = add("classify", _cmd_classify, "invariants and geometry of a signature")
-    cmd.add_argument("--sig", type=_arg(SeifertSignature.from_json), required=True)
-
-    cmd = add("cone", _cmd_cone, "geometry of a cone structure")
-    cmd.add_argument("--sig", type=_arg(SeifertSignature.from_json), required=True)
-    cmd.add_argument("--angles", type=_arg(_angles), required=True)
-
-    cmd = add("limits", _cmd_limits, "sphericity limits of a singular fibre")
-    cmd.add_argument("--fibers", type=_arg(_ints("a1,a2,a3", ",")), required=True)
-    cmd.add_argument("--singular", type=_arg(_int), choices=(1, 2, 3), default=3)
-
-    cmd = add("surgery", _cmd_surgery, "classify a Dehn surgery on a torus knot")
-    cmd.add_argument("--knot", type=_arg(_ints("r,s", ",")), required=True)
-    cmd.add_argument("--hand", type=_arg(Handedness.parse), required=True)
-    cmd.add_argument("--slope", type=_arg(_slope), required=True)
-    cmd.add_argument("--beta", type=_arg(PiRational.parse), default=None)
-
-    cmd = add("identify", _cmd_identify, "standard family of a signature")
-    cmd.add_argument("--sig", type=_arg(SeifertSignature.from_json), required=True)
-
-    cmd = add("plot", _cmd_plot, "render the surgery-line diagram of a knot")
-    cmd.add_argument("--knot", type=_arg(_ints("r,s", ",")), required=True)
-    cmd.add_argument("--hand", type=_arg(Handedness.parse), required=True)
-    cmd.add_argument("--xmax", type=_arg(_int), required=True)
-    cmd.add_argument("--out", required=True)
-    cmd.add_argument("--csv", default=None)
-    cmd.add_argument("--ymin", type=_arg(_int), default=None)
-    cmd.add_argument("--ymax", type=_arg(_int), default=None)
-
-    cmd = add("atlas", _cmd_atlas, "batch-classify orbifold structures on surgery lines")
-    cmd.add_argument("--knot", type=_arg(_ints("r,s", ",")), required=True)
-    cmd.add_argument("--hand", type=_arg(Handedness.parse), required=True)
-    cmd.add_argument("--mmax", type=_arg(_int), required=True)
-    cmd.add_argument("--nrange", type=_arg(_ints("A..B", "..")), required=True)
-    cmd.add_argument("--kmax", type=_arg(_int), required=True)
-    cmd.add_argument("--out", required=True)
-
     return parser
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -67,7 +67,8 @@ class TorusKnot(_Value):
 
 
 class SurgerySpec(_Value):
-    """Slope p/q with p >= 0 and the sign carried by q; (1, 0) is infinity."""
+    """Slope p/q with p >= 0 and the sign carried by q; (1, 0) is infinity
+    and (0, 1) is zero, which (0, -1) also names."""
 
     __slots__ = ("knot", "p", "q")
 
@@ -78,7 +79,7 @@ class SurgerySpec(_Value):
             raise ValueError("slope 0/0 is not a surgery")
         if gcd(p, abs(q)) != 1:
             raise ValueError("slope %d/%d is not reduced" % (p, q))
-        self._set(knot, p, q)
+        self._set(knot, p, q if p else 1)
 
     def slope_text(self) -> str:
         return "%d/%d" % (self.p, self.q)

@@ -1,5 +1,6 @@
 """Command line interface: subcommands, output formats, exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import sys
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from seifertgeo import cli
+from seifertgeo import __version__, cli
 from seifertgeo.cli import run
 
 POINCARE = json.dumps({"b": -1, "fibers": [[2, 1], [3, 1], [5, 1]]})
@@ -160,6 +161,13 @@ class TestSurgery:
         assert payload["slope"] == "6/-1"
         assert payload["line"]["n"] == -1
 
+    def test_zero_slope_has_one_form(self, capsys):
+        argv = ["surgery", "--knot", "3,2", "--hand", "left", "--slope"]
+        _, negative = run_json(capsys, argv + ["0/-1"])
+        _, positive = run_json(capsys, argv + ["0/1"])
+        assert negative == positive
+        assert negative["slope"] == "0/1"
+
 
 class TestIdentify:
     def test_poincare(self, capsys):
@@ -178,7 +186,20 @@ class TestRepeatedRuns:
     """The parser is built once per process; no option outlives its run."""
 
     def test_parser_is_built_once(self):
-        assert cli._build_parser() is cli._build_parser()
+        assert cli._build_parser(None) is cli._build_parser(None)
+        assert cli._build_parser("classify") is cli._build_parser("classify")
+
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(first=st.text(max_size=12) | st.sampled_from(sorted(cli.COMMANDS)))
+    def test_at_most_one_parser_per_command(self, capsys, first):
+        with pytest.raises(SystemExit):
+            run([first, "--help"])
+        capsys.readouterr()
+        assert cli._build_parser.cache_info().currsize <= len(cli.COMMANDS) + 1
 
     def test_surgery_beta_does_not_leak(self, capsys):
         argv = ["surgery", "--knot", "3,2", "--hand", "left", "--slope", "4/-1"]
@@ -232,6 +253,66 @@ class TestFileOutputs:
         records = json.loads(out.read_text(encoding="utf-8"))
         assert len(records) == payload["records"] == 6
         assert records[4]["geometry"] == "Spherical"
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+# (argv, exit code, digest of stdout, digest of stderr) at 80 columns.  A
+# parser built for one command prints what the full parser prints.  The
+# text is argparse's, which changes between Python versions.
+PARSER_TEXT = [
+    (["--help"], 0, "31760e4eb7cbcf94", "e3b0c44298fc1c14"),
+    (["-h"], 0, "31760e4eb7cbcf94", "e3b0c44298fc1c14"),
+    (["classify", "--help"], 0, "c41dbce1d0e05632", "e3b0c44298fc1c14"),
+    (["cone", "--help"], 0, "7bef49ff5eb13d59", "e3b0c44298fc1c14"),
+    (["limits", "--help"], 0, "0c25e5e106bc2266", "e3b0c44298fc1c14"),
+    (["surgery", "--help"], 0, "709dfabe367b1ed8", "e3b0c44298fc1c14"),
+    (["identify", "--help"], 0, "3925e256a395da2f", "e3b0c44298fc1c14"),
+    (["plot", "--help"], 0, "f4e40f24bc8f02b9", "e3b0c44298fc1c14"),
+    (["atlas", "--help"], 0, "a414f8a392eaf5b3", "e3b0c44298fc1c14"),
+    ([], 2, "e3b0c44298fc1c14", "c84bc314b355b9d0"),
+    (["frobnicate"], 2, "e3b0c44298fc1c14", "4413417a4da773a6"),
+    (["classify"], 2, "e3b0c44298fc1c14", "4628de0c43f56565"),
+    (["classify", "--sig", "nope"], 2, "e3b0c44298fc1c14", "656d615e9b4c8c96"),
+    (["limits", "--fibers", "2,3,5", "--singular", "4"], 2, "e3b0c44298fc1c14", "1cff4bc3ce63775d"),
+    (["classify", "--sig", POINCARE, "extra"], 2, "e3b0c44298fc1c14", "e6705158fb100550"),
+    (["--json", "classify"], 2, "e3b0c44298fc1c14", "4628de0c43f56565"),
+    (["classify", "--sig", POINCARE, "--json"], 0, "97cb8eb538f9b0a1", "e3b0c44298fc1c14"),
+]
+
+
+class TestParserText:
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="digests of Python 3.11's argparse text")
+    @pytest.mark.parametrize("argv, code, out, err", PARSER_TEXT)
+    def test_golden(self, capsys, monkeypatch, argv, code, out, err):
+        monkeypatch.setenv("COLUMNS", "80")
+        try:
+            got = run(argv)
+        except SystemExit as exc:
+            got = exc.code
+        captured = capsys.readouterr()
+        assert (got, _digest(captured.out), _digest(captured.err)) == (code, out, err)
+
+    @pytest.mark.parametrize(
+        "argv", [argv for argv, *_ in PARSER_TEXT if argv and argv[0] in cli.COMMANDS]
+    )
+    def test_one_command_parser_prints_what_the_full_parser_prints(self, capsys, argv):
+        printed = []
+        for command in (None, argv[0]):
+            try:
+                outcome = vars(cli._build_parser(command).parse_args(argv))
+            except SystemExit as exc:
+                outcome = exc.code
+            printed.append((outcome, capsys.readouterr()))
+        assert printed[0] == printed[1]
+
+    def test_version(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == "seifertgeo %s\n" % __version__
 
 
 class TestExitCodes:
@@ -557,6 +638,10 @@ class TestFuzz:
             json.loads(out)
 
 
+# classify and identify need only arith and seifert.
+UNUSED_BY_CLASSIFY = ["base2d", "cone3d", "kernel", "surgery", "plot"]
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(
@@ -584,7 +669,32 @@ class TestEntryPoint:
         )
         new = set(json.loads(proc.stdout))
         assert "seifertgeo.cli" in new
-        assert new.isdisjoint({"dataclasses", "inspect", "seifertgeo.plot"})
+        assert new.isdisjoint(
+            {"dataclasses", "inspect"} | {"seifertgeo." + name for name in UNUSED_BY_CLASSIFY}
+        )
+
+    @pytest.mark.parametrize(
+        "argv, unused",
+        [
+            (["classify", "--sig", POINCARE], UNUSED_BY_CLASSIFY),
+            (["identify", "--sig", POINCARE], UNUSED_BY_CLASSIFY),
+            (["surgery", "--knot", "3,2", "--hand", "left", "--slope", "1/-1"], ["plot"]),
+        ],
+    )
+    def test_subcommand_loads_only_what_it_calls(self, argv, unused):
+        code = (
+            "import contextlib, io, json, sys\n"
+            "from seifertgeo import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.run(json.loads(sys.argv[1]))\n"
+            "print(json.dumps([code, sorted(sys.modules)]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(argv)], capture_output=True, text=True, check=True
+        )
+        code, loaded = json.loads(proc.stdout)
+        assert code == 0
+        assert set(loaded).isdisjoint("seifertgeo." + name for name in unused)
 
     def test_module_usage_error(self):
         proc = subprocess.run(

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+import seifertgeo
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -40,6 +42,13 @@ def test_readme_library_example():
         exec(compile(code, "README.md", "exec"), {})
     assert out.getvalue().splitlines() == expected
     assert expected == ["<-1; (5,1),(3,1),(2,1)>", "Spherical", "5/3pi 25/3pi", "Nil"]
+
+
+def test_version_matches_pyproject():
+    # a regex, because Python 3.10 has no tomllib
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    (version,) = re.findall(r'^version = "([^"]+)"$', text, re.M)
+    assert seifertgeo.__version__ == version
 
 
 def _unused_imports(source: str) -> list[str]:

@@ -170,24 +170,26 @@ class TestLineModel:
         assert (spec.p, spec.q) == (1, 0)
 
     def test_round_trip(self):
-        # p >= 1: both signs of q at p = 0 name the same slope and the
-        # chart returns the canonical one, covered above
-        rng = random.Random(71)
-        for r, s in coprime_knots(10):
-            for hand in (L, R):
+        # every reduced slope p/q with 0 <= p <= 60 and |q| <= 8, both signs
+        # of q at p = 0 included, except the fibre slope -+r*s where m = 0
+        checked = 0
+        for r, s in coprime_knots(7):
+            for hand, fibre_q in ((L, -1), (R, 1)):
                 knot = TorusKnot(r, s, hand)
-                for _ in range(30):
-                    q = rng.choice([k for k in range(-9, 10) if k != 0])
-                    p = rng.choice(
-                        [k for k in range(1, 40) if math.gcd(k, abs(q)) == 1]
-                    )
-                    spec = SurgerySpec(knot, p, q)
-                    try:
-                        pt = line_of_surgery(spec)
-                    except ValueError:
-                        continue
-                    back = surgery_of_line(knot, pt)
-                    assert (back.p, back.q) == (p, q)
+                for q in range(-8, 9):
+                    for p in range(0, 61):
+                        if math.gcd(p, abs(q)) != 1 or (p, q) == (r * s, fibre_q):
+                            continue
+                        spec = SurgerySpec(knot, p, q)
+                        assert surgery_of_line(knot, line_of_surgery(spec)) == spec, (r, s, hand, p, q)
+                        checked += 1
+        assert checked == 13684
+
+    def test_zero_slope_has_one_form(self):
+        knot = TorusKnot(3, 2, L)
+        spec = SurgerySpec(knot, 0, -1)
+        assert spec == SurgerySpec(knot, 0, 1)
+        assert (spec.q, spec.slope_text()) == (1, "0/1")
 
     def test_primitive_validation(self):
         with pytest.raises(ValueError):
