@@ -20,10 +20,11 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .arith import Handedness, TWO_PI, _Value
+from .arith import TWO_PI, _Value, _require_int
 from .seifert import _GEOMETRIES
 from .surgery import (
     TorusKnot,
+    _euler_zero_slope,
     _ray_geometries,
     spherical_orbifold_angles,
     x_limits,
@@ -34,6 +35,10 @@ class PlotWindow(_Value):
     __slots__ = ("x_max", "y_min", "y_max")
 
     def __init__(self, x_max: Fraction, y_min: int, y_max: int):
+        if isinstance(x_max, bool) or not isinstance(x_max, (int, Fraction)):
+            raise ValueError("x_max must be an integer or a Fraction, got %r" % (x_max,))
+        _require_int(y_min, "y_min")
+        _require_int(y_max, "y_max")
         if x_max < 1:
             raise ValueError("window needs x_max >= 1")
         if y_min > y_max:
@@ -59,25 +64,24 @@ class PlotModel(_Value):
 def build_plot(knot: TorusKnot, window: PlotWindow) -> PlotModel:
     """Classify every primitive lattice point inside the window at 2*pi."""
     x_upper, x_lower = x_limits(knot)
-    rs = knot.r * knot.s
-    slope = rs if knot.hand is Handedness.LEFT else -rs
-    rays = _ray_geometries(
-        knot, int(window.x_max), (window.y_min, window.y_max), (TWO_PI,)
-    )
-    points = [PlotPoint(m, n, p, q, geometry) for m, n, p, q, (geometry,) in rays]
+    points, make = [], PlotPoint._make
+    for column in _ray_geometries(knot, int(window.x_max), (window.y_min, window.y_max), (TWO_PI,)):
+        points += [make((m, n, p, q, g)) for m, n, p, q, (g,) in column]
     return PlotModel(
         knot=knot,
         window=window,
         x_upper=x_upper,
         x_lower=x_lower,
-        euler_zero_slope=slope,
+        euler_zero_slope=_euler_zero_slope(knot),
         orbifold_xs=tuple(x for x, _ in spherical_orbifold_angles(knot)),
         points=tuple(points),
     )
 
 
-# One marker shape per row of the geometry table: positive, zero, negative curvature.
-_SPHERICAL, _FLAT, _NEGATIVE = ({g.value for g in _GEOMETRIES[sign]} for sign in (1, 0, -1))
+# A marker's shape from its geometry name: circle, square and diamond for
+# negative, zero and positive curvature, by the rows of the geometry table;
+# any other name is a cross (3).
+_MARKER = {g.value: i for i, sign in enumerate((-1, 0, 1)) for g in _GEOMETRIES[sign]}
 
 
 def _num(v) -> str:
@@ -103,9 +107,6 @@ def render_svg(model: PlotModel) -> str:
     height = margin_t + scale * span_y + margin_b
     tx = margin_l - scale * x_lo
     ty = margin_t + scale * y_hi
-
-    def px(x, y):
-        return tx + scale * x, ty - scale * y
 
     h = 4.0 / scale
     thin = _num(0.8 / scale)
@@ -178,44 +179,50 @@ def render_svg(model: PlotModel) -> str:
             '<line class="tick" x1="%s" y1="%s" x2="%s" y2="%s"/>'
             % (_num(x), tick_lo, _num(x), tick_hi)
         )
+    orbifold_lo, orbifold_hi = _num(-0.3), _num(0.3)
     for x in model.orbifold_xs:
         out.append(
             '<line class="orbifold-x" x1="%s" y1="%s" x2="%s" y2="%s"/>'
-            % (_num(x), _num(-0.3), _num(x), _num(0.3))
+            % (_num(x), orbifold_lo, _num(x), orbifold_hi)
         )
 
-    # Each column's x, x+h, x-h and each row's y, y+h, y-h are formatted once.
-    xs = {x: (_num(x), _num(x + h), _num(x - h)) for x in {pt.m for pt in model.points}}
-    ys = {y: (_num(y), _num(y + h), _num(y - h)) for y in {pt.n for pt in model.points}}
-    h_text, side = _num(h), _num(2 * h)
+    # A point's marker is one lookup from its geometry name.  Each column
+    # formats its x texts into the four marker heads once, and each row its
+    # y texts into the tails.  A circle or square is head + tail; a diamond
+    # or cross interleaves x and y, so its head is a template for the tail.
+    circle_end = '" r="%s"/>' % _num(h)
+    square_end = '" width="%s" height="%s"/>' % (_num(2 * h), _num(2 * h))
+    tails = {}
+    for y in {pt.n for pt in model.points}:
+        yc, yp, ym = _num(y), _num(y + h), _num(y - h)
+        tails[y] = (yc + circle_end, ym + square_end, (yp, yc, ym, yc), (ym, yp, yp, ym))
+    marker, column = _MARKER.get, None
     for x, y, _, _, g in model.points:
-        (xc, xp, xm), (yc, yp, ym) = xs[x], ys[y]
-        if g in _SPHERICAL:
-            out.append('<path class="pt spherical" d="M %s %s L %s %s L %s %s L %s %s Z"/>'
-                       % (xc, yp, xp, yc, xc, ym, xm, yc))
-        elif g in _FLAT:
-            out.append('<rect class="pt flat" x="%s" y="%s" width="%s" height="%s"/>'
-                       % (xm, ym, side, side))
-        elif g in _NEGATIVE:
-            out.append('<circle class="pt negative" cx="%s" cy="%s" r="%s"/>' % (xc, yc, h_text))
-        else:
-            out.append('<path class="pt excluded" d="M %s %s L %s %s M %s %s L %s %s"/>'
-                       % (xm, ym, xp, yp, xm, yp, xp, ym))
+        if x != column:
+            column, xc, xp, xm = x, _num(x), _num(x + h), _num(x - h)
+            heads = (
+                '<circle class="pt negative" cx="%s" cy="' % xc,
+                '<rect class="pt flat" x="%s" y="' % xm,
+                '<path class="pt spherical" d="M %s %%s L %s %%s L %s %%s L %s %%s Z"/>' % (xc, xp, xc, xm),
+                '<path class="pt excluded" d="M %s %%s L %s %%s M %s %%s L %s %%s"/>' % (xm, xp, xm, xp),
+            )
+        i = marker(g, 3)
+        out.append(heads[i] + tails[y][i] if i < 2 else heads[i] % tails[y][i])
     out.append("</g>")
 
     title = "%s: x_U=%s x_L=%s" % (model.knot, _num(x_u), _num(x_l))
     out.append('<text x="%s" y="%s">%s</text>' % (_num(margin_l), _num(20.0), title))
+    baseline = _num(ty - scale * y_lo + 14.0)
     for x in range(0, int(model.window.x_max) + 1):
-        cx, cy = px(x, y_lo)
         out.append(
             '<text x="%s" y="%s" text-anchor="middle">%d</text>'
-            % (_num(cx), _num(cy + 14.0), x)
+            % (_num(tx + scale * x), baseline, x)
         )
+    legend_y = _num(height - 8.0)
     for i, (cls, shape, label) in enumerate(_LEGEND):
-        lx = margin_l + 130.0 * i
-        ly = height - 8.0
         out.append(
-            '<text x="%s" y="%s">%s = %s</text>' % (_num(lx), _num(ly), shape, label)
+            '<text x="%s" y="%s">%s = %s</text>'
+            % (_num(margin_l + 130.0 * i), legend_y, shape, label)
         )
     out.append("</svg>")
     return "\n".join(out) + "\n"
@@ -224,5 +231,5 @@ def render_svg(model: PlotModel) -> str:
 def export_csv(model: PlotModel) -> str:
     """CSV of the classified manifold points: m,n,p,q,x,geometry."""
     lines = ["m,n,p,q,x,geometry"]
-    lines += ["%d,%d,%d,%d,%d,%s" % (m, n, p, q, m, g) for m, n, p, q, g in model.points]
+    lines += [f"{m},{n},{p},{q},{m},{g}" for m, n, p, q, g in model.points]
     return "\n".join(lines) + "\n"

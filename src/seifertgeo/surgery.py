@@ -21,13 +21,14 @@ the integer-or-not abscissa x_L (when the Euler number is nonzero) and
 SL2R beyond it.  Integer abscissas x in (x_U, x_L) are the spherical
 orbifold labels; the cone angle there is 2*pi/x.
 
-atlas and plot.build_plot decide each ray from integers alone.  The
-region kernel gets the base angles (1, s), (1, r) and (num, 2*m*den)
-for beta = num/den*pi.  None of them holds n, so the kernel runs once
-per (m, beta) column.  Each ray's twist is p != 0: |e*r*s*m| = |H1| = p
-(Moser), so e vanishes only on the ray (r*s, +-1), which is slope 0.
-No signature or cone structure is built; SurgerySpec, SeifertSignature
-and PiRational are the types of the public functions.
+atlas and plot.build_plot decide each ray from integers alone, one
+column (m fixed) at a time.  The region kernel gets the base angles
+(1, s), (1, r) and (num, 2*m*den) for beta = num/den*pi.  None of them
+holds n, so the kernel runs once per (m, beta) column.  In a column the
+slope numerator m - z*n (z = +-r*s, the e = 0 slope) is affine in n, and
+one pass gives each ray its slope p/q and its twist p != 0:
+|e*r*s*m| = |H1| = p (Moser), so e vanishes only on the ray (r*s, +-1),
+which is slope 0.  No signature or cone structure is built per ray.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import kernel
-from .arith import Handedness, PiRational, _Value, fiber_coeffs
+from .arith import Handedness, PiRational, _Value, _require_int, fiber_coeffs
 from .base2d import base_limits
 from .cone3d import GeometryResult, _base_angle, _geometry
 from .seifert import SeifertSignature, _euler_numerator
@@ -46,6 +47,8 @@ class TorusKnot(_Value):
     __slots__ = ("r", "s", "hand")
 
     def __init__(self, r: int, s: int, hand: Handedness):
+        _require_int(r, "r")
+        _require_int(s, "s")
         if not (r > s > 1):
             raise ValueError("torus knot needs r > s > 1, got (%d, %d)" % (r, s))
         if gcd(r, s) != 1:
@@ -73,6 +76,8 @@ class SurgerySpec(_Value):
     __slots__ = ("knot", "p", "q")
 
     def __init__(self, knot: TorusKnot, p: int, q: int):
+        _require_int(p, "p")
+        _require_int(q, "q")
         if p < 0:
             raise ValueError("slope numerator must be >= 0 (sign lives in q)")
         if (p, q) == (0, 0):
@@ -91,6 +96,8 @@ class LinePoint(_Value):
     __slots__ = ("m", "n")
 
     def __init__(self, m: int, n: int):
+        _require_int(m, "m")
+        _require_int(n, "n")
         if m < 0:
             raise ValueError("line point needs m >= 0")
         if gcd(m, abs(n)) != 1:
@@ -131,39 +138,30 @@ def line_of_surgery(spec: SurgerySpec) -> LinePoint:
     return LinePoint(m, eps * spec.q)
 
 
-def primitive_rays(m_max: int, n_range: tuple[int, int]):
-    """Primitive points (m, n) with 1 <= m <= m_max, n in n_range, by (m, n).
-
-    gcd(m, 0) == m, so n = 0 appears only as (1, 0), the ray at infinity.
-    """
-    n_lo, n_hi = n_range
-    for m in range(1, m_max + 1):
-        for n in range(n_lo, n_hi + 1):
-            if gcd(m, n) == 1:
-                yield m, n
-
-
 def surgery_of_line(knot: TorusKnot, point: LinePoint) -> SurgerySpec:
     """Inverse chart: the slope whose surgery sits on the ray l_{m/n}."""
-    return SurgerySpec(knot, *_slope(knot, point.m, point.n))
+    [(_, _, p, q, _)] = _column(_euler_zero_slope(knot), point.m, point.n, point.n, None, None)
+    return SurgerySpec(knot, p, q)
 
 
-def _slope(knot: TorusKnot, m: int, n: int) -> tuple[int, int]:
-    """(p, q) of the surgery on the ray l_{m/n}.
-
-    n = 0 is the surgery at infinity (slope 1/0, only m = 1 is
-    primitive); otherwise p/q = (m - r*s*n)/n for the left handle and
-    (m + r*s*n)/n for the right, normalized to p >= 0.
-    """
-    if n == 0:
-        if m != 1:
-            raise ValueError("(m, 0) is primitive only for m = 1")
-        return 1, 0
+def _euler_zero_slope(knot: TorusKnot) -> int:
+    """m/n of the ray where e = 0: r*s for the left handle, -r*s for the right."""
     rs = knot.r * knot.s
-    p = m - rs * n if knot.hand is Handedness.LEFT else m + rs * n
-    if p < 0:
-        return -p, -n
-    return p, (abs(n) if p == 0 else n)
+    return rs if knot.hand is Handedness.LEFT else -rs
+
+
+def _column(z: int, m: int, n_lo: int, n_hi: int, flat, twisted) -> list[tuple]:
+    """(m, n, p, q, name) of each primitive ray (m, n), n_lo <= n <= n_hi.
+
+    Its slope is p/q = (m - z*n)/n, z = _euler_zero_slope, normalized to
+    p >= 0 and to q = |n| when p = 0; n = 0 is primitive only as (1, 0),
+    slope 1/0.  The name is twisted unless p = 0, where e = 0 (Moser).
+    """
+    return [
+        (m, n, p, n, twisted) if p > 0 else (m, n, -p, -n, twisted) if p else (m, n, 0, abs(n), flat)
+        for n in range(n_lo, n_hi + 1) if gcd(m, n) == 1
+        for p in (m - z * n,)
+    ]
 
 
 def x_limits(knot: TorusKnot) -> tuple[Fraction, Fraction]:
@@ -195,22 +193,20 @@ def _cone_geometry(knot: TorusKnot, coeffs, m: int, n: int, beta: PiRational) ->
 
 
 def _ray_geometries(knot: TorusKnot, m_max: int, n_range: tuple[int, int], betas):
-    """(m, n, p, q, geometry name at each core angle in betas) per primitive ray.
+    """Each column m = 1..m_max as the list of _column: its primitive rays,
+    their slopes and their geometry names at each core angle in betas.
 
     No base angle holds n, so the kernel runs once per (m, beta) column,
-    at the column's first primitive ray, and gives that column's names
-    untwisted and twisted.  The twist is p != 0: |e*r*s*m| = |H1| = p,
-    so e vanishes only on the ray (r*s, +-1), which is slope 0.
+    for the column's names untwisted and twisted.
     """
-    s, r = knot.s, knot.r
-    column, names = None, ()
-    for m, n in primitive_rays(m_max, n_range):
-        if m != column:
-            column = m
-            codes = [kernel.classify_region(1, s, 1, r, *_base_angle(beta, m)) for beta in betas]
-            names = [[str(_geometry(code, twisted)) for code in codes] for twisted in (False, True)]
-        p, q = _slope(knot, m, n)
-        yield m, n, p, q, names[p != 0]
+    n_lo, n_hi = n_range
+    if n_lo > n_hi:
+        return
+    s, r, z = knot.s, knot.r, _euler_zero_slope(knot)
+    for m in range(1, m_max + 1):
+        codes = [kernel.classify_region(1, s, 1, r, *_base_angle(beta, m)) for beta in betas]
+        flat, twisted = ([str(_geometry(code, t)) for code in codes] for t in (False, True))
+        yield _column(z, m, n_lo, n_hi, flat, twisted)
 
 
 def spherical_orbifold_angles(knot: TorusKnot) -> list[tuple[int, PiRational]]:
@@ -263,6 +259,11 @@ def atlas(knot: TorusKnot, m_max: int, n_range: tuple[int, int], k_max: int) -> 
     abscissa x = k*m with cone angle beta = 2*pi/k on the core, and the
     resulting geometry.  Ordering is by (m, n, k).
     """
+    _require_int(m_max, "m_max")
+    _require_int(k_max, "k_max")
+    n_lo, n_hi = n_range
+    _require_int(n_lo, "n_range[0]")
+    _require_int(n_hi, "n_range[1]")
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     if k_max < 1:
@@ -270,19 +271,10 @@ def atlas(knot: TorusKnot, m_max: int, n_range: tuple[int, int], k_max: int) -> 
     betas = [PiRational(Fraction(2, k)) for k in range(1, k_max + 1)]
     texts = [beta.text() for beta in betas]
     knot_json = knot.to_json()
-    records = []
-    for m, n, p, q, geometries in _ray_geometries(knot, m_max, n_range, betas):
-        for k, (text, geometry) in enumerate(zip(texts, geometries), start=1):
-            records.append(
-                {
-                    "knot": dict(knot_json),
-                    "m": m,
-                    "n": n,
-                    "p": p,
-                    "q": q,
-                    "x": k * m,
-                    "beta": text,
-                    "geometry": geometry,
-                }
-            )
-    return records
+    return [
+        {"knot": dict(knot_json), "m": m, "n": n, "p": p, "q": q,
+         "x": k * m, "beta": text, "geometry": geometry}
+        for column in _ray_geometries(knot, m_max, (n_lo, n_hi), betas)
+        for m, n, p, q, geometries in column
+        for k, text, geometry in zip(range(1, k_max + 1), texts, geometries)
+    ]

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from seifertgeo.arith import Handedness, PI, PiRational, TWO_PI
 from seifertgeo.cone3d import ConeStructure, classify_cone
@@ -369,6 +370,68 @@ class TestColumnRayPath:
                     assert pt.geometry == want[pt.m, pt.n][0], (r, s, hand, pt)
                     points += 1
         assert (records, points) == (6 * 21690, 21690)
+
+
+def oracle_rays(r, s, hand, m_max, n_lo, n_hi):
+    """(m, n, p, q) of every primitive ray in range, in (m, n) order, from
+    the line model alone: p/q = (m - r*s*n)/n on the left handle and
+    (m + r*s*n)/n on the right, with p >= 0, and q = |n| when p = 0."""
+    rs = r * s
+    rays = []
+    for m in range(1, m_max + 1):
+        for n in range(n_lo, n_hi + 1):
+            if math.gcd(m, n) != 1:
+                continue
+            p = m - rs * n if hand is L else m + rs * n
+            q = n
+            if p < 0:
+                p, q = -p, -n
+            elif p == 0:
+                q = abs(n)
+            rays.append((m, n, p, q))
+    return rays
+
+
+# Geometry names on the e = 0 ray (slope 0) and off it.
+UNTWISTED = {"S2xR", "Euclidean", "H2xR", "NoStructure"}
+TWISTED = {"Spherical", "Nil", "SL2R", "NoStructure"}
+
+
+class TestRayOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        knot=st.sampled_from(list(coprime_knots(13))),
+        hand=st.sampled_from((L, R)),
+        m_max=st.integers(1, 30),
+        n_lo=st.integers(-30, 30),
+        width=st.integers(-2, 40),
+        k_max=st.integers(1, 3),
+    )
+    @example(knot=(3, 2), hand=L, m_max=30, n_lo=-5, width=11, k_max=2)
+    @example(knot=(3, 2), hand=R, m_max=30, n_lo=-5, width=5, k_max=2)
+    @example(knot=(5, 4), hand=R, m_max=20, n_lo=-3, width=3, k_max=1)
+    @example(knot=(7, 2), hand=L, m_max=14, n_lo=1, width=0, k_max=3)
+    def test_rays_match_the_slope_formula(self, knot, hand, m_max, n_lo, width, k_max):
+        # Empty n ranges, ranges across 0 and wholly negative ones; the
+        # slope-0 ray (r*s, +-1) lies in range when r*s <= m_max.
+        r, s = knot
+        n_hi = n_lo + width - 1
+        torus = TorusKnot(r, s, hand)
+        want = oracle_rays(r, s, hand, m_max, n_lo, n_hi)
+        records = atlas(torus, m_max, (n_lo, n_hi), k_max)
+        assert [(rec["m"], rec["n"], rec["p"], rec["q"], rec["x"]) for rec in records] == [
+            ray + (k * ray[0],) for ray in want for k in range(1, k_max + 1)
+        ]
+        named = [(rec["p"], rec["geometry"]) for rec in records]
+        if n_lo <= n_hi:
+            model = build_plot(torus, PlotWindow(Fraction(m_max), n_lo, n_hi))
+            assert [pt[:4] for pt in model.points] == want
+            named += [(pt.p, pt.geometry) for pt in model.points]
+        for p, geometry in named:
+            assert geometry in (TWISTED if p else UNTWISTED), (p, geometry)
+        for m, n, p, q in want:
+            spec = surgery_of_line(torus, LinePoint(m, n))
+            assert (spec.p, spec.q) == (p, q)
 
 
 class TestBrieskorn:

@@ -14,9 +14,9 @@ import pytest
 from seifertgeo.arith import Handedness, PiRational, TWO_PI
 from seifertgeo.base2d import BasePoint
 from seifertgeo.cone3d import ConeStructure, FamilyDimension, GeometryResult, SphericityInterval
-from seifertgeo.plot import PlotModel, PlotPoint, PlotWindow
+from seifertgeo.plot import PlotModel, PlotPoint, PlotWindow, build_plot
 from seifertgeo.seifert import FamilyId, FamilyKind, GeometryType, SeifertSignature
-from seifertgeo.surgery import LinePoint, SurgerySpec, TorusKnot
+from seifertgeo.surgery import LinePoint, SurgerySpec, TorusKnot, atlas
 
 POINCARE = ((2, 1), (3, 1), (5, 1))
 TREFOIL = TorusKnot(3, 2, Handedness.LEFT)
@@ -176,3 +176,39 @@ class TestPiRationalOrder:
             with pytest.raises(TypeError):
                 compare()
         assert angle != other
+
+
+# id -> (call, field): each passes a bool, float or str where an int belongs.
+NOT_INTEGERS = {
+    "TorusKnot-r-float": (lambda: TorusKnot(3.0, 2, Handedness.LEFT), "r"),
+    "TorusKnot-s-bool": (lambda: TorusKnot(3, True, Handedness.LEFT), "s"),
+    "TorusKnot-r-str": (lambda: TorusKnot("5", 2, Handedness.LEFT), "r"),
+    "SurgerySpec-p-float": (lambda: SurgerySpec(TREFOIL, 1.0, 2), "p"),
+    "SurgerySpec-p-bool": (lambda: SurgerySpec(TREFOIL, True, 1), "p"),
+    "SurgerySpec-q-float": (lambda: SurgerySpec(TREFOIL, 1, -1.0), "q"),
+    "LinePoint-m-bool": (lambda: LinePoint(True, 1), "m"),
+    "LinePoint-n-float": (lambda: LinePoint(5, 1.0), "n"),
+    "PlotWindow-x_max-float": (lambda: PlotWindow(20.5, 0, 3), "x_max"),
+    "PlotWindow-x_max-bool": (lambda: PlotWindow(True, 0, 3), "x_max"),
+    "PlotWindow-x_max-str": (lambda: PlotWindow("20", 0, 3), "x_max"),
+    "PlotWindow-y_min-float": (lambda: PlotWindow(Fraction(20), 0.5, 3), "y_min"),
+    "PlotWindow-y_max-bool": (lambda: PlotWindow(Fraction(20), 0, True), "y_max"),
+    "atlas-m_max-bool": (lambda: atlas(TREFOIL, True, (0, 1), 1), "m_max"),
+    "atlas-k_max-bool": (lambda: atlas(TREFOIL, 1, (0, 1), True), "k_max"),
+    "atlas-n_lo-float": (lambda: atlas(TREFOIL, 1, (0.0, 1), 1), "n_range[0]"),
+    "atlas-n_hi-bool": (lambda: atlas(TREFOIL, 1, (0, True), 1), "n_range[1]"),
+}
+
+
+class TestStrictIntegers:
+    @pytest.mark.parametrize("case", sorted(NOT_INTEGERS))
+    def test_refuses_a_non_integer_naming_the_field(self, case):
+        call, field = NOT_INTEGERS[case]
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value).startswith(field + " must be"), str(exc.value)
+
+    def test_window_takes_an_int_or_a_fraction(self):
+        by_int = build_plot(TREFOIL, PlotWindow(6, -2, 2))
+        assert by_int.points == build_plot(TREFOIL, PlotWindow(Fraction(13, 2), -2, 2)).points
+        assert len(by_int.points) == 19
