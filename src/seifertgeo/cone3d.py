@@ -167,15 +167,7 @@ def sphericity_limits(a1: int, a2: int, a3: int) -> SphericityInterval:
 
 def sphericity_ratio(a1: int, a2: int) -> Fraction:
     """beta_U / beta_L, independent of the singular multiplicity."""
-    a1, a2 = sorted((a1, a2))
-    if a1 <= 1:
-        raise ValueError("sphericity ratio needs both multiplicities > 1")
-    lower, upper = base_limits(a1, a2)
-    if not lower:
-        raise ValueError(
-            "sphericity ratio undefined for (%d, %d): beta_L = 0" % (a1, a2)
-        )
-    return upper / lower
+    return sphericity_limits(a1, a2, 1).ratio()
 
 
 def manifold_geometry_from_limits(

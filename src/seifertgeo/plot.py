@@ -156,10 +156,8 @@ def render_svg(model: PlotModel) -> str:
                 % (cls, _num(x_b), _num(y_lo), _num(x_b), _num(y_hi))
             )
 
-    # e = 0 ray through the origin and (|slope|, sign).
-    sgn = 1 if model.euler_zero_slope > 0 else -1
-    rs = abs(model.euler_zero_slope)
-    y_end = sgn * x_hi / rs
+    # e = 0 ray through the origin: y = x / slope.
+    y_end = x_hi / model.euler_zero_slope
     out.append(
         '<line class="euler-zero" x1="0" y1="0" x2="%s" y2="%s"/>'
         % (_num(x_hi), _num(y_end))

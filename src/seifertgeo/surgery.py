@@ -12,7 +12,9 @@ p/q = -+ r*s, whose surgery is the reducible L(r,s)#L(s,r)) is
 excluded.  Surgeries are charted on the line model: the surgery lives
 on the ray l_{m/n} through the origin and the primitive point (m, n)
 with n = eps*q; the structure with cone angle beta around the core
-sits at abscissa x = 2*pi*m/beta.
+sits at abscissa x = 2*pi*m/beta.  classify_surgery_cone reads that
+structure as any other cone structure: it is classify_cone of the
+surgered signature with the angles (2*pi, 2*pi, beta).
 
 On each ray the core's base angle is pi/x, so the structure is
 spherical for x_U < x < x_L, where x_U and x_L are pi over the base
@@ -37,10 +39,10 @@ from fractions import Fraction
 from math import gcd
 
 from . import kernel
-from .arith import Handedness, PiRational, _Value, _require_int, fiber_coeffs
+from .arith import TWO_PI, Handedness, PiRational, _Value, _require_int, fiber_coeffs
 from .base2d import base_limits
-from .cone3d import GeometryResult, _base_angle, _geometry
-from .seifert import SeifertSignature, _euler_numerator
+from .cone3d import ConeStructure, GeometryResult, _base_angle, _geometry, classify_cone
+from .seifert import SeifertSignature
 
 
 class TorusKnot(_Value):
@@ -76,6 +78,8 @@ class SurgerySpec(_Value):
     __slots__ = ("knot", "p", "q")
 
     def __init__(self, knot: TorusKnot, p: int, q: int):
+        if not isinstance(knot, TorusKnot):
+            raise ValueError("knot must be a TorusKnot, got %r" % (knot,))
         _require_int(p, "p")
         _require_int(q, "q")
         if p < 0:
@@ -91,15 +95,15 @@ class SurgerySpec(_Value):
 
 
 class LinePoint(_Value):
-    """Primitive lattice point (m, n) naming the ray l_{m/n}."""
+    """Primitive lattice point (m, n), m >= 1, naming the ray l_{m/n}."""
 
     __slots__ = ("m", "n")
 
     def __init__(self, m: int, n: int):
         _require_int(m, "m")
         _require_int(n, "n")
-        if m < 0:
-            raise ValueError("line point needs m >= 0")
+        if m < 1:
+            raise ValueError("line point needs m >= 1")
         if gcd(m, abs(n)) != 1:
             raise ValueError("line point (%d, %d) is not primitive" % (m, n))
         self._set(m, n)
@@ -111,11 +115,7 @@ def _core(spec: SurgerySpec) -> tuple[int, int]:
     Raises ValueError on the fibre slope -+r*s, where m = 0 and the
     surgery is reducible.
     """
-    rs = spec.knot.r * spec.knot.s
-    if spec.knot.hand is Handedness.LEFT:
-        t = spec.q * rs + spec.p
-    else:
-        t = -spec.q * rs + spec.p
+    t = spec.p + _euler_zero_slope(spec.knot) * spec.q
     if t == 0:
         raise ValueError(
             "slope %s is the exceptional fibre slope (m = 0): the surgery is reducible"
@@ -172,24 +172,7 @@ def x_limits(knot: TorusKnot) -> tuple[Fraction, Fraction]:
 
 def classify_surgery_cone(spec: SurgerySpec, beta: PiRational) -> GeometryResult:
     """Geometry of the surgered manifold with cone angle beta on the core."""
-    m, eps = _core(spec)
-    if not isinstance(beta, PiRational):
-        beta = PiRational(beta)
-    return _cone_geometry(spec.knot, spec.knot.coeffs(), m, eps * spec.q, beta)
-
-
-def _cone_geometry(knot: TorusKnot, coeffs, m: int, n: int, beta: PiRational) -> GeometryResult:
-    """Geometry on the ray l_{m/n} with cone angle beta on the core.
-
-    The fibres (s, b1) and (r, b2) keep angle 2*pi, base angles pi/s and
-    pi/r; the kernel is symmetric in its pairs, so no sort is needed.
-    The twist is the sign of e*s*r*m of (-1; (s, b1), (r, b2), (m, n)).
-    """
-    num, den = _base_angle(beta, m)
-    code = kernel.classify_region(1, knot.s, 1, knot.r, num, den)
-    b1, b2 = coeffs
-    e_a = _euler_numerator(-1, ((knot.s, b1), (knot.r, b2), (m, n)))
-    return _geometry(code, e_a != 0)
+    return classify_cone(ConeStructure(surgery_signature(spec), (TWO_PI, TWO_PI, beta)))
 
 
 def _ray_geometries(knot: TorusKnot, m_max: int, n_range: tuple[int, int], betas):

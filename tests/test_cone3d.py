@@ -191,10 +191,10 @@ class TestSphericityLimits:
                 assert sphericity_ratio(a2, a1) == want, (a2, a1)
         with pytest.raises(ValueError) as exc:
             sphericity_ratio(2, 2)
-        assert str(exc.value) == "sphericity ratio undefined for (2, 2): beta_L = 0"
+        assert str(exc.value) == "sphericity ratio undefined when beta_L = 0"
         with pytest.raises(ValueError) as exc:
             sphericity_ratio(5, 1)
-        assert str(exc.value) == "sphericity ratio needs both multiplicities > 1"
+        assert str(exc.value) == "sphericity limits need both non-singular multiplicities > 1"
 
     def test_ratio_independent_of_singular_multiplicity(self):
         for a1, a2 in ((2, 3), (3, 4), (2, 5), (3, 5), (4, 5)):

@@ -22,7 +22,6 @@ from seifertgeo.surgery import (
     LinePoint,
     SurgerySpec,
     TorusKnot,
-    _cone_geometry,
     atlas,
     brieskorn_surgery,
     classify_surgery_cone,
@@ -90,6 +89,9 @@ class TestSurgerySignature:
             SurgerySpec(TorusKnot(3, 2, L), 2, 4)
         with pytest.raises(ValueError):
             SurgerySpec(TorusKnot(3, 2, L), 0, 0)
+        with pytest.raises(ValueError) as exc:
+            SurgerySpec(None, 1, 2)
+        assert str(exc.value) == "knot must be a TorusKnot, got None"
 
     def test_homology_is_p(self):
         rng = random.Random(61)
@@ -197,6 +199,10 @@ class TestLineModel:
             LinePoint(4, 2)
         with pytest.raises(ValueError):
             LinePoint(-1, 1)
+        with pytest.raises(ValueError):
+            LinePoint(0, 1)
+        with pytest.raises(ValueError):
+            LinePoint(0, -1)
 
 
 class TestXLimits:
@@ -297,52 +303,23 @@ class TestClassify:
 
     def test_angle_bound(self):
         spec = SurgerySpec(TorusKnot(3, 2, L), 1, -1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             classify_surgery_cone(spec, PiRational(2 * 5 + 1))
+        assert str(exc.value) == "cone angle 11pi exceeds 2*pi*5 on a fibre of multiplicity 5"
 
 
 def _sign(f):
     return (f > 0) - (f < 0)
 
 
-class TestIntegerRayPath:
-    def test_matches_cone_structure_path(self):
-        # The per-ray decision on integers agrees with the object path
-        # (signature, normalized cone structure, classify_cone) on every
-        # knot with r <= 13, both hands, every primitive ray with m <= 12
-        # and |n| <= 16, at beta = 2*pi/k (k <= 6) and at the bound 2*pi*m.
-        checked = 0
-        for r, s in coprime_knots(13):
-            for hand in (L, R):
-                knot = TorusKnot(r, s, hand)
-                coeffs = knot.coeffs()
-                for m in range(1, 13):
-                    for n in range(-16, 17):
-                        if math.gcd(m, n) != 1:
-                            continue
-                        sig = surgery_signature(surgery_of_line(knot, LinePoint(m, n)))
-                        betas = [PiRational(Fraction(2, k)) for k in range(1, 7)]
-                        for beta in betas + [PiRational(2 * m)]:
-                            want = classify_cone(ConeStructure(sig, (TWO_PI, TWO_PI, beta)))
-                            assert _cone_geometry(knot, coeffs, m, n, beta) == want, (
-                                r, s, hand, m, n, beta,
-                            )
-                            checked += 1
-                        above = PiRational(Fraction(4 * m + 1, 2))
-                        with pytest.raises(ValueError) as want_exc:
-                            ConeStructure(sig, (TWO_PI, TWO_PI, above))
-                        with pytest.raises(ValueError) as got_exc:
-                            _cone_geometry(knot, coeffs, m, n, above)
-                        assert str(got_exc.value) == str(want_exc.value)
-        assert checked == 151830
-
-
 class TestColumnRayPath:
     def test_atlas_and_plot_match_cone_structure_path(self):
         # atlas and build_plot run the kernel once per (m, beta) column and
-        # read only each ray's twist.  On the grid of TestIntegerRayPath,
-        # every record and every point at 2*pi must still name the geometry
-        # of the object path (signature, cone structure, classify_cone).
+        # read only each ray's twist.  On every knot with r <= 13, both
+        # hands and every primitive ray with m <= 12 and |n| <= 16, every
+        # record at beta = 2*pi/k (k <= 6) and every point at 2*pi must
+        # still name the geometry of the object path (signature, cone
+        # structure, classify_cone).
         betas = [PiRational(Fraction(2, k)) for k in range(1, 7)]
         records = points = 0
         for r, s in coprime_knots(13):
