@@ -29,7 +29,7 @@ class Handedness(Enum):
     def parse(cls, text):
         try:
             return cls(text.strip().lower())
-        except ValueError:
+        except (AttributeError, ValueError):
             raise ValueError("handedness must be 'left' or 'right', got %r" % (text,))
 
 
@@ -156,6 +156,8 @@ class PiRational(_Value):
 
     @classmethod
     def parse(cls, text: str) -> "PiRational":
+        if not isinstance(text, str):
+            raise ValueError("cannot parse angle %r (expected a string such as '2pi')" % (text,))
         text = text.strip().lower().replace(" ", "")
         if text == "pi":
             return cls(1)

@@ -34,7 +34,7 @@ from enum import Enum
 from fractions import Fraction
 
 from . import kernel
-from .arith import PiRational, _Value
+from .arith import PiRational, _Value, _require_int
 
 
 class RegionClass(Enum):
@@ -140,6 +140,8 @@ def base_limits(a1: int, a2: int) -> tuple[PiRational, PiRational]:
     (the upper bound capped by the cube at pi, where the edge point is
     still spherical).
     """
+    _require_int(a1, "a1")
+    _require_int(a2, "a2")
     if not 1 < a1 <= a2:
         raise ValueError("base limits need 1 < a1 <= a2, got (%d, %d)" % (a1, a2))
     lower = PiRational(Fraction(a1 * a2 - a2 - a1, a1 * a2))

@@ -29,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import kernel
-from .arith import PiRational, TWO_PI, _Value
+from .arith import PiRational, TWO_PI, _Value, _require_int
 from .base2d import BasePoint, base_limits
 from .seifert import _GEOMETRIES, GeometryType, SeifertSignature, _euler_numerator, normalize, normalize_with_order
 
@@ -154,6 +154,9 @@ def sphericity_limits(a1: int, a2: int, a3: int) -> SphericityInterval:
     are the multiplicities of the two fibres kept at angle 2*pi, sorted
     internally, both > 1.
     """
+    _require_int(a1, "a1")
+    _require_int(a2, "a2")
+    _require_int(a3, "a3")
     a1, a2 = sorted((a1, a2))
     if a1 <= 1:
         raise ValueError(

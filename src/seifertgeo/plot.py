@@ -19,13 +19,16 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from itertools import groupby, repeat
+from operator import itemgetter
 
 from .arith import TWO_PI, _Value, _require_int
 from .seifert import _GEOMETRIES
 from .surgery import (
     TorusKnot,
+    _column,
+    _column_names,
     _euler_zero_slope,
-    _ray_geometries,
     spherical_orbifold_angles,
     x_limits,
 )
@@ -64,15 +67,17 @@ class PlotModel(_Value):
 def build_plot(knot: TorusKnot, window: PlotWindow) -> PlotModel:
     """Classify every primitive lattice point inside the window at 2*pi."""
     x_upper, x_lower = x_limits(knot)
-    points, make = [], PlotPoint._make
-    for column in _ray_geometries(knot, int(window.x_max), (window.y_min, window.y_max), (TWO_PI,)):
-        points += [make((m, n, p, q, g)) for m, n, p, q, (g,) in column]
+    z, points = _euler_zero_slope(knot), []
+    # tuple.__new__ turns each row into a PlotPoint in C, with no Python call per point.
+    for m, (flat,), (twisted,) in _column_names(knot, int(window.x_max), (TWO_PI,)):
+        rows = _column(z, m, window.y_min, window.y_max, flat, twisted)
+        points += map(tuple.__new__, repeat(PlotPoint), rows)
     return PlotModel(
         knot=knot,
         window=window,
         x_upper=x_upper,
         x_lower=x_lower,
-        euler_zero_slope=_euler_zero_slope(knot),
+        euler_zero_slope=z,
         orbifold_xs=tuple(x for x, _ in spherical_orbifold_angles(knot)),
         points=tuple(points),
     )
@@ -174,8 +179,7 @@ def render_svg(model: PlotModel) -> str:
     tick_lo, tick_hi = _num(-0.12), _num(0.12)
     for x in range(0, int(model.window.x_max) + 1):
         out.append(
-            '<line class="tick" x1="%s" y1="%s" x2="%s" y2="%s"/>'
-            % (_num(x), tick_lo, _num(x), tick_hi)
+            '<line class="tick" x1="%d" y1="%s" x2="%d" y2="%s"/>' % (x, tick_lo, x, tick_hi)
         )
     orbifold_lo, orbifold_hi = _num(-0.3), _num(0.3)
     for x in model.orbifold_xs:
@@ -191,10 +195,10 @@ def render_svg(model: PlotModel) -> str:
     circle_end = '" r="%s"/>' % _num(h)
     square_end = '" width="%s" height="%s"/>' % (_num(2 * h), _num(2 * h))
     tails = {}
-    for y in {pt.n for pt in model.points}:
+    for y in set(map(itemgetter(1), model.points)):
         yc, yp, ym = _num(y), _num(y + h), _num(y - h)
         tails[y] = (yc + circle_end, ym + square_end, (yp, yc, ym, yc), (ym, yp, yp, ym))
-    marker, column = _MARKER.get, None
+    marker, add, column = _MARKER.get, out.append, None
     for x, y, _, _, g in model.points:
         if x != column:
             column, xc, xp, xm = x, _num(x), _num(x + h), _num(x - h)
@@ -205,7 +209,7 @@ def render_svg(model: PlotModel) -> str:
                 '<path class="pt excluded" d="M %s %%s L %s %%s M %s %%s L %s %%s"/>' % (xm, xp, xm, xp),
             )
         i = marker(g, 3)
-        out.append(heads[i] + tails[y][i] if i < 2 else heads[i] % tails[y][i])
+        add(heads[i] + tails[y][i] if i < 2 else heads[i] % tails[y][i])
     out.append("</g>")
 
     title = "%s: x_U=%s x_L=%s" % (model.knot, _num(x_u), _num(x_l))
@@ -229,5 +233,7 @@ def render_svg(model: PlotModel) -> str:
 def export_csv(model: PlotModel) -> str:
     """CSV of the classified manifold points: m,n,p,q,x,geometry."""
     lines = ["m,n,p,q,x,geometry"]
-    lines += [f"{m},{n},{p},{q},{m},{g}" for m, n, p, q, g in model.points]
+    for m, column in groupby(model.points, itemgetter(0)):
+        head = f"{m},"
+        lines += [f"{head}{n},{p},{q},{head}{g}" for _, n, p, q, g in column]
     return "\n".join(lines) + "\n"

@@ -44,7 +44,10 @@ class SeifertSignature(_Value):
 
     def __init__(self, b: int, fibers):
         _require_int(b, "b")
-        fibers = tuple([(a, bi) for a, bi in fibers])
+        try:
+            fibers = tuple([(a, bi) for a, bi in fibers])
+        except (TypeError, ValueError):
+            raise ValueError("fibers must be a sequence of pairs (a, b), got %r" % (fibers,)) from None
         if not 1 <= len(fibers) <= 3:
             raise ValueError("signature needs 1 to 3 fibre pairs, got %d" % len(fibers))
         fibers += ((1, 0),) * (3 - len(fibers))

@@ -24,13 +24,16 @@ SL2R beyond it.  Integer abscissas x in (x_U, x_L) are the spherical
 orbifold labels; the cone angle there is 2*pi/x.
 
 atlas and plot.build_plot decide each ray from integers alone, one
-column (m fixed) at a time.  The region kernel gets the base angles
-(1, s), (1, r) and (num, 2*m*den) for beta = num/den*pi.  None of them
-holds n, so the kernel runs once per (m, beta) column.  In a column the
-slope numerator m - z*n (z = +-r*s, the e = 0 slope) is affine in n, and
-one pass gives each ray its slope p/q and its twist p != 0:
-|e*r*s*m| = |H1| = p (Moser), so e vanishes only on the ray (r*s, +-1),
-which is slope 0.  No signature or cone structure is built per ray.
+column (m fixed) at a time, in two steps.  The kernel step,
+_column_names, gives the region kernel the base angles (1, s), (1, r)
+and (num, 2*m*den) for beta = num/den*pi.  None of them holds n, so the
+kernel runs once per (m, beta) column, and the step yields the column's
+names untwisted and twisted.  The ray step, _column, is the one ray
+enumeration: the slope numerator m - z*n (z = +-r*s, the e = 0 slope) is
+affine in n, and one pass gives each ray its slope p/q and its twist
+p != 0: |e*r*s*m| = |H1| = p (Moser), so e vanishes only on the ray
+(r*s, +-1), which is slope 0.  Each ray is a plain tuple; no signature
+or cone structure is built per ray.
 """
 
 from __future__ import annotations
@@ -158,9 +161,8 @@ def _column(z: int, m: int, n_lo: int, n_hi: int, flat, twisted) -> list[tuple]:
     slope 1/0.  The name is twisted unless p = 0, where e = 0 (Moser).
     """
     return [
-        (m, n, p, n, twisted) if p > 0 else (m, n, -p, -n, twisted) if p else (m, n, 0, abs(n), flat)
+        (m, n, p, n, twisted) if (p := m - z * n) > 0 else (m, n, -p, -n, twisted) if p else (m, n, 0, abs(n), flat)
         for n in range(n_lo, n_hi + 1) if gcd(m, n) == 1
-        for p in (m - z * n,)
     ]
 
 
@@ -175,21 +177,18 @@ def classify_surgery_cone(spec: SurgerySpec, beta: PiRational) -> GeometryResult
     return classify_cone(ConeStructure(surgery_signature(spec), (TWO_PI, TWO_PI, beta)))
 
 
-def _ray_geometries(knot: TorusKnot, m_max: int, n_range: tuple[int, int], betas):
-    """Each column m = 1..m_max as the list of _column: its primitive rays,
-    their slopes and their geometry names at each core angle in betas.
+def _column_names(knot: TorusKnot, m_max: int, betas):
+    """The kernel step: (m, flat, twisted) for each column m = 1..m_max,
+    the geometry names at each core angle in betas, untwisted and twisted.
 
-    No base angle holds n, so the kernel runs once per (m, beta) column,
-    for the column's names untwisted and twisted.
+    No base angle holds n, so the kernel runs once per (m, beta) column;
+    _column then gives each of the column's rays one of the two names.
     """
-    n_lo, n_hi = n_range
-    if n_lo > n_hi:
-        return
-    s, r, z = knot.s, knot.r, _euler_zero_slope(knot)
+    s, r = knot.s, knot.r
     for m in range(1, m_max + 1):
         codes = [kernel.classify_region(1, s, 1, r, *_base_angle(beta, m)) for beta in betas]
         flat, twisted = ([str(_geometry(code, t)) for code in codes] for t in (False, True))
-        yield _column(z, m, n_lo, n_hi, flat, twisted)
+        yield m, flat, twisted
 
 
 def spherical_orbifold_angles(knot: TorusKnot) -> list[tuple[int, PiRational]]:
@@ -244,20 +243,25 @@ def atlas(knot: TorusKnot, m_max: int, n_range: tuple[int, int], k_max: int) -> 
     """
     _require_int(m_max, "m_max")
     _require_int(k_max, "k_max")
-    n_lo, n_hi = n_range
+    try:
+        n_lo, n_hi = n_range
+    except (TypeError, ValueError):
+        raise ValueError("n_range must be a pair (n_lo, n_hi), got %r" % (n_range,)) from None
     _require_int(n_lo, "n_range[0]")
     _require_int(n_hi, "n_range[1]")
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
+    if n_lo > n_hi:
+        return []
     betas = [PiRational(Fraction(2, k)) for k in range(1, k_max + 1)]
     texts = [beta.text() for beta in betas]
-    knot_json = knot.to_json()
+    knot_json, z = knot.to_json(), _euler_zero_slope(knot)
     return [
         {"knot": dict(knot_json), "m": m, "n": n, "p": p, "q": q,
          "x": k * m, "beta": text, "geometry": geometry}
-        for column in _ray_geometries(knot, m_max, (n_lo, n_hi), betas)
-        for m, n, p, q, geometries in column
+        for m, flat, twisted in _column_names(knot, m_max, betas)
+        for _, n, p, q, geometries in _column(z, m, n_lo, n_hi, flat, twisted)
         for k, text, geometry in zip(range(1, k_max + 1), texts, geometries)
     ]

@@ -4,7 +4,9 @@ The digests were computed once and written here as literals, so a change
 to the plot or atlas code must reproduce the earlier bytes exactly, not
 merely agree with itself.  Each digest covers every knot with r <= 13,
 both hands, in the order of knots() below; each text is followed by a
-NUL byte.
+NUL byte.  The windows off that grid (a non-integer x_max, a single
+row) and a hand-built model whose points lie outside its window are
+pinned the same way.
 """
 
 import hashlib
@@ -16,7 +18,7 @@ from fractions import Fraction
 import pytest
 
 from seifertgeo.arith import Handedness
-from seifertgeo.plot import PlotWindow, build_plot, export_csv, render_svg
+from seifertgeo.plot import PlotModel, PlotPoint, PlotWindow, build_plot, export_csv, render_svg
 from seifertgeo.surgery import TorusKnot, atlas
 
 
@@ -78,3 +80,52 @@ def test_csv(models):
 )
 def test_atlas_json(n_range, k_max, want):
     assert digest(atlas_json(knot, n_range, k_max) for knot in knots()) == want
+
+
+@pytest.fixture(scope="module")
+def off_grid_models():
+    return [
+        build_plot(knot, window)
+        for knot in knots()
+        for window in (PlotWindow(Fraction(41, 2), -10, 10), PlotWindow(Fraction(20), 3, 3))
+    ]
+
+
+def hand_built_model():
+    """Points in no column order, off the window, with every marker and
+    an unknown geometry name, and y values no window row holds."""
+    return PlotModel(
+        knot=TorusKnot(3, 2, Handedness.LEFT),
+        window=PlotWindow(Fraction(4), -2, 2),
+        x_upper=Fraction(6, 7),
+        x_lower=Fraction(6),
+        euler_zero_slope=6,
+        orbifold_xs=(2, 3, 4, 5),
+        points=(
+            PlotPoint(7, 9, 61, 9, "Spherical"),
+            PlotPoint(7, -5, 37, -5, "Nil"),
+            PlotPoint(1, 0, 1, 0, "NoStructure"),
+            PlotPoint(9, 9, 45, 9, "SL2R"),
+            PlotPoint(7, 12, 65, 12, "Unknown"),
+            PlotPoint(0, -3, 18, -1, "S2xR"),
+        ),
+    )
+
+
+def test_off_grid_svg(off_grid_models):
+    assert digest(map(render_svg, off_grid_models)) == (
+        "e54b5224e1176b6126d79dabf928bb0e94234c376196cf7ecf34d0c81bf28c32"
+    )
+
+
+def test_off_grid_csv(off_grid_models):
+    assert digest(map(export_csv, off_grid_models)) == (
+        "edf23051537fa77f94885163587ec61948fba4cf701945dfb54c71afb6c8393b"
+    )
+
+
+def test_hand_built_model():
+    model = hand_built_model()
+    assert digest([render_svg(model), export_csv(model)]) == (
+        "093ebaac50bae436e3c411ac71ef2eba9035c887ff43cb6558a35a41a6ad962c"
+    )

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from seifertgeo.arith import Handedness, TWO_PI
-from seifertgeo.plot import PlotModel, PlotWindow, build_plot, export_csv, render_svg
+from seifertgeo.plot import PlotModel, PlotPoint, PlotWindow, build_plot, export_csv, render_svg
 from seifertgeo.surgery import (
     LinePoint,
     TorusKnot,
@@ -31,6 +31,17 @@ class TestWindow:
             PlotWindow(Fraction(0), 0, 1)
         with pytest.raises(ValueError):
             PlotWindow(Fraction(4), 2, 1)
+
+
+class TestPoints:
+    @pytest.mark.parametrize("hand", list(Handedness))
+    def test_every_point_is_a_plot_point(self, hand):
+        model = build_plot(TorusKnot(5, 3, hand), PlotWindow(Fraction(41, 2), -15, 15))
+        assert model.points
+        for pt in model.points:
+            assert type(pt) is PlotPoint
+            assert pt._fields == ("m", "n", "p", "q", "geometry")
+            assert pt == PlotPoint(pt.m, pt.n, pt.p, pt.q, pt.geometry)
 
 
 class TestCSV:

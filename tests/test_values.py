@@ -12,8 +12,10 @@ from fractions import Fraction
 import pytest
 
 from seifertgeo.arith import Handedness, PiRational, TWO_PI
-from seifertgeo.base2d import BasePoint
-from seifertgeo.cone3d import ConeStructure, FamilyDimension, GeometryResult, SphericityInterval
+from seifertgeo.base2d import BasePoint, base_limits
+from seifertgeo.cone3d import (
+    ConeStructure, FamilyDimension, GeometryResult, SphericityInterval, sphericity_limits,
+)
 from seifertgeo.plot import PlotModel, PlotPoint, PlotWindow, build_plot
 from seifertgeo.seifert import FamilyId, FamilyKind, GeometryType, SeifertSignature
 from seifertgeo.surgery import LinePoint, SurgerySpec, TorusKnot, atlas
@@ -197,6 +199,11 @@ NOT_INTEGERS = {
     "atlas-k_max-bool": (lambda: atlas(TREFOIL, 1, (0, 1), True), "k_max"),
     "atlas-n_lo-float": (lambda: atlas(TREFOIL, 1, (0.0, 1), 1), "n_range[0]"),
     "atlas-n_hi-bool": (lambda: atlas(TREFOIL, 1, (0, True), 1), "n_range[1]"),
+    "base_limits-a1-float": (lambda: base_limits(2.0, 3), "a1"),
+    "base_limits-a2-bool": (lambda: base_limits(2, True), "a2"),
+    "sphericity_limits-a1-float": (lambda: sphericity_limits(2.0, 3, 1), "a1"),
+    "sphericity_limits-a2-str": (lambda: sphericity_limits(2, "3", 1), "a2"),
+    "sphericity_limits-a3-bool": (lambda: sphericity_limits(2, 3, True), "a3"),
 }
 
 
@@ -212,3 +219,42 @@ class TestStrictIntegers:
         by_int = build_plot(TREFOIL, PlotWindow(6, -2, 2))
         assert by_int.points == build_plot(TREFOIL, PlotWindow(Fraction(13, 2), -2, 2)).points
         assert len(by_int.points) == 19
+
+
+# id -> (call, start of the message): a value of the wrong shape or type
+# where a sequence of pairs, a pair or a string belongs.  The message names
+# the field and shows the value.
+MALFORMED = {
+    "fibers-int": (lambda: SeifertSignature(1, 5), "fibers must be"),
+    "fibers-pair-int": (lambda: SeifertSignature(1, [5]), "fibers must be"),
+    "fibers-triple": (
+        lambda: SeifertSignature(1, [(2, 1, 3)]),
+        "fibers must be a sequence of pairs (a, b), got [(2, 1, 3)]",
+    ),
+    "fibers-str": (lambda: SeifertSignature(1, "21"), "fibers must be"),
+    "fibers-none": (lambda: SeifertSignature(1, None), "fibers must be"),
+    "handedness-none": (
+        lambda: Handedness.parse(None), "handedness must be 'left' or 'right', got None"
+    ),
+    "handedness-int": (lambda: Handedness.parse(1), "handedness must be"),
+    "angle-int": (lambda: PiRational.parse(3), "cannot parse angle 3"),
+    "angle-none": (lambda: PiRational.parse(None), "cannot parse angle None"),
+    "atlas-n_range-none": (
+        lambda: atlas(TREFOIL, 3, None, 2), "n_range must be a pair (n_lo, n_hi), got None"
+    ),
+    "atlas-n_range-int": (lambda: atlas(TREFOIL, 3, 4, 2), "n_range must be"),
+    "atlas-n_range-triple": (lambda: atlas(TREFOIL, 3, (0, 1, 2), 2), "n_range must be"),
+}
+
+
+class TestMalformedShapes:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_raises_a_value_error_naming_the_field(self, case):
+        call, start = MALFORMED[case]
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value).startswith(start), str(exc.value)
+
+    def test_any_iterable_of_pairs_still_builds(self):
+        pairs = ((2, 1), (3, 1), (5, 1))
+        assert SeifertSignature(-1, iter(pairs)) == SeifertSignature(-1, [list(p) for p in pairs])
