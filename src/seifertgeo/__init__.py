@@ -20,13 +20,13 @@ __version__ = "0.1.0"
 BACKEND = "python"
 
 # Home module -> the public names it defines.  Every key also resolves as
-# a submodule; kernel defines no public name.
+# a submodule.
 _HOMES = {
     "arith": "Handedness PiRational bezout fiber_coeffs",
-    "base2d": "BasePoint RegionClass base_limits classify_triangle curvature_parameter",
+    "base2d": "BasePoint base_limits classify_triangle curvature_parameter",
     "cone3d": "ConeStructure FamilyDimension GeometryResult NO_STRUCTURE SphericityInterval classify_cone"
     " family_dimension manifold_geometry_from_limits sphericity_limits sphericity_ratio",
-    "kernel": "",
+    "kernel": "RegionClass",
     "seifert": "FamilyId FamilyKind GeometryType SeifertSignature euler_number family_signature"
     " homology_order identify_family lens_params manifold_geometry named_family normalize orbifold_euler_char",
     "surgery": "LinePoint SurgerySpec TorusKnot atlas brieskorn_surgery classify_surgery_cone line_of_surgery"

@@ -3,18 +3,9 @@
 A point of the angle cube [0, pi]^3 prescribes the three cone angles
 (2*alpha1, 2*alpha2, 2*alpha3) of a cone metric on the sphere built
 from two copies of a triangle with vertex angles alpha_i.  The region
-of the cube decides the geometry of that triangle:
-
-  * alpha1+alpha2+alpha3 < pi   hyperbolic (cusped corners allowed),
-  * = pi with all alpha_i > 0   Euclidean,
-  * inside the open tetrahedron spanned towards (pi,pi,pi)  spherical,
-  * on its three edges, where one angle is pi and the other two agree,
-    still spherical,
-  * on or beyond the three upper faces                       nothing.
-
-The last case splits: interior points carry no structure at all, while
-cube-boundary points are kept as a separate degenerate class (they are
-base points of teardrop or unequal-spindle orbifolds).
+of the cube decides the geometry of that triangle; kernel defines the
+regions (RegionClass) and the curvature sign of those that carry a
+structure.
 
 The curvature parameter S of a triangle with angles (alpha1, alpha2,
 alpha3), alpha2 read at the apex, is
@@ -30,43 +21,14 @@ value in the package; degenerate lines are resolved exactly first.
 from __future__ import annotations
 
 import math
-from enum import Enum
 from fractions import Fraction
 
 from . import kernel
 from .arith import PiRational, _Value, _require_int
-
-
-class RegionClass(Enum):
-    HYPERBOLIC = "Hyperbolic"
-    EUCLIDEAN_FACE = "EuclideanFace"
-    SPHERICAL_INTERIOR = "SphericalInterior"
-    SPHERICAL_EDGE = "SphericalEdge"
-    NO_STRUCTURE_FACE = "NoStructureFace"
-    DEGENERATE_BOUNDARY = "DegenerateBoundary"
-
-    def __str__(self):
-        return self.value
-
-
-_CODE_TO_CLASS = {
-    kernel.HYPERBOLIC: RegionClass.HYPERBOLIC,
-    kernel.EUCLIDEAN_FACE: RegionClass.EUCLIDEAN_FACE,
-    kernel.SPHERICAL_INTERIOR: RegionClass.SPHERICAL_INTERIOR,
-    kernel.SPHERICAL_EDGE: RegionClass.SPHERICAL_EDGE,
-    kernel.NO_STRUCTURE_FACE: RegionClass.NO_STRUCTURE_FACE,
-    kernel.DEGENERATE_BOUNDARY: RegionClass.DEGENERATE_BOUNDARY,
-}
+from .kernel import RegionClass
 
 # Classes whose points carry a geometric structure.
-STRUCTURE_CLASSES = frozenset(
-    {
-        RegionClass.HYPERBOLIC,
-        RegionClass.EUCLIDEAN_FACE,
-        RegionClass.SPHERICAL_INTERIOR,
-        RegionClass.SPHERICAL_EDGE,
-    }
-)
+STRUCTURE_CLASSES = frozenset(kernel.CURVATURE_SIGN)
 
 
 class BasePoint(_Value):
@@ -94,14 +56,14 @@ class BasePoint(_Value):
 def classify_triangle(point: BasePoint) -> RegionClass:
     """Region of the cube containing the point, decided exactly."""
     c1, c2, c3 = point.coeffs()
-    code = kernel.classify_region(
+    region = kernel.classify_region(
         c1.numerator, c1.denominator,
         c2.numerator, c2.denominator,
         c3.numerator, c3.denominator,
     )
-    if code == kernel.OUTSIDE:
+    if region is None:
         raise ValueError("point %s is outside the angle cube" % point)
-    return _CODE_TO_CLASS[code]
+    return region
 
 
 def curvature_parameter(point: BasePoint) -> float:

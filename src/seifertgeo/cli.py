@@ -256,7 +256,7 @@ def _cmd_atlas(args) -> int:
     r, s = args.knot
     knot = TorusKnot(r, s, args.hand)
     n_lo, n_hi = args.nrange
-    # An empty n range counts as one row: atlas builds its k angles before it looks at n.
+    # The n range counts as at least one row: any non-empty range runs the kernel mmax*kmax times.
     _check_work(
         max(args.mmax, 0) * max(n_hi - n_lo + 1, 1) * max(args.kmax, 0), "atlas"
     )

@@ -5,11 +5,11 @@ A cone structure assigns each fibre (a_i, b_i) a cone angle beta_i in
 
     alpha_i = beta_i / (2 * a_i),
 
-and the region kernel places it in the angle cube.  The hyperbolic
-region, the Euclidean face and the spherical tetrahedron with its edges
-give the sign (-1, 0, +1) of the base curvature, and seifert's
-geometry table, read at that sign and at e != 0, gives the geometry.
-Every other region carries no geometric Seifert conemanifold structure.
+and the region kernel places it in the angle cube.  kernel.CURVATURE_SIGN
+gives the sign (-1, 0, +1) of the base curvature on a region that
+carries a structure, and seifert's geometry table, read at that sign
+and at e != 0, gives the geometry.  Every other region carries no
+geometric Seifert conemanifold structure.
 
 When one fibre of multiplicity a3 is singular and the other two, of
 multiplicities 1 < a1 <= a2, stay at 2*pi, the structure is spherical
@@ -52,13 +52,10 @@ class GeometryResult(_Value):
 
 NO_STRUCTURE = GeometryResult(None)
 
-# Kernel region code -> its row of _GEOMETRIES, prebuilt; other codes carry no structure.
+# Region -> its row of _GEOMETRIES, prebuilt; other regions carry no structure.
 _ROWS = {
-    code: tuple(map(GeometryResult, _GEOMETRIES[sign]))
-    for code, sign in (
-        (kernel.HYPERBOLIC, -1), (kernel.EUCLIDEAN_FACE, 0),
-        (kernel.SPHERICAL_INTERIOR, 1), (kernel.SPHERICAL_EDGE, 1),
-    )
+    region: tuple(map(GeometryResult, _GEOMETRIES[sign]))
+    for region, sign in kernel.CURVATURE_SIGN.items()
 }
 _NO_ROW = (NO_STRUCTURE, NO_STRUCTURE)
 
@@ -109,12 +106,12 @@ def classify_cone(cs: ConeStructure) -> GeometryResult:
     """
     (a1, _), (a2, _), (a3, _) = cs.sig.fibers
     c1, c2, c3 = [beta.coeff for beta in cs.angles]
-    code = kernel.classify_region(
+    region = kernel.classify_region(
         c1.numerator, 2 * a1 * c1.denominator,
         c2.numerator, 2 * a2 * c2.denominator,
         c3.numerator, 2 * a3 * c3.denominator,
     )
-    return _geometry(code, _euler_numerator(cs.sig.b, cs.sig.fibers) != 0)
+    return _geometry(region, _euler_numerator(cs.sig.b, cs.sig.fibers) != 0)
 
 
 def _base_angle(beta: PiRational, a: int) -> tuple[int, int]:
@@ -127,9 +124,9 @@ def _base_angle(beta: PiRational, a: int) -> tuple[int, int]:
     return num, den
 
 
-def _geometry(code: int, twisted: bool) -> GeometryResult:
-    """Geometry of a kernel region code; twisted means e != 0."""
-    return _ROWS.get(code, _NO_ROW)[twisted]
+def _geometry(region: kernel.RegionClass | None, twisted: bool) -> GeometryResult:
+    """Geometry of a kernel region (None outside the cube); twisted means e != 0."""
+    return _ROWS.get(region, _NO_ROW)[twisted]
 
 
 class SphericityInterval(_Value):
@@ -251,7 +248,7 @@ def family_dimension(sig: SeifertSignature, singular) -> FamilyDimension:
 
     if k == 0:
         a1, a2, a3 = sig.multiplicities()
-        if _geometry(kernel.classify_region(1, a1, 1, a2, 1, a3), True).has_structure:
+        if kernel.classify_region(1, a1, 1, a2, 1, a3) in kernel.CURVATURE_SIGN:
             return Dim(0)
         return NO_FAMILY
     if k == 3:

@@ -61,6 +61,20 @@ class PlotModel(_Value):
         self, knot: TorusKnot, window: PlotWindow, x_upper: Fraction, x_lower: Fraction,
         euler_zero_slope: int, orbifold_xs: tuple[int, ...], points: tuple[PlotPoint, ...],
     ):
+        for name, value, kind in (("knot", knot, TorusKnot), ("window", window, PlotWindow)):
+            if not isinstance(value, kind):
+                raise ValueError("%s must be a %s, got %r" % (name, kind.__name__, value))
+        for name, x in (("x_upper", x_upper), ("x_lower", x_lower)):
+            if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+                raise ValueError("%s must be an integer or a Fraction, got %r" % (name, x))
+        _require_int(euler_zero_slope, "euler_zero_slope")
+        if not euler_zero_slope:
+            raise ValueError("euler_zero_slope must be nonzero")
+        # Whole-tuple type checks run in C: no Python call per point.
+        if orbifold_xs.__class__ is not tuple or not set(map(type, orbifold_xs)) <= {int}:
+            raise ValueError("orbifold_xs must be a tuple of integers, got %r" % (orbifold_xs,))
+        if points.__class__ is not tuple or not set(map(type, points)) <= {PlotPoint}:
+            raise ValueError("points must be a tuple of PlotPoints")
         self._set(knot, window, x_upper, x_lower, euler_zero_slope, orbifold_xs, points)
 
 

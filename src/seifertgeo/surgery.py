@@ -54,14 +54,9 @@ class TorusKnot(_Value):
     def __init__(self, r: int, s: int, hand: Handedness):
         _require_int(r, "r")
         _require_int(s, "s")
-        if not (r > s > 1):
-            raise ValueError("torus knot needs r > s > 1, got (%d, %d)" % (r, s))
-        if gcd(r, s) != 1:
-            raise ValueError(
-                "torus knot parameters must be coprime, got (%d, %d)" % (r, s)
-            )
         if not isinstance(hand, Handedness):
             raise ValueError("hand must be a Handedness value")
+        fiber_coeffs(r, s, hand)  # checks r > s > 1 and gcd(r, s) == 1
         self._set(r, s, hand)
 
     def coeffs(self) -> tuple[int, int]:
@@ -186,8 +181,8 @@ def _column_names(knot: TorusKnot, m_max: int, betas):
     """
     s, r = knot.s, knot.r
     for m in range(1, m_max + 1):
-        codes = [kernel.classify_region(1, s, 1, r, *_base_angle(beta, m)) for beta in betas]
-        flat, twisted = ([str(_geometry(code, t)) for code in codes] for t in (False, True))
+        regions = [kernel.classify_region(1, s, 1, r, *_base_angle(beta, m)) for beta in betas]
+        flat, twisted = ([str(_geometry(region, t)) for region in regions] for t in (False, True))
         yield m, flat, twisted
 
 

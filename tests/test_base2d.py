@@ -32,7 +32,7 @@ class TestClassify:
         # the same point unreduced, with products of three inputs above 2**63
         big = 3 * 2**20
         args = (big, 2 * big, big, 2 * big, big, 2 * big)
-        assert kernel.classify_region(*args) == kernel.SPHERICAL_INTERIOR
+        assert kernel.classify_region(*args) is RegionClass.SPHERICAL_INTERIOR
 
     def test_edge_point(self):
         assert classify_triangle(pt(1, "1/4", "1/4")) is RegionClass.SPHERICAL_EDGE
@@ -73,6 +73,19 @@ class TestClassify:
     def test_outside_cube_rejected(self):
         with pytest.raises(ValueError):
             pt("3/2", "1/2", "1/2")
+
+    def test_kernel_gives_none_outside_the_cube(self):
+        assert kernel.classify_region(3, 2, 1, 2, 1, 2) is None
+        assert kernel.classify_region(-1, 2, 1, 2, 1, 2) is None
+        assert kernel.classify_region(1, 0, 1, 2, 1, 2) is None
+
+    def test_one_region_vocabulary(self):
+        assert RegionClass is kernel.RegionClass
+        assert STRUCTURE_CLASSES == set(kernel.CURVATURE_SIGN)
+        assert [str(region) for region in RegionClass] == [
+            "Hyperbolic", "EuclideanFace", "SphericalInterior",
+            "SphericalEdge", "NoStructureFace", "DegenerateBoundary",
+        ]
 
 
 angles = st.fractions(min_value=0, max_value=1, max_denominator=40)

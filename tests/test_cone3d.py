@@ -7,7 +7,6 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from seifertgeo import kernel
 from seifertgeo.arith import PI, PiRational, TWO_PI
 from seifertgeo.base2d import STRUCTURE_CLASSES, BasePoint, RegionClass, classify_triangle
 from seifertgeo.cone3d import (
@@ -335,23 +334,26 @@ class TestFamilyDimension:
 
 
 class TestGeometryOfRegionCode:
-    # kernel code -> (geometry when e = 0, geometry when e != 0)
+    # kernel region (None outside the cube) -> (geometry when e = 0, geometry when e != 0)
     TABLE = {
-        kernel.HYPERBOLIC: ("H2xR", "SL2R"),
-        kernel.EUCLIDEAN_FACE: ("Euclidean", "Nil"),
-        kernel.SPHERICAL_INTERIOR: ("S2xR", "Spherical"),
-        kernel.SPHERICAL_EDGE: ("S2xR", "Spherical"),
-        kernel.NO_STRUCTURE_FACE: ("NoStructure", "NoStructure"),
-        kernel.DEGENERATE_BOUNDARY: ("NoStructure", "NoStructure"),
-        kernel.OUTSIDE: ("NoStructure", "NoStructure"),
+        RegionClass.HYPERBOLIC: ("H2xR", "SL2R"),
+        RegionClass.EUCLIDEAN_FACE: ("Euclidean", "Nil"),
+        RegionClass.SPHERICAL_INTERIOR: ("S2xR", "Spherical"),
+        RegionClass.SPHERICAL_EDGE: ("S2xR", "Spherical"),
+        RegionClass.NO_STRUCTURE_FACE: ("NoStructure", "NoStructure"),
+        RegionClass.DEGENERATE_BOUNDARY: ("NoStructure", "NoStructure"),
+        None: ("NoStructure", "NoStructure"),
     }
+    # Parametrized by position in (*RegionClass, None), so -1 is None.
+    REGIONS = (*RegionClass, None)
 
     @pytest.mark.parametrize("twisted", [False, True])
-    @pytest.mark.parametrize("code", sorted(TABLE))
+    @pytest.mark.parametrize("code", range(-1, len(RegionClass)))
     def test_matches_the_written_out_table(self, code, twisted):
-        result = _geometry(code, twisted)
-        assert str(result) == self.TABLE[code][twisted]
-        assert result.has_structure == (self.TABLE[code][twisted] != "NoStructure")
+        region = self.REGIONS[code]
+        result = _geometry(region, twisted)
+        assert str(result) == self.TABLE[region][twisted]
+        assert result.has_structure == (self.TABLE[region][twisted] != "NoStructure")
 
 
 class TestGeometryTableConsistency:

@@ -17,6 +17,14 @@ def test_public_name_is_its_home_modules_object(name):
     assert getattr(home, name) is value
 
 
+def test_all_lists_each_home_name_once():
+    # __all__ stays a literal; every name it lists has exactly one home module.
+    assert set(seifertgeo.__all__) == set(seifertgeo._HOME) | {"BACKEND"}
+    assert len(seifertgeo.__all__) == len(set(seifertgeo.__all__))
+    names = [name for names in seifertgeo._HOMES.values() for name in names.split()]
+    assert len(names) == len(set(names))
+
+
 def test_dir_lists_every_public_name():
     assert set(seifertgeo.__all__) <= set(dir(seifertgeo))
 

@@ -46,12 +46,15 @@ def coprime_knots(r_max):
 
 class TestTorusKnot:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            TorusKnot(4, 2, L)
-        with pytest.raises(ValueError):
-            TorusKnot(2, 3, L)
-        with pytest.raises(ValueError):
-            TorusKnot(3, 1, L)
+        for args, text in (
+            ((4, 2, L), "torus knot parameters must be coprime, got (4, 2)"),
+            ((2, 3, L), "torus knot needs r > s > 1, got (2, 3)"),
+            ((3, 1, L), "torus knot needs r > s > 1, got (3, 1)"),
+            ((3, 2, "left"), "hand must be a Handedness value"),
+        ):
+            with pytest.raises(ValueError) as exc:
+                TorusKnot(*args)
+            assert str(exc.value) == text
 
     def test_str(self):
         assert str(TorusKnot(3, 2, L)) == "K(3,2) left"

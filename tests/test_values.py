@@ -24,8 +24,8 @@ POINCARE = ((2, 1), (3, 1), (5, 1))
 TREFOIL = TorusKnot(3, 2, Handedness.LEFT)
 
 
-def _model(slope):
-    return PlotModel(
+def _model(slope, **changes):
+    fields = dict(
         knot=TREFOIL,
         window=PlotWindow(Fraction(4), -2, 2),
         x_upper=Fraction(6, 7),
@@ -34,6 +34,7 @@ def _model(slope):
         orbifold_xs=(2, 3, 4, 5),
         points=(PlotPoint(1, 0, 1, 0, "Spherical"),),
     )
+    return PlotModel(**dict(fields, **changes))
 
 
 # name -> (fields, factory of a value from a "variant" flag).  The two
@@ -204,6 +205,8 @@ NOT_INTEGERS = {
     "sphericity_limits-a1-float": (lambda: sphericity_limits(2.0, 3, 1), "a1"),
     "sphericity_limits-a2-str": (lambda: sphericity_limits(2, "3", 1), "a2"),
     "sphericity_limits-a3-bool": (lambda: sphericity_limits(2, 3, True), "a3"),
+    "PlotModel-euler_zero_slope-fraction": (lambda: _model(Fraction(6)), "euler_zero_slope"),
+    "PlotModel-euler_zero_slope-bool": (lambda: _model(True), "euler_zero_slope"),
 }
 
 
@@ -244,6 +247,30 @@ MALFORMED = {
     ),
     "atlas-n_range-int": (lambda: atlas(TREFOIL, 3, 4, 2), "n_range must be"),
     "atlas-n_range-triple": (lambda: atlas(TREFOIL, 3, (0, 1, 2), 2), "n_range must be"),
+    "PlotModel-knot-none": (lambda: _model(6, knot=None), "knot must be a TorusKnot, got None"),
+    "PlotModel-window-tuple": (
+        lambda: _model(6, window=(4, -2, 2)), "window must be a PlotWindow, got (4, -2, 2)"
+    ),
+    "PlotModel-x_upper-float": (
+        lambda: _model(6, x_upper=0.5), "x_upper must be an integer or a Fraction, got 0.5"
+    ),
+    "PlotModel-x_lower-none": (lambda: _model(6, x_lower=None), "x_lower must be"),
+    "PlotModel-euler_zero_slope-zero": (lambda: _model(0), "euler_zero_slope must be nonzero"),
+    "PlotModel-orbifold_xs-none-item": (
+        lambda: _model(6, orbifold_xs=(2, None)),
+        "orbifold_xs must be a tuple of integers, got (2, None)",
+    ),
+    "PlotModel-orbifold_xs-list": (lambda: _model(6, orbifold_xs=[2, 3]), "orbifold_xs must be"),
+    "PlotModel-points-none-item": (
+        lambda: _model(6, points=(PlotPoint(1, 0, 1, 0, "Nil"), None)),
+        "points must be a tuple of PlotPoints",
+    ),
+    "PlotModel-points-plain-tuple": (
+        lambda: _model(6, points=((1, 0, 1, 0, "Nil"),)), "points must be a tuple of PlotPoints"
+    ),
+    "PlotModel-points-list": (
+        lambda: _model(6, points=[PlotPoint(1, 0, 1, 0, "Nil")]), "points must be a tuple of PlotPoints"
+    ),
 }
 
 
