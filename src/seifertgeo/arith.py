@@ -105,6 +105,14 @@ class _Value:
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
+    @classmethod
+    def _unchecked(cls, *values):
+        """A value whose fields are valid by construction: __init__ and its
+        checks are skipped.  Never for fields taken from outside."""
+        self = object.__new__(cls)
+        self._set(*values)
+        return self
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented

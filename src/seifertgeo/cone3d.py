@@ -71,18 +71,16 @@ class ConeStructure(_Value):
     __slots__ = ("sig", "angles")
 
     def __init__(self, sig: SeifertSignature, angles):
-        angles = tuple(
-            beta if isinstance(beta, PiRational) else PiRational(beta)
-            for beta in angles
-        )
+        angles = [beta if isinstance(beta, PiRational) else PiRational(beta) for beta in angles]
         if len(angles) != len(sig.fibers):
             raise ValueError(
                 "expected %d cone angles, got %d" % (len(sig.fibers), len(angles))
             )
-        norm, order = normalize_with_order(sig)
-        angles = tuple(angles[i] for i in order)
+        norm, (i, j, k) = normalize_with_order(sig)
+        angles = (angles[i], angles[j], angles[k])
         for (a, _), beta in zip(norm.fibers, angles):
-            _base_angle(beta, a)
+            if beta.coeff.numerator > 2 * a * beta.coeff.denominator:
+                _base_angle(beta, a)  # raises, with the bound's one message
         object.__setattr__(self, "sig", norm)
         object.__setattr__(self, "angles", angles)
 

@@ -50,9 +50,19 @@ class PlotWindow(_Value):
 
 
 PlotPoint = namedtuple("PlotPoint", "m n p q geometry")
+_POINT_TYPES = (int, int, int, int, str)
+
+
+def _require_knot_and_window(knot, window) -> None:
+    for name, value, kind in (("knot", knot, TorusKnot), ("window", window, PlotWindow)):
+        if not isinstance(value, kind):
+            raise ValueError("%s must be a %s, got %r" % (name, kind.__name__, value))
 
 
 class PlotModel(_Value):
+    """A classified window.  Built by hand, every field and every point is
+    checked; build_plot's model is valid by construction and skips that."""
+
     __slots__ = (
         "knot", "window", "x_upper", "x_lower", "euler_zero_slope", "orbifold_xs", "points"
     )
@@ -61,9 +71,7 @@ class PlotModel(_Value):
         self, knot: TorusKnot, window: PlotWindow, x_upper: Fraction, x_lower: Fraction,
         euler_zero_slope: int, orbifold_xs: tuple[int, ...], points: tuple[PlotPoint, ...],
     ):
-        for name, value, kind in (("knot", knot, TorusKnot), ("window", window, PlotWindow)):
-            if not isinstance(value, kind):
-                raise ValueError("%s must be a %s, got %r" % (name, kind.__name__, value))
+        _require_knot_and_window(knot, window)
         for name, x in (("x_upper", x_upper), ("x_lower", x_lower)):
             if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
                 raise ValueError("%s must be an integer or a Fraction, got %r" % (name, x))
@@ -75,26 +83,27 @@ class PlotModel(_Value):
             raise ValueError("orbifold_xs must be a tuple of integers, got %r" % (orbifold_xs,))
         if points.__class__ is not tuple or not set(map(type, points)) <= {PlotPoint}:
             raise ValueError("points must be a tuple of PlotPoints")
+        if points:
+            m, n, p, q, geometry = zip(*points)
+            if not set(map(type, m + n + p + q)) <= {int} or not set(map(type, geometry)) <= {str}:
+                bad = next(pt for pt in points if tuple(map(type, pt)) != _POINT_TYPES)
+                raise ValueError(
+                    "points must hold integers m, n, p, q and a geometry name, got %r" % (bad,)
+                )
         self._set(knot, window, x_upper, x_lower, euler_zero_slope, orbifold_xs, points)
 
 
 def build_plot(knot: TorusKnot, window: PlotWindow) -> PlotModel:
     """Classify every primitive lattice point inside the window at 2*pi."""
+    _require_knot_and_window(knot, window)
     x_upper, x_lower = x_limits(knot)
     z, points = _euler_zero_slope(knot), []
     # tuple.__new__ turns each row into a PlotPoint in C, with no Python call per point.
     for m, (flat,), (twisted,) in _column_names(knot, int(window.x_max), (TWO_PI,)):
         rows = _column(z, m, window.y_min, window.y_max, flat, twisted)
         points += map(tuple.__new__, repeat(PlotPoint), rows)
-    return PlotModel(
-        knot=knot,
-        window=window,
-        x_upper=x_upper,
-        x_lower=x_lower,
-        euler_zero_slope=z,
-        orbifold_xs=tuple(x for x, _ in spherical_orbifold_angles(knot)),
-        points=tuple(points),
-    )
+    orbifold_xs = tuple(x for x, _ in spherical_orbifold_angles(knot))
+    return PlotModel._unchecked(knot, window, x_upper, x_lower, z, orbifold_xs, tuple(points))
 
 
 # A marker's shape from its geometry name: circle, square and diamond for

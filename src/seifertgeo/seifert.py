@@ -64,7 +64,8 @@ class SeifertSignature(_Value):
         object.__setattr__(self, "fibers", fibers)
 
     def multiplicities(self) -> tuple[int, int, int]:
-        return tuple(a for a, _ in self.fibers)
+        (a1, _), (a2, _), (a3, _) = self.fibers
+        return a1, a2, a3
 
     def exceptional_count(self) -> int:
         return sum(1 for a, _ in self.fibers if a > 1)
@@ -127,14 +128,15 @@ def normalize_with_order(sig: SeifertSignature) -> tuple[SeifertSignature, tuple
     order[k] is the index in sig.fibers of the k-th normalized fibre, so
     per-fibre data (cone angles) can be carried through the sort.
     """
-    b = sig.b
-    moved = []
-    for a, bi in sig.fibers:
-        b += bi // a
-        moved.append((a, bi % a))
-    order = sorted(range(3), key=lambda i: (-moved[i][0], moved[i][1]))
-    fibers = tuple(moved[i] for i in order)
-    return SeifertSignature(b, fibers), tuple(order)
+    (a1, b1), (a2, b2), (a3, b3) = sig.fibers
+    q1, r1 = divmod(b1, a1)
+    q2, r2 = divmod(b2, a2)
+    q3, r3 = divmod(b3, a3)
+    # Sorting the triples (-a, b mod a, i) is the stable sort by (-a, b mod a).
+    (n1, s1, i), (n2, s2, j), (n3, s3, k) = sorted(((-a1, r1, 0), (-a2, r2, 1), (-a3, r3, 2)))
+    # Valid by construction: gcd(a, b mod a) = gcd(a, b) = 1 and a is unchanged.
+    norm = SeifertSignature._unchecked(sig.b + q1 + q2 + q3, ((-n1, s1), (-n2, s2), (-n3, s3)))
+    return norm, (i, j, k)
 
 
 def normalize(sig: SeifertSignature) -> SeifertSignature:
@@ -260,12 +262,13 @@ def identify_family(sig: SeifertSignature) -> FamilyId:
     pairwise coprime multiplicities), then the congruence families of
     named_family.  Anything else is Generic.
     """
-    if sig.exceptional_count() <= 2:
+    (a1, _), (a2, _), (a3, _) = sig.fibers
+    if a1 == 1 or a2 == 1 or a3 == 1:  # at most two exceptional fibres
         if _euler_numerator(sig.b, sig.fibers) == 0:
             return GENERIC
         return FamilyId(FamilyKind.LENS, lens_params(normalize(sig)))
 
-    a1, a2, a3 = sorted(sig.multiplicities())
+    a1, a2, a3 = sorted((a1, a2, a3))
     if gcd(a1, a2) == gcd(a1, a3) == gcd(a2, a3) == 1:
         if homology_order(sig) == 1:
             return FamilyId(FamilyKind.BRIESKORN, (a1, a2, a3))

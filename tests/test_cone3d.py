@@ -60,6 +60,40 @@ class TestConeStructure:
         cs = ConeStructure(S(-1, ((2, 1), (3, 1), (5, 1))), angles(2, 2, "1/5"))
         assert cs.singular_set() == (1,)
 
+    def test_tied_fibres_keep_their_order(self):
+        # (3, 1) and (3, -2) tie once reduced; their angles keep the given order
+        cs = ConeStructure(S(0, ((2, 1), (3, 1), (3, -2))), angles(1, "1/3", "2/3"))
+        assert cs.sig == S(-1, ((3, 1), (3, 1), (2, 1)))
+        assert cs.angles == angles("1/3", "2/3", 1)
+        cs = ConeStructure(S(0, ((3, 4), (3, 1), (3, 1))), angles(3, 2, 1))
+        assert cs.sig == S(1, ((3, 1), (3, 1), (3, 1)))
+        assert cs.angles == angles(3, 2, 1)
+
+    def test_takes_an_angle_subclass_an_int_and_a_fraction(self):
+        class Angle(PiRational):
+            pass
+
+        beta = Angle(Fraction(1, 2))
+        cs = ConeStructure(S(-1, ((2, 1), (3, 1), (5, 1))), (2, beta, Fraction(3, 2)))
+        # the subclass passes through as it is; the others become PiRationals
+        assert cs.angles[1] is beta
+        assert cs.angles[0] == PiRational(Fraction(3, 2)) and cs.angles[2] == TWO_PI
+        assert type(cs.angles[0]) is PiRational and type(cs.angles[2]) is PiRational
+
+    @pytest.mark.parametrize(
+        "given, message",
+        [
+            (angles(2, 2), "expected 3 cone angles, got 2"),
+            (angles(5, 2, 2), "cone angle 5pi exceeds 2*pi*2 on a fibre of multiplicity 2"),
+            (angles(2, "13/2", 2), "cone angle 13/2pi exceeds 2*pi*3 on a fibre of multiplicity 3"),
+        ],
+        ids=["count", "bound-first", "bound-middle"],
+    )
+    def test_error_messages(self, given, message):
+        with pytest.raises(ValueError) as exc:
+            ConeStructure(S(-1, ((2, 1), (3, 1), (5, 1))), given)
+        assert str(exc.value) == message
+
 
 class TestClassifyCone:
     def test_poincare_manifold(self):

@@ -131,6 +131,14 @@ class TestSVG:
         root = ET.fromstring(text)
         assert root.tag.endswith("svg")
 
+    def test_built_model_passes_every_check(self):
+        # build_plot skips PlotModel's checks; the same fields must pass them
+        for knot in (TorusKnot(3, 2, L), TorusKnot(5, 3, Handedness.RIGHT)):
+            model = build_plot(knot, PlotWindow(Fraction(9, 2), -4, 4))
+            fields = {name: getattr(model, name) for name in model.__slots__}
+            assert PlotModel(**fields) == model
+            assert model.points and all(type(pt) is PlotPoint for pt in model.points)
+
     def test_marker_shapes_follow_geometry(self):
         model = build_plot(TorusKnot(3, 2, L), PlotWindow(Fraction(7), -2, 2))
         text = render_svg(model)

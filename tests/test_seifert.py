@@ -21,6 +21,7 @@ from seifertgeo.seifert import (
     manifold_geometry,
     named_family,
     normalize,
+    normalize_with_order,
     orbifold_euler_char,
 )
 
@@ -134,6 +135,30 @@ class TestNormalize:
         norm = normalize(sig)
         assert euler_number(norm) == euler_number(sig)
         assert homology_order(norm) == homology_order(sig)
+
+    @given(
+        st.integers(-50, 50),
+        st.lists(
+            st.tuples(st.integers(1, 30), st.integers(-200, 200)).filter(
+                lambda f: math.gcd(*f) == 1
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    @settings(max_examples=500)
+    def test_with_order_matches_a_stable_sort(self, b, pairs):
+        # The normal form is built without a second check, so it is compared
+        # with a reference and with the checked constructor on the same fields.
+        sig = S(b, tuple(pairs))
+        fibers = sig.fibers
+        order = tuple(sorted(range(3), key=lambda i: (-fibers[i][0], fibers[i][1] % fibers[i][0])))
+        norm, got_order = normalize_with_order(sig)
+        assert got_order == order
+        assert norm.b == b + sum(bi // a for a, bi in fibers)
+        assert norm.fibers == tuple((fibers[i][0], fibers[i][1] % fibers[i][0]) for i in order)
+        assert norm == S(norm.b, norm.fibers)
+        assert type(norm.b) is int and all(type(x) is int for f in norm.fibers for x in f)
 
 
 class TestInvariants:

@@ -271,6 +271,24 @@ MALFORMED = {
     "PlotModel-points-list": (
         lambda: _model(6, points=[PlotPoint(1, 0, 1, 0, "Nil")]), "points must be a tuple of PlotPoints"
     ),
+    "PlotModel-points-none-m": (
+        lambda: _model(6, points=(PlotPoint(1, 0, 1, 0, "Nil"), PlotPoint(None, 0, 1, 0, "Nil"))),
+        "points must hold integers m, n, p, q and a geometry name, "
+        "got PlotPoint(m=None, n=0, p=1, q=0, geometry='Nil')",
+    ),
+    "PlotModel-points-bool-m-float-n": (
+        lambda: _model(6, points=(PlotPoint(True, 1.5, 1, 0, "Nil"),)), "points must hold integers"
+    ),
+    "PlotModel-points-fraction-q": (
+        lambda: _model(6, points=(PlotPoint(1, 0, 1, Fraction(0), "Nil"),)), "points must hold integers"
+    ),
+    "PlotModel-points-none-geometry": (
+        lambda: _model(6, points=(PlotPoint(1, 0, 1, 0, None),)), "points must hold integers"
+    ),
+    "build_plot-knot-none": (
+        lambda: build_plot(None, PlotWindow(4, -2, 2)), "knot must be a TorusKnot, got None"
+    ),
+    "build_plot-window-none": (lambda: build_plot(TREFOIL, None), "window must be a PlotWindow"),
 }
 
 
