@@ -16,6 +16,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import total_ordering
 from operator import attrgetter
+from types import NoneType
 
 
 class Handedness(Enum):
@@ -33,11 +34,16 @@ class Handedness(Enum):
             raise ValueError("handedness must be 'left' or 'right', got %r" % (text,))
 
 
-def _require_int(value, field: str) -> None:
-    """ValueError naming the field unless value is an int; a bool, float
-    or string is refused, never coerced."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError("%s must be an integer, got %r" % (field, value))
+_KIND_TEXT = {int: "an integer", str: "a string", NoneType: "None"}
+
+
+def _require(value, field: str, kinds=int) -> None:
+    """ValueError naming the field unless value is of kinds, a type or a
+    tuple of types; a bool is refused where an int is taken, never coerced."""
+    if value.__class__ is bool or not isinstance(value, kinds):
+        kinds = kinds if kinds.__class__ is tuple else (kinds,)
+        text = " or ".join(_KIND_TEXT.get(kind) or "a " + kind.__name__ for kind in kinds)
+        raise ValueError("%s must be %s, got %r" % (field, text, value))
 
 
 def bezout(a: int, b: int) -> tuple[int, int, int]:
@@ -94,14 +100,23 @@ def fiber_coeffs(r: int, s: int, hand: Handedness) -> tuple[int, int]:
 
 class _Value:
     """Immutable value: equality, hash, repr and pickling by the fields in
-    __slots__.  __init__ sets the fields through _set or object.__setattr__."""
+    __slots__.  _KINDS gives each field's type or tuple of types, in
+    __slots__ order; _set checks the fields against it and sets them."""
 
     __slots__ = ()
+    _KINDS = ()
 
     def __init_subclass__(cls):
         cls._key = attrgetter(*cls.__slots__)
 
+    @classmethod
+    def _check(cls, *values):
+        """Check the leading fields given against _KINDS."""
+        for name, kinds, value in zip(cls.__slots__, cls._KINDS, values):
+            _require(value, name, kinds)
+
     def _set(self, *values):
+        self._check(*values)
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
@@ -110,7 +125,8 @@ class _Value:
         """A value whose fields are valid by construction: __init__ and its
         checks are skipped.  Never for fields taken from outside."""
         self = object.__new__(cls)
-        self._set(*values)
+        for name, value in zip(cls.__slots__, values):
+            object.__setattr__(self, name, value)
         return self
 
     def __eq__(self, other):
@@ -149,14 +165,13 @@ class PiRational(_Value):
     """
 
     __slots__ = ("coeff",)
+    _KINDS = ((int, Fraction),)
 
     def __init__(self, coeff, den=None):
-        if coeff.__class__ is not Fraction and (
-            isinstance(coeff, bool) or not isinstance(coeff, (int, Fraction))
-        ):
-            raise ValueError("angle coefficient must be an int or a Fraction, got %r" % (coeff,))
+        if coeff.__class__ is not Fraction:  # exact Fractions skip the call
+            self._check(coeff)
         if den is not None:
-            _require_int(den, "angle denominator")
+            _require(den, "den")
         value = Fraction(coeff, den) if den is not None else Fraction(coeff)
         if value < 0:
             raise ValueError("angle must be non-negative, got %s*pi" % value)

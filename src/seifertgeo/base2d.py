@@ -24,7 +24,7 @@ import math
 from fractions import Fraction
 
 from . import kernel
-from .arith import PiRational, _Value, _require_int
+from .arith import PiRational, _Value, _require
 from .kernel import RegionClass
 
 # Classes whose points carry a geometric structure.
@@ -33,8 +33,10 @@ STRUCTURE_CLASSES = frozenset(kernel.CURVATURE_SIGN)
 
 class BasePoint(_Value):
     __slots__ = ("alpha1", "alpha2", "alpha3")
+    _KINDS = ((PiRational, int, Fraction),) * 3
 
     def __init__(self, alpha1, alpha2, alpha3):
+        self._check(alpha1, alpha2, alpha3)
         angles = []
         for alpha in (alpha1, alpha2, alpha3):
             if not isinstance(alpha, PiRational):
@@ -102,8 +104,8 @@ def base_limits(a1: int, a2: int) -> tuple[PiRational, PiRational]:
     (the upper bound capped by the cube at pi, where the edge point is
     still spherical).
     """
-    _require_int(a1, "a1")
-    _require_int(a2, "a2")
+    _require(a1, "a1")
+    _require(a2, "a2")
     if not 1 < a1 <= a2:
         raise ValueError("base limits need 1 < a1 <= a2, got (%d, %d)" % (a1, a2))
     lower = PiRational(Fraction(a1 * a2 - a2 - a1, a1 * a2))

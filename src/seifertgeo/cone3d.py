@@ -27,9 +27,10 @@ does not depend on a3 and the width is 4*pi*a3/a2.
 from __future__ import annotations
 
 from fractions import Fraction
+from types import NoneType
 
 from . import kernel
-from .arith import PiRational, TWO_PI, _Value, _require_int
+from .arith import PiRational, TWO_PI, _Value, _require
 from .base2d import BasePoint, base_limits
 from .seifert import _GEOMETRIES, GeometryType, SeifertSignature, _euler_numerator, normalize, normalize_with_order
 
@@ -38,9 +39,10 @@ class GeometryResult(_Value):
     """Either one of the six geometries or no structure at all."""
 
     __slots__ = ("geometry",)
+    _KINDS = ((GeometryType, NoneType),)
 
     def __init__(self, geometry: GeometryType | None):
-        object.__setattr__(self, "geometry", geometry)
+        self._set(geometry)
 
     @property
     def has_structure(self) -> bool:
@@ -69,8 +71,10 @@ class ConeStructure(_Value):
     """
 
     __slots__ = ("sig", "angles")
+    _KINDS = (SeifertSignature, (tuple, list))
 
     def __init__(self, sig: SeifertSignature, angles):
+        self._check(sig, angles)
         angles = [beta if isinstance(beta, PiRational) else PiRational(beta) for beta in angles]
         if len(angles) != len(sig.fibers):
             raise ValueError(
@@ -129,6 +133,7 @@ def _geometry(region: kernel.RegionClass | None, twisted: bool) -> GeometryResul
 
 class SphericityInterval(_Value):
     __slots__ = ("beta_lower", "beta_upper")
+    _KINDS = (PiRational, PiRational)
 
     def __init__(self, beta_lower: PiRational, beta_upper: PiRational):
         self._set(beta_lower, beta_upper)
@@ -149,9 +154,9 @@ def sphericity_limits(a1: int, a2: int, a3: int) -> SphericityInterval:
     are the multiplicities of the two fibres kept at angle 2*pi, sorted
     internally, both > 1.
     """
-    _require_int(a1, "a1")
-    _require_int(a2, "a2")
-    _require_int(a3, "a3")
+    _require(a1, "a1")
+    _require(a2, "a2")
+    _require(a3, "a3")
     a1, a2 = sorted((a1, a2))
     if a1 <= 1:
         raise ValueError(
@@ -194,9 +199,13 @@ class FamilyDimension(_Value):
     """
 
     __slots__ = ("kind", "dim")
+    _KINDS = (str, (int, NoneType))
 
     def __init__(self, kind: str, dim: int | None = None):
         self._set(kind, dim)
+        if kind not in ("continuous", "orbifold_only", "none"):
+            raise ValueError("kind must be 'continuous', 'orbifold_only' or 'none', got %r" % (kind,))
+        _require(dim, "dim", int if kind == "continuous" else NoneType)
 
     def __str__(self):
         if self.kind == "continuous":
@@ -225,11 +234,11 @@ def family_dimension(sig: SeifertSignature, singular) -> FamilyDimension:
         carries a structure);
       * one pinned angle at pi, two free: the face meets the spherical
         edge in a one-parameter family;
-      * one pinned at pi, one interior at pi/a_j, one free: the only
-        structure is the isolated edge point alpha_free = pi/a_j,
+      * one free, the others pinned at pi and at pi/a_j (a_j >= 1):
+        the only structure is the isolated point alpha_free = pi/a_j,
+        on the spherical edge, or its end (pi, pi, pi) when a_j = 1;
         an orbifold-like structure unless it degenerates to the
-        manifold point (a_free = a_j);
-      * two pinned at pi, one free: a cube edge, no structure.
+        manifold point (a_free = a_j).
     """
     singular = frozenset(singular)
     if not singular <= {1, 2, 3}:
@@ -238,10 +247,7 @@ def family_dimension(sig: SeifertSignature, singular) -> FamilyDimension:
         raise ValueError("family_dimension expects a normalized signature")
 
     free = sorted(singular)
-    pinned_pi = [k for k in (1, 2, 3) if k not in singular and sig.fibers[k - 1][0] == 1]
-    fixed_interior = [
-        k for k in (1, 2, 3) if k not in singular and sig.fibers[k - 1][0] > 1
-    ]
+    pinned = [sig.fibers[j - 1][0] for j in (1, 2, 3) if j not in singular]
     k = len(free)
 
     if k == 0:
@@ -251,17 +257,14 @@ def family_dimension(sig: SeifertSignature, singular) -> FamilyDimension:
         return NO_FAMILY
     if k == 3:
         return Dim(3)
-    if not pinned_pi:
+    if 1 not in pinned:
         return Dim(k)
     if k == 2:
         # One coordinate pinned at pi: the face meets the structure set
         # in the diagonal where the two free angles agree.
         return Dim(1)
     # k == 1 with at least one coordinate pinned at pi.
-    if len(pinned_pi) == 2:
-        return NO_FAMILY
-    a_free = sig.fibers[free[0] - 1][0]
-    a_fixed = sig.fibers[fixed_interior[0] - 1][0]
+    a_free, a_fixed = sig.fibers[free[0] - 1][0], max(pinned)
     if a_free == a_fixed:
         # The isolated point is the all-2*pi manifold structure, so no
         # structure has exactly this singular set.

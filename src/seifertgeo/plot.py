@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import groupby, repeat
 from operator import itemgetter
 
-from .arith import TWO_PI, _Value, _require_int
+from .arith import TWO_PI, _Value
 from .seifert import _GEOMETRIES
 from .surgery import (
     TorusKnot,
@@ -36,27 +36,18 @@ from .surgery import (
 
 class PlotWindow(_Value):
     __slots__ = ("x_max", "y_min", "y_max")
+    _KINDS = ((int, Fraction), int, int)
 
     def __init__(self, x_max: Fraction, y_min: int, y_max: int):
-        if isinstance(x_max, bool) or not isinstance(x_max, (int, Fraction)):
-            raise ValueError("x_max must be an integer or a Fraction, got %r" % (x_max,))
-        _require_int(y_min, "y_min")
-        _require_int(y_max, "y_max")
+        self._set(x_max, y_min, y_max)
         if x_max < 1:
             raise ValueError("window needs x_max >= 1")
         if y_min > y_max:
             raise ValueError("window needs y_min <= y_max")
-        self._set(x_max, y_min, y_max)
 
 
 PlotPoint = namedtuple("PlotPoint", "m n p q geometry")
 _POINT_TYPES = (int, int, int, int, str)
-
-
-def _require_knot_and_window(knot, window) -> None:
-    for name, value, kind in (("knot", knot, TorusKnot), ("window", window, PlotWindow)):
-        if not isinstance(value, kind):
-            raise ValueError("%s must be a %s, got %r" % (name, kind.__name__, value))
 
 
 class PlotModel(_Value):
@@ -66,22 +57,19 @@ class PlotModel(_Value):
     __slots__ = (
         "knot", "window", "x_upper", "x_lower", "euler_zero_slope", "orbifold_xs", "points"
     )
+    _KINDS = (TorusKnot, PlotWindow, (int, Fraction), (int, Fraction), int, tuple, tuple)
 
     def __init__(
         self, knot: TorusKnot, window: PlotWindow, x_upper: Fraction, x_lower: Fraction,
         euler_zero_slope: int, orbifold_xs: tuple[int, ...], points: tuple[PlotPoint, ...],
     ):
-        _require_knot_and_window(knot, window)
-        for name, x in (("x_upper", x_upper), ("x_lower", x_lower)):
-            if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
-                raise ValueError("%s must be an integer or a Fraction, got %r" % (name, x))
-        _require_int(euler_zero_slope, "euler_zero_slope")
+        self._set(knot, window, x_upper, x_lower, euler_zero_slope, orbifold_xs, points)
         if not euler_zero_slope:
             raise ValueError("euler_zero_slope must be nonzero")
         # Whole-tuple type checks run in C: no Python call per point.
-        if orbifold_xs.__class__ is not tuple or not set(map(type, orbifold_xs)) <= {int}:
+        if not set(map(type, orbifold_xs)) <= {int}:
             raise ValueError("orbifold_xs must be a tuple of integers, got %r" % (orbifold_xs,))
-        if points.__class__ is not tuple or not set(map(type, points)) <= {PlotPoint}:
+        if not set(map(type, points)) <= {PlotPoint}:
             raise ValueError("points must be a tuple of PlotPoints")
         if points:
             m, n, p, q, geometry = zip(*points)
@@ -90,12 +78,11 @@ class PlotModel(_Value):
                 raise ValueError(
                     "points must hold integers m, n, p, q and a geometry name, got %r" % (bad,)
                 )
-        self._set(knot, window, x_upper, x_lower, euler_zero_slope, orbifold_xs, points)
 
 
 def build_plot(knot: TorusKnot, window: PlotWindow) -> PlotModel:
     """Classify every primitive lattice point inside the window at 2*pi."""
-    _require_knot_and_window(knot, window)
+    PlotModel._check(knot, window)
     x_upper, x_lower = x_limits(knot)
     z, points = _euler_zero_slope(knot), []
     # tuple.__new__ turns each row into a PlotPoint in C, with no Python call per point.

@@ -36,14 +36,16 @@ from enum import Enum
 from fractions import Fraction
 from math import gcd
 
-from .arith import _Value, _require_int, bezout
+from .arith import _Value, _require, bezout
 
 
 class SeifertSignature(_Value):
     __slots__ = ("b", "fibers")
+    _KINDS = (int, tuple)
 
     def __init__(self, b: int, fibers):
-        _require_int(b, "b")
+        if b.__class__ is not int:  # exact ints skip the call, as in the fibres
+            self._check(b)
         try:
             fibers = tuple([(a, bi) for a, bi in fibers])
         except (TypeError, ValueError):
@@ -54,8 +56,8 @@ class SeifertSignature(_Value):
         for i, (a, bi) in enumerate(fibers):
             # exact ints skip the call; an int subclass other than bool passes it
             if a.__class__ is not int or bi.__class__ is not int:
-                _require_int(a, "fibers[%d][0]" % i)
-                _require_int(bi, "fibers[%d][1]" % i)
+                _require(a, "fibers[%d][0]" % i)
+                _require(bi, "fibers[%d][1]" % i)
             if a < 1:
                 raise ValueError("fibre multiplicity must be >= 1, got %d" % a)
             if gcd(a, bi) != 1:
@@ -66,12 +68,6 @@ class SeifertSignature(_Value):
     def multiplicities(self) -> tuple[int, int, int]:
         (a1, _), (a2, _), (a3, _) = self.fibers
         return a1, a2, a3
-
-    def exceptional_count(self) -> int:
-        return sum(1 for a, _ in self.fibers if a > 1)
-
-    def is_normalized(self) -> bool:
-        return self == normalize(self)
 
     def to_json(self) -> dict:
         return {"b": self.b, "fibers": [[a, bi] for a, bi in self.fibers]}
@@ -218,6 +214,7 @@ class FamilyKind(Enum):
 
 class FamilyId(_Value):
     __slots__ = ("kind", "params")
+    _KINDS = (FamilyKind, tuple)
 
     def __init__(self, kind: FamilyKind, params: tuple[int, ...] = ()):
         self._set(kind, params)
@@ -266,12 +263,12 @@ def identify_family(sig: SeifertSignature) -> FamilyId:
     if a1 == 1 or a2 == 1 or a3 == 1:  # at most two exceptional fibres
         if _euler_numerator(sig.b, sig.fibers) == 0:
             return GENERIC
-        return FamilyId(FamilyKind.LENS, lens_params(normalize(sig)))
+        return FamilyId._unchecked(FamilyKind.LENS, lens_params(normalize(sig)))
 
     a1, a2, a3 = sorted((a1, a2, a3))
     if gcd(a1, a2) == gcd(a1, a3) == gcd(a2, a3) == 1:
         if homology_order(sig) == 1:
-            return FamilyId(FamilyKind.BRIESKORN, (a1, a2, a3))
+            return FamilyId._unchecked(FamilyKind.BRIESKORN, (a1, a2, a3))
     return named_family(sig)
 
 
@@ -292,10 +289,10 @@ def named_family(sig: SeifertSignature) -> FamilyId:
     a1, a2, a3 = mults
     m = -_euler_numerator(sig.b, sig.fibers) * L // (a1 * a2 * a3)
     if kind is FamilyKind.PRISM:
-        return FamilyId(kind, (L, m))
+        return FamilyId._unchecked(kind, (L, m))
     if kind in _NIL_KINDS:
-        return FamilyId(kind, (m, min(bi % a for a, bi in sig.fibers if a > 2)))
-    return FamilyId(kind, (m,))
+        return FamilyId._unchecked(kind, (m, min(bi % a for a, bi in sig.fibers if a > 2)))
+    return FamilyId._unchecked(kind, (m,))
 
 
 def family_signature(family: FamilyId) -> SeifertSignature:

@@ -42,7 +42,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import kernel
-from .arith import TWO_PI, Handedness, PiRational, _Value, _require_int, fiber_coeffs
+from .arith import TWO_PI, Handedness, PiRational, _Value, _require, fiber_coeffs
 from .base2d import base_limits
 from .cone3d import ConeStructure, GeometryResult, _base_angle, _geometry, classify_cone
 from .seifert import SeifertSignature
@@ -50,14 +50,11 @@ from .seifert import SeifertSignature
 
 class TorusKnot(_Value):
     __slots__ = ("r", "s", "hand")
+    _KINDS = (int, int, Handedness)
 
     def __init__(self, r: int, s: int, hand: Handedness):
-        _require_int(r, "r")
-        _require_int(s, "s")
-        if not isinstance(hand, Handedness):
-            raise ValueError("hand must be a Handedness value")
-        fiber_coeffs(r, s, hand)  # checks r > s > 1 and gcd(r, s) == 1
         self._set(r, s, hand)
+        fiber_coeffs(r, s, hand)  # checks r > s > 1 and gcd(r, s) == 1
 
     def coeffs(self) -> tuple[int, int]:
         return fiber_coeffs(self.r, self.s, self.hand)
@@ -74,19 +71,18 @@ class SurgerySpec(_Value):
     and (0, 1) is zero, which (0, -1) also names."""
 
     __slots__ = ("knot", "p", "q")
+    _KINDS = (TorusKnot, int, int)
 
     def __init__(self, knot: TorusKnot, p: int, q: int):
-        if not isinstance(knot, TorusKnot):
-            raise ValueError("knot must be a TorusKnot, got %r" % (knot,))
-        _require_int(p, "p")
-        _require_int(q, "q")
+        self._set(knot, p, q)
         if p < 0:
             raise ValueError("slope numerator must be >= 0 (sign lives in q)")
         if (p, q) == (0, 0):
             raise ValueError("slope 0/0 is not a surgery")
         if gcd(p, abs(q)) != 1:
             raise ValueError("slope %d/%d is not reduced" % (p, q))
-        self._set(knot, p, q if p else 1)
+        if not p:  # 0/-1 is stored as 0/1
+            object.__setattr__(self, "q", 1)
 
     def slope_text(self) -> str:
         return "%d/%d" % (self.p, self.q)
@@ -96,15 +92,14 @@ class LinePoint(_Value):
     """Primitive lattice point (m, n), m >= 1, naming the ray l_{m/n}."""
 
     __slots__ = ("m", "n")
+    _KINDS = (int, int)
 
     def __init__(self, m: int, n: int):
-        _require_int(m, "m")
-        _require_int(n, "n")
+        self._set(m, n)
         if m < 1:
             raise ValueError("line point needs m >= 1")
         if gcd(m, abs(n)) != 1:
             raise ValueError("line point (%d, %d) is not primitive" % (m, n))
-        self._set(m, n)
 
 
 def _core(spec: SurgerySpec) -> tuple[int, int]:
@@ -236,14 +231,14 @@ def atlas(knot: TorusKnot, m_max: int, n_range: tuple[int, int], k_max: int) -> 
     abscissa x = k*m with cone angle beta = 2*pi/k on the core, and the
     resulting geometry.  Ordering is by (m, n, k).
     """
-    _require_int(m_max, "m_max")
-    _require_int(k_max, "k_max")
+    _require(m_max, "m_max")
+    _require(k_max, "k_max")
     try:
         n_lo, n_hi = n_range
     except (TypeError, ValueError):
         raise ValueError("n_range must be a pair (n_lo, n_hi), got %r" % (n_range,)) from None
-    _require_int(n_lo, "n_range[0]")
-    _require_int(n_hi, "n_range[1]")
+    _require(n_lo, "n_range[0]")
+    _require(n_hi, "n_range[1]")
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     if k_max < 1:

@@ -332,6 +332,15 @@ class TestFamilyDimension:
         sig = normalize(S(0, ((3, 1), (4, 3))))
         assert family_dimension(sig, (1,)) == ORBIFOLD_ONLY
 
+    def test_one_exceptional_fibre_at_the_cube_vertex(self):
+        # the others pinned at pi: beta = 2*pi*a puts the base point on the
+        # vertex (pi, pi, pi), the end of the spherical edges
+        for a in range(2, 13):
+            sig = normalize(S(-1, ((a, 1),)))
+            cone = classify_cone(ConeStructure(sig, (PiRational(2 * a), TWO_PI, TWO_PI)))
+            assert cone.geometry is GeometryType.SPHERICAL
+            assert family_dimension(sig, (1,)) == ORBIFOLD_ONLY, a
+
     def test_equal_pair_exceptional_fibre_none(self):
         sig = normalize(S(-1, ((3, 1), (3, 2))))
         assert family_dimension(sig, (1,)) == NO_FAMILY

@@ -89,10 +89,6 @@ class TestSignature:
         assert sig.fibers == POINCARE
         assert type(sig.b) is int
 
-    def test_exceptional_count(self):
-        assert S(0, ((1, 0), (1, 0), (1, 0))).exceptional_count() == 0
-        assert S(0, ((3, 1), (1, 0))).exceptional_count() == 1
-
 
 class TestNormalize:
     def test_single_move_then_sort(self):
@@ -114,7 +110,6 @@ class TestNormalize:
     def test_idempotent(self):
         sig = normalize(S(3, ((7, -2), (5, 12), (2, -1))))
         assert normalize(sig) == sig
-        assert sig.is_normalized()
 
     def test_tie_break_by_coefficient(self):
         sig = normalize(S(0, ((3, 2), (3, 1))))

@@ -50,7 +50,7 @@ class TestTorusKnot:
             ((4, 2, L), "torus knot parameters must be coprime, got (4, 2)"),
             ((2, 3, L), "torus knot needs r > s > 1, got (2, 3)"),
             ((3, 1, L), "torus knot needs r > s > 1, got (3, 1)"),
-            ((3, 2, "left"), "hand must be a Handedness value"),
+            ((3, 2, "left"), "hand must be a Handedness, got 'left'"),
         ):
             with pytest.raises(ValueError) as exc:
                 TorusKnot(*args)

@@ -6,12 +6,15 @@ reads Name(field=value, ...), and values survive pickle and copy.
 """
 
 import copy
+import importlib
 import pickle
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
-from seifertgeo.arith import Handedness, PiRational, TWO_PI
+import seifertgeo
+from seifertgeo.arith import Handedness, PiRational, TWO_PI, _Value
 from seifertgeo.base2d import BasePoint, base_limits
 from seifertgeo.cone3d import (
     ConeStructure, FamilyDimension, GeometryResult, SphericityInterval, sphericity_limits,
@@ -157,6 +160,46 @@ class TestDefaults:
         assert PiRational(coeff=2, den=6) == PiRational(Fraction(1, 3))
 
 
+def _value_classes():
+    """Every _Value subclass, found recursively once every module is imported."""
+    for module in pkgutil.iter_modules(seifertgeo.__path__):
+        if module.name != "__main__":
+            importlib.import_module("seifertgeo." + module.name)
+    found, todo = set(), [_Value]
+    while todo:
+        subclasses = todo.pop().__subclasses__()
+        found.update(subclasses)
+        todo += subclasses
+    return found
+
+
+# Classes whose values are checked against their _KINDS; PlotPoint is a namedtuple.
+CHECKED = sorted(set(VALUES) - {"PlotPoint"})
+
+
+class TestFieldContract:
+    def test_every_value_class_declares_one_kind_per_field(self):
+        classes = _value_classes()
+        assert sorted(cls.__name__ for cls in classes) == CHECKED
+        for cls in classes:
+            assert len(cls._KINDS) == len(cls.__slots__), cls.__name__
+
+    @pytest.mark.parametrize("name", CHECKED)
+    def test_a_wrong_type_in_any_field_raises_naming_it(self, name):
+        fields, make = VALUES[name]
+        value = make(False)
+        other = PiRational(1) if name == "LinePoint" else LinePoint(5, 1)
+        for field in fields:
+            for bad in (None, True, 1.5, "x", other):
+                if bad is None and (name, field) == ("GeometryResult", "geometry"):
+                    continue  # NoStructure
+                given = {f: getattr(value, f) for f in fields}
+                given[field] = bad
+                with pytest.raises(ValueError) as exc:
+                    type(value)(**given)
+                assert str(exc.value).startswith(field + " must be"), (field, bad, str(exc.value))
+
+
 class TestPiRationalOrder:
     def test_order_follows_the_coefficient(self):
         third, half = PiRational(1, 3), PiRational(1, 2)
@@ -247,6 +290,11 @@ MALFORMED = {
     ),
     "atlas-n_range-int": (lambda: atlas(TREFOIL, 3, 4, 2), "n_range must be"),
     "atlas-n_range-triple": (lambda: atlas(TREFOIL, 3, (0, 1, 2), 2), "n_range must be"),
+    "FamilyDimension-kind-bogus": (
+        lambda: FamilyDimension("bogus"),
+        "kind must be 'continuous', 'orbifold_only' or 'none', got 'bogus'",
+    ),
+    "FamilyDimension-none-dim-int": (lambda: FamilyDimension("none", 1), "dim must be None, got 1"),
     "PlotModel-knot-none": (lambda: _model(6, knot=None), "knot must be a TorusKnot, got None"),
     "PlotModel-window-tuple": (
         lambda: _model(6, window=(4, -2, 2)), "window must be a PlotWindow, got (4, -2, 2)"
@@ -269,7 +317,8 @@ MALFORMED = {
         lambda: _model(6, points=((1, 0, 1, 0, "Nil"),)), "points must be a tuple of PlotPoints"
     ),
     "PlotModel-points-list": (
-        lambda: _model(6, points=[PlotPoint(1, 0, 1, 0, "Nil")]), "points must be a tuple of PlotPoints"
+        lambda: _model(6, points=[PlotPoint(1, 0, 1, 0, "Nil")]),
+        "points must be a tuple, got [PlotPoint(m=1, n=0, p=1, q=0, geometry='Nil')]",
     ),
     "PlotModel-points-none-m": (
         lambda: _model(6, points=(PlotPoint(1, 0, 1, 0, "Nil"), PlotPoint(None, 0, 1, 0, "Nil"))),
