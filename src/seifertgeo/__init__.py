@@ -49,50 +49,4 @@ def __dir__():
     return sorted(set(globals()) | set(_HOME) | set(_HOMES))
 
 
-__all__ = [
-    "BACKEND",
-    "BasePoint",
-    "ConeStructure",
-    "FamilyDimension",
-    "FamilyId",
-    "FamilyKind",
-    "GeometryResult",
-    "GeometryType",
-    "Handedness",
-    "LinePoint",
-    "NO_STRUCTURE",
-    "PiRational",
-    "RegionClass",
-    "SeifertSignature",
-    "SphericityInterval",
-    "SurgerySpec",
-    "TorusKnot",
-    "atlas",
-    "base_limits",
-    "bezout",
-    "brieskorn_surgery",
-    "classify_cone",
-    "classify_surgery_cone",
-    "classify_triangle",
-    "curvature_parameter",
-    "euler_number",
-    "family_dimension",
-    "family_signature",
-    "fiber_coeffs",
-    "homology_order",
-    "identify_family",
-    "lens_params",
-    "line_of_surgery",
-    "manifold_geometry",
-    "manifold_geometry_from_limits",
-    "named_family",
-    "nil_admissible",
-    "normalize",
-    "orbifold_euler_char",
-    "spherical_orbifold_angles",
-    "sphericity_limits",
-    "sphericity_ratio",
-    "surgery_of_line",
-    "surgery_signature",
-    "x_limits",
-]
+__all__ = ["BACKEND", *sorted(_HOME)]

@@ -172,6 +172,8 @@ class PiRational(_Value):
             self._check(coeff)
         if den is not None:
             _require(den, "den")
+            if not den:
+                raise ValueError("den must be nonzero, got 0")
         value = Fraction(coeff, den) if den is not None else Fraction(coeff)
         if value < 0:
             raise ValueError("angle must be non-negative, got %s*pi" % value)

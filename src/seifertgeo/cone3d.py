@@ -75,7 +75,12 @@ class ConeStructure(_Value):
 
     def __init__(self, sig: SeifertSignature, angles):
         self._check(sig, angles)
-        angles = [beta if isinstance(beta, PiRational) else PiRational(beta) for beta in angles]
+        try:
+            angles = [beta if isinstance(beta, PiRational) else PiRational(beta) for beta in angles]
+        except ValueError:  # name the angle as the caller numbers it
+            for i, beta in enumerate(angles):
+                _require(beta, "angles[%d]" % i, (PiRational, int, Fraction))
+            raise
         if len(angles) != len(sig.fibers):
             raise ValueError(
                 "expected %d cone angles, got %d" % (len(sig.fibers), len(angles))

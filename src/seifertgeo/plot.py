@@ -24,14 +24,7 @@ from operator import itemgetter
 
 from .arith import TWO_PI, _Value
 from .seifert import _GEOMETRIES
-from .surgery import (
-    TorusKnot,
-    _column,
-    _column_names,
-    _euler_zero_slope,
-    spherical_orbifold_angles,
-    x_limits,
-)
+from .surgery import TorusKnot, _column, _column_names, _euler_zero_slope, _orbifold_xs, x_limits
 
 
 class PlotWindow(_Value):
@@ -89,7 +82,7 @@ def build_plot(knot: TorusKnot, window: PlotWindow) -> PlotModel:
     for m, (flat,), (twisted,) in _column_names(knot, int(window.x_max), (TWO_PI,)):
         rows = _column(z, m, window.y_min, window.y_max, flat, twisted)
         points += map(tuple.__new__, repeat(PlotPoint), rows)
-    orbifold_xs = tuple(x for x, _ in spherical_orbifold_angles(knot))
+    orbifold_xs = tuple(_orbifold_xs(x_upper, x_lower))
     return PlotModel._unchecked(knot, window, x_upper, x_lower, z, orbifold_xs, tuple(points))
 
 
@@ -99,8 +92,9 @@ def build_plot(knot: TorusKnot, window: PlotWindow) -> PlotModel:
 _MARKER = {g.value: i for i, sign in enumerate((-1, 0, 1)) for g in _GEOMETRIES[sign]}
 
 
-def _num(v) -> str:
-    return format(float(v), ".12g")
+# A number's text: the same as format(float(v), ".12g") for an int, float
+# or Fraction, and for an int or float formatted in C with no Python call.
+_num = "%.12g".__mod__
 
 
 _LEGEND = (

@@ -218,6 +218,8 @@ class FamilyId(_Value):
 
     def __init__(self, kind: FamilyKind, params: tuple[int, ...] = ()):
         self._set(kind, params)
+        for i, param in enumerate(params):
+            _require(param, "params[%d]" % i)
 
     def __str__(self):
         if not self.params:

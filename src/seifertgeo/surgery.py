@@ -21,31 +21,37 @@ spherical for x_U < x < x_L, where x_U and x_L are pi over the base
 limits alpha_U and alpha_L of base2d.base_limits(s, r).  It is Nil at
 the integer-or-not abscissa x_L (when the Euler number is nonzero) and
 SL2R beyond it.  Integer abscissas x in (x_U, x_L) are the spherical
-orbifold labels; the cone angle there is 2*pi/x.
+orbifold labels, the range floor(x_U) + 1 .. ceil(x_L) - 1; the cone
+angle there is 2*pi/x.
 
 atlas and plot.build_plot decide each ray from integers alone, one
 column (m fixed) at a time, in two steps.  The kernel step,
 _column_names, gives the region kernel the base angles (1, s), (1, r)
 and (num, 2*m*den) for beta = num/den*pi.  None of them holds n, so the
-kernel runs once per (m, beta) column, and the step yields the column's
-names untwisted and twisted.  The ray step, _column, is the one ray
-enumeration: the slope numerator m - z*n (z = +-r*s, the e = 0 slope) is
-affine in n, and one pass gives each ray its slope p/q and its twist
-p != 0: |e*r*s*m| = |H1| = p (Moser), so e vanishes only on the ray
-(r*s, +-1), which is slope 0.  Each ray is a plain tuple; no signature
-or cone structure is built per ray.
+kernel runs once per (m, beta) column.  One lookup in _NAMES, the
+region -> (untwisted, twisted) table read once from cone3d's geometry
+rows, gives the column's two names.  The ray step, _column, is the one
+ray enumeration: the slope numerator m - z*n (z = +-r*s, the e = 0
+slope) is affine in n, and one pass gives each ray its slope p/q and
+its twist p != 0: |e*r*s*m| = |H1| = p (Moser), so e vanishes only on
+the ray (r*s, +-1), which is slope 0.  Each ray is a plain tuple; no
+signature or cone structure is built per ray.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import ceil, floor, gcd
 
 from . import kernel
 from .arith import TWO_PI, Handedness, PiRational, _Value, _require, fiber_coeffs
 from .base2d import base_limits
-from .cone3d import ConeStructure, GeometryResult, _base_angle, _geometry, classify_cone
+from .cone3d import _NO_ROW, _ROWS, ConeStructure, GeometryResult, classify_cone
 from .seifert import SeifertSignature
+
+# Kernel region (None outside the cube) -> its geometry names, untwisted
+# and twisted, read once from cone3d's rows.
+_NAMES = {region: tuple(map(str, _ROWS.get(region, _NO_ROW))) for region in (*kernel.RegionClass, None)}
 
 
 class TorusKnot(_Value):
@@ -164,6 +170,7 @@ def x_limits(knot: TorusKnot) -> tuple[Fraction, Fraction]:
 
 def classify_surgery_cone(spec: SurgerySpec, beta: PiRational) -> GeometryResult:
     """Geometry of the surgered manifold with cone angle beta on the core."""
+    _require(beta, "beta", (PiRational, int, Fraction))
     return classify_cone(ConeStructure(surgery_signature(spec), (TWO_PI, TWO_PI, beta)))
 
 
@@ -171,30 +178,30 @@ def _column_names(knot: TorusKnot, m_max: int, betas):
     """The kernel step: (m, flat, twisted) for each column m = 1..m_max,
     the geometry names at each core angle in betas, untwisted and twisted.
 
-    No base angle holds n, so the kernel runs once per (m, beta) column;
-    _column then gives each of the column's rays one of the two names.
+    No base angle holds n, so the kernel runs once per (m, beta) column,
+    and one lookup in _NAMES names its region; _column then gives each of
+    the column's rays one of the two names.
     """
     s, r = knot.s, knot.r
+    angles = [(beta.coeff.numerator, 2 * beta.coeff.denominator) for beta in betas]
     for m in range(1, m_max + 1):
-        regions = [kernel.classify_region(1, s, 1, r, *_base_angle(beta, m)) for beta in betas]
-        flat, twisted = ([str(_geometry(region, t)) for region in regions] for t in (False, True))
+        flat, twisted = zip(*[_NAMES[kernel.classify_region(1, s, 1, r, num, m * den)] for num, den in angles])
         yield m, flat, twisted
+
+
+def _orbifold_xs(x_upper: Fraction, x_lower: Fraction) -> range:
+    """The integers x with x_U < x < x_L: floor(x_U) + 1 .. ceil(x_L) - 1."""
+    return range(floor(x_upper) + 1, ceil(x_lower))
 
 
 def spherical_orbifold_angles(knot: TorusKnot) -> list[tuple[int, PiRational]]:
     """Integer abscissas in the open spherical band, with their angles.
 
     These are the orbifold labels admitting spherical structures on
-    some surgery line: x with x_U < x < x_L, cone angle 2*pi/x.
+    some surgery line: x with x_U < x < x_L, cone angle 2*pi/x.  Every
+    label is at least 2, since x_U > 1.
     """
-    x_upper, x_lower = x_limits(knot)
-    labels = []
-    x = 2
-    while x < x_lower:
-        if x > x_upper:
-            labels.append((x, PiRational(Fraction(2, x))))
-        x += 1
-    return labels
+    return [(x, PiRational(Fraction(2, x))) for x in _orbifold_xs(*x_limits(knot))]
 
 
 def nil_admissible(knot: TorusKnot) -> bool:

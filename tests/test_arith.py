@@ -150,6 +150,11 @@ class TestPiRational:
         with pytest.raises(ValueError, match=re.escape("got %s" % shown)):
             PiRational(*args)
 
+    def test_zero_denominator_names_den(self):
+        with pytest.raises(ValueError) as exc:
+            PiRational(1, 0)
+        assert str(exc.value) == "den must be nonzero, got 0"
+
     @given(st.integers(0, 400), st.integers(1, 400))
     def test_parse_text_round_trip(self, num, den):
         angle = PiRational(num, den)
@@ -170,7 +175,9 @@ class TestNoFloatAngles:
         assert str(classify_surgery_cone(spec, PiRational(Fraction(2, 3)))) == "Nil"
         with pytest.raises(ValueError) as exc:
             classify_surgery_cone(spec, 2 / 3)
-        assert str(exc.value) == "coeff must be an integer or a Fraction, got 0.6666666666666666"
+        assert str(exc.value) == (
+            "beta must be a PiRational or an integer or a Fraction, got 0.6666666666666666"
+        )
 
     def test_base_point(self):
         with pytest.raises(ValueError) as exc:
@@ -183,4 +190,8 @@ class TestNoFloatAngles:
         sig = SeifertSignature(-1, ((2, 1), (3, 1), (5, 1)))
         with pytest.raises(ValueError) as exc:
             ConeStructure(sig, (2.0, 2, 2))
-        assert str(exc.value) == "coeff must be an integer or a Fraction, got 2.0"
+        assert str(exc.value) == "angles[0] must be a PiRational or an integer or a Fraction, got 2.0"
+        # counted in the caller's order, not the normalized fibre order
+        with pytest.raises(ValueError) as exc:
+            ConeStructure(SeifertSignature(-1, ((5, 1), (3, 1), (2, 1))), (2, 2, "2pi"))
+        assert str(exc.value) == "angles[2] must be a PiRational or an integer or a Fraction, got '2pi'"

@@ -66,7 +66,11 @@ def _unused_imports(source: str) -> list[str]:
         elif isinstance(node, ast.Assign) and any(
             isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
         ):
-            exported.update(ast.literal_eval(node.value))
+            # the string literals of __all__; names it is derived from are read
+            exported.update(
+                item.value for item in ast.walk(node.value)
+                if isinstance(item, ast.Constant) and isinstance(item.value, str)
+            )
     return ["line %d: %s" % (line, name) for name, line in bound.items() if name not in read | exported]
 
 
@@ -74,6 +78,8 @@ def test_unused_import_guard_sees_an_orphan():
     source = "from fractions import Fraction\nfrom math import gcd\n__all__ = ['gcd']\n"
     assert _unused_imports(source) == ["line 1: Fraction"]
     assert _unused_imports("import os.path\nos.sep\n") == []
+    derived = "from math import gcd, lcm\nNAMES = {'f': 'gcd'}\n__all__ = ['lcm', *sorted(NAMES)]\n"
+    assert _unused_imports(derived) == ["line 1: gcd"]
 
 
 def test_no_unused_imports():

@@ -248,6 +248,18 @@ class TestSphericalOrbifolds:
     def test_73_empty(self):
         assert spherical_orbifold_angles(TorusKnot(7, 3, L)) == []
 
+    def test_labels_match_the_cross_multiplied_band(self):
+        # x_U < x < x_L with x_U = rs/(rs - r + s), x_L = rs/(rs - r - s),
+        # cross-multiplied; rs - r - s >= 1, so every label is below rs.
+        for r, s in coprime_knots(40):
+            rs = r * s
+            want = [
+                (x, PiRational(Fraction(2, x))) for x in range(2, rs)
+                if x * (rs - r + s) > rs and x * (rs - r - s) < rs
+            ]
+            for hand in (L, R):
+                assert spherical_orbifold_angles(TorusKnot(r, s, hand)) == want, (r, s, hand)
+
     def test_admissible_sets_to_100(self):
         admissible = set()
         for r, s in coprime_knots(100):

@@ -199,6 +199,20 @@ class TestFieldContract:
                     type(value)(**given)
                 assert str(exc.value).startswith(field + " must be"), (field, bad, str(exc.value))
 
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ((None, "x"), "params[0] must be an integer, got None"),
+            (("a", 1), "params[0] must be an integer, got 'a'"),
+            ((3, True), "params[1] must be an integer, got True"),
+            ((2, 3, 5.0), "params[2] must be an integer, got 5.0"),
+        ],
+    )
+    def test_family_params_are_integers(self, params, message):
+        with pytest.raises(ValueError) as exc:
+            FamilyId(FamilyKind.PRISM, params)
+        assert str(exc.value) == message
+
 
 class TestPiRationalOrder:
     def test_order_follows_the_coefficient(self):
