@@ -151,6 +151,7 @@ class _Value:
 
 
 _PI_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?pi")
+_NEGATIVE = "%s must be non-negative, got %s*pi"
 
 
 @total_ordering
@@ -176,7 +177,7 @@ class PiRational(_Value):
                 raise ValueError("den must be nonzero, got 0")
         value = Fraction(coeff, den) if den is not None else Fraction(coeff)
         if value < 0:
-            raise ValueError("angle must be non-negative, got %s*pi" % value)
+            raise ValueError(_NEGATIVE % ("angle", value))
         object.__setattr__(self, "coeff", value)
 
     @classmethod
@@ -242,3 +243,14 @@ class PiRational(_Value):
 RIGHT_ANGLE = PiRational(Fraction(1, 2))
 PI = PiRational(1)
 TWO_PI = PiRational(2)
+
+
+def _angle(value, field: str) -> PiRational:
+    """value as a PiRational; a ValueError names the field when value is
+    not a PiRational, an int or a Fraction, or is negative."""
+    if isinstance(value, PiRational):
+        return value
+    _require(value, field, (PiRational, int, Fraction))
+    if value < 0:
+        raise ValueError(_NEGATIVE % (field, Fraction(value)))
+    return PiRational(value)

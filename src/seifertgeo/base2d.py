@@ -24,7 +24,7 @@ import math
 from fractions import Fraction
 
 from . import kernel
-from .arith import PiRational, _Value, _require
+from .arith import PiRational, _Value, _angle, _require
 from .kernel import RegionClass
 
 # Classes whose points carry a geometric structure.
@@ -38,9 +38,8 @@ class BasePoint(_Value):
     def __init__(self, alpha1, alpha2, alpha3):
         self._check(alpha1, alpha2, alpha3)
         angles = []
-        for alpha in (alpha1, alpha2, alpha3):
-            if not isinstance(alpha, PiRational):
-                alpha = PiRational(alpha)
+        for name, alpha in zip(self.__slots__, (alpha1, alpha2, alpha3)):
+            alpha = _angle(alpha, name)
             if alpha.coeff > 1:
                 raise ValueError("base angle %s exceeds pi" % alpha)
             angles.append(alpha)

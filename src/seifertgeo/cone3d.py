@@ -30,7 +30,7 @@ from fractions import Fraction
 from types import NoneType
 
 from . import kernel
-from .arith import PiRational, TWO_PI, _Value, _require
+from .arith import PiRational, TWO_PI, _Value, _angle, _require
 from .base2d import BasePoint, base_limits
 from .seifert import _GEOMETRIES, GeometryType, SeifertSignature, _euler_numerator, normalize, normalize_with_order
 
@@ -79,7 +79,7 @@ class ConeStructure(_Value):
             angles = [beta if isinstance(beta, PiRational) else PiRational(beta) for beta in angles]
         except ValueError:  # name the angle as the caller numbers it
             for i, beta in enumerate(angles):
-                _require(beta, "angles[%d]" % i, (PiRational, int, Fraction))
+                _angle(beta, "angles[%d]" % i)
             raise
         if len(angles) != len(sig.fibers):
             raise ValueError(

@@ -20,13 +20,12 @@ Euclidean-base families, Brieskorn homology spheres).
 
 The geometry is one lookup in _GEOMETRIES, Scott's table indexed by the
 sign of the base curvature (here the sign of chi) and by e != 0; cone3d
-and plot read the same table.
-
-The homology order, the lens parameters and the family parameters all
-come from one integer, e*a1*a2*a3 (_euler_numerator).  Each named
-family is fixed by its multiplicity set, which also fixes a constant
-L, and its parameter is m = -e*L, as in Orlik, Seifert Manifolds,
-LNM 291 (1972).
+and plot read the same table.  chi is built from one integer,
+chi*a1*a2*a3, and e from another, e*a1*a2*a3 (_euler_numerator), from
+which the homology order, the lens parameters and the family parameters
+also come.  Each named family is fixed by its multiplicity set, which
+also fixes a constant L, and its parameter is m = -e*L, as in Orlik,
+Seifert Manifolds, LNM 291 (1972).
 """
 
 from __future__ import annotations
@@ -152,8 +151,9 @@ def euler_number(sig: SeifertSignature) -> Fraction:
 
 
 def orbifold_euler_char(sig: SeifertSignature) -> Fraction:
-    """Orbifold Euler characteristic of the base sphere with cone points."""
-    return 2 - sum(1 - Fraction(1, a) for a, _ in sig.fibers if a > 1)
+    """chi = 2 - sum(1 - 1/a_i) of the base, from chi*a1*a2*a3 = a1*a2 + a1*a3 + a2*a3 - a1*a2*a3."""
+    (a1, _), (a2, _), (a3, _) = sig.fibers
+    return Fraction(a1 * a2 + a1 * a3 + a2 * a3 - a1 * a2 * a3, a1 * a2 * a3)
 
 
 def manifold_geometry(sig: SeifertSignature) -> GeometryType:

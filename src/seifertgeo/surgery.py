@@ -44,7 +44,7 @@ from fractions import Fraction
 from math import ceil, floor, gcd
 
 from . import kernel
-from .arith import TWO_PI, Handedness, PiRational, _Value, _require, fiber_coeffs
+from .arith import TWO_PI, Handedness, PiRational, _Value, _angle, _require, fiber_coeffs
 from .base2d import base_limits
 from .cone3d import _NO_ROW, _ROWS, ConeStructure, GeometryResult, classify_cone
 from .seifert import SeifertSignature
@@ -170,8 +170,7 @@ def x_limits(knot: TorusKnot) -> tuple[Fraction, Fraction]:
 
 def classify_surgery_cone(spec: SurgerySpec, beta: PiRational) -> GeometryResult:
     """Geometry of the surgered manifold with cone angle beta on the core."""
-    _require(beta, "beta", (PiRational, int, Fraction))
-    return classify_cone(ConeStructure(surgery_signature(spec), (TWO_PI, TWO_PI, beta)))
+    return classify_cone(ConeStructure(surgery_signature(spec), (TWO_PI, TWO_PI, _angle(beta, "beta"))))
 
 
 def _column_names(knot: TorusKnot, m_max: int, betas):

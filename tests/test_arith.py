@@ -195,3 +195,34 @@ class TestNoFloatAngles:
         with pytest.raises(ValueError) as exc:
             ConeStructure(SeifertSignature(-1, ((5, 1), (3, 1), (2, 1))), (2, 2, "2pi"))
         assert str(exc.value) == "angles[2] must be a PiRational or an integer or a Fraction, got '2pi'"
+
+
+class TestNegativeAngles:
+    """A negative angle is reported under the field the caller gave it;
+    a bare PiRational has no field and calls it the angle."""
+
+    def test_cone_structure(self):
+        sig = SeifertSignature(-1, ((2, 1), (3, 1), (5, 1)))
+        with pytest.raises(ValueError) as exc:
+            ConeStructure(sig, (2, -1, 2))
+        assert str(exc.value) == "angles[1] must be non-negative, got -1*pi"
+        # counted in the caller's order, not the normalized fibre order
+        with pytest.raises(ValueError) as exc:
+            ConeStructure(sig, (2, 2, Fraction(-1, 2)))
+        assert str(exc.value) == "angles[2] must be non-negative, got -1/2*pi"
+
+    def test_base_point(self):
+        with pytest.raises(ValueError) as exc:
+            BasePoint(0, -1, 0)
+        assert str(exc.value) == "alpha2 must be non-negative, got -1*pi"
+
+    def test_surgery_cone_angle(self):
+        spec = SurgerySpec(TorusKnot(3, 2, Handedness.LEFT), 4, -1)
+        with pytest.raises(ValueError) as exc:
+            classify_surgery_cone(spec, -2)
+        assert str(exc.value) == "beta must be non-negative, got -2*pi"
+
+    def test_bare_pi_rational(self):
+        with pytest.raises(ValueError) as exc:
+            PiRational(-1)
+        assert str(exc.value) == "angle must be non-negative, got -1*pi"

@@ -27,6 +27,19 @@ from seifertgeo.seifert import (
 
 S = SeifertSignature
 POINCARE = ((2, 1), (3, 1), (5, 1))
+# The fibre triples and Euler classes of acceptance criterion 6: 121,072 signatures.
+CRITERION_6_TRIPLES = list(
+    itertools.combinations_with_replacement(
+        [(a, b) for a in range(12, 0, -1) for b in range(a if a > 1 else 1) if math.gcd(a, b) == 1], 3
+    )
+)
+CRITERION_6_B = range(-3, 4)
+# Scott's table, written out apart from the package: sign of chi -> (e == 0, e != 0).
+SCOTT = {
+    1: (GeometryType.S2XR, GeometryType.SPHERICAL),
+    0: (GeometryType.EUCLIDEAN, GeometryType.NIL),
+    -1: (GeometryType.H2XR, GeometryType.SL2R),
+}
 
 
 class TestSignature:
@@ -200,6 +213,29 @@ class TestInvariants:
                 pairs.append((a, b))
             sig = S(rng.randint(-4, 4), tuple(pairs))
             assert (manifold_geometry(sig) in twisted) == (euler_number(sig) != 0)
+
+    def test_chi_matches_textbook_formula(self):
+        for fibers in CRITERION_6_TRIPLES:
+            chi = orbifold_euler_char(S(0, fibers))
+            assert type(chi) is Fraction
+            assert chi == 2 - sum(1 - Fraction(1, a) for a, _ in fibers if a > 1)
+        assert type(orbifold_euler_char(S(0, ((1, 0),)))) is Fraction
+
+    def test_geometry_matches_scott_table(self):
+        """Every criterion-6 signature, read at the signs of e*A and chi*A,
+        A = a1*a2*a3, both integers computed here."""
+        total = 0
+        for fibers in CRITERION_6_TRIPLES:
+            (a1, b1), (a2, b2), (a3, b3) = fibers
+            big_a = a1 * a2 * a3
+            chi_a = 2 * big_a - sum(big_a - big_a // a for a in (a1, a2, a3))
+            row = SCOTT[(chi_a > 0) - (chi_a < 0)]
+            twist_a = b1 * a2 * a3 + b2 * a1 * a3 + b3 * a1 * a2
+            for b in CRITERION_6_B:
+                # e*A = -(b*A + twist_a)
+                assert manifold_geometry(S(b, fibers)) is row[b * big_a + twist_a != 0]
+                total += 1
+        assert total == 121072
 
     def test_homology_poincare(self):
         assert homology_order(S(-1, ((2, 1), (3, 1), (5, 1)))) == 1
