@@ -27,9 +27,6 @@ from . import kernel
 from .arith import PiRational, _Value, _angle, _require
 from .kernel import RegionClass
 
-# Classes whose points carry a geometric structure.
-STRUCTURE_CLASSES = frozenset(kernel.CURVATURE_SIGN)
-
 
 class BasePoint(_Value):
     __slots__ = ("alpha1", "alpha2", "alpha3")

@@ -19,7 +19,6 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .arith import Handedness, PiRational, TWO_PI
@@ -203,8 +202,7 @@ def _cmd_surgery(args) -> int:
     spec = SurgerySpec(knot, p, q)
     sig = surgery_signature(spec)
     point = line_of_surgery(spec)
-    beta = args.beta if args.beta is not None else TWO_PI
-    geometry = classify_surgery_cone(spec, beta)
+    geometry = classify_surgery_cone(spec, args.beta)
     norm = normalize(sig)
     return _emit(
         args,
@@ -213,7 +211,7 @@ def _cmd_surgery(args) -> int:
             "slope": spec.slope_text(),
             "signature": sig.to_json(),
             "line": {"m": point.m, "n": point.n},
-            "beta": beta.text(),
+            "beta": args.beta.text(),
             "euler": str(euler_number(sig)),
             "geometry": str(geometry),
             "homology_order": homology_order(sig),
@@ -235,10 +233,9 @@ def _cmd_plot(args) -> int:
     knot = TorusKnot(r, s, args.hand)
     if args.xmax < 1:
         raise ValueError("--xmax must be >= 1")
-    y_min = args.ymin if args.ymin is not None else 0
     y_max = args.ymax if args.ymax is not None else args.xmax
-    _check_work(args.xmax * max(y_max - y_min + 1, 0), "plot")
-    window = PlotWindow(Fraction(args.xmax), y_min, y_max)
+    _check_work(args.xmax * max(y_max - args.ymin + 1, 0), "plot")
+    window = PlotWindow(args.xmax, args.ymin, y_max)
     model = build_plot(knot, window)
     outputs = [(args.out, render_svg(model))]
     if args.csv:
@@ -285,12 +282,12 @@ COMMANDS = {
         _opt("--singular", _arg(_int), choices=(1, 2, 3), default=3),
     ]),
     "surgery": (_cmd_surgery, "classify a Dehn surgery on a torus knot", [
-        _KNOT, _HAND, _opt("--slope", _arg(_slope)), _opt("--beta", _arg(PiRational.parse), default=None),
+        _KNOT, _HAND, _opt("--slope", _arg(_slope)), _opt("--beta", _arg(PiRational.parse), default=TWO_PI),
     ]),
     "identify": (_cmd_identify, "standard family of a signature", [_SIG]),
     "plot": (_cmd_plot, "render the surgery-line diagram of a knot", [
         _KNOT, _HAND, _opt("--xmax", _arg(_int)), _opt("--out"), _opt("--csv", default=None),
-        _opt("--ymin", _arg(_int), default=None), _opt("--ymax", _arg(_int), default=None),
+        _opt("--ymin", _arg(_int), default=0), _opt("--ymax", _arg(_int), default=None),
     ]),
     "atlas": (_cmd_atlas, "batch-classify orbifold structures on surgery lines", [
         _KNOT, _HAND, _opt("--mmax", _arg(_int)), _opt("--nrange", _arg(_ints("A..B", ".."))),

@@ -54,7 +54,7 @@ class GeometryResult(_Value):
 
 NO_STRUCTURE = GeometryResult(None)
 
-# Region -> its row of _GEOMETRIES, prebuilt; other regions carry no structure.
+# Region -> its row of _GEOMETRIES, read at e != 0; other regions and None carry no structure.
 _ROWS = {
     region: tuple(map(GeometryResult, _GEOMETRIES[sign]))
     for region, sign in kernel.CURVATURE_SIGN.items()
@@ -89,7 +89,9 @@ class ConeStructure(_Value):
         angles = (angles[i], angles[j], angles[k])
         for (a, _), beta in zip(norm.fibers, angles):
             if beta.coeff.numerator > 2 * a * beta.coeff.denominator:
-                _base_angle(beta, a)  # raises, with the bound's one message
+                raise ValueError(
+                    "cone angle %s exceeds 2*pi*%d on a fibre of multiplicity %d" % (beta, a, a)
+                )
         object.__setattr__(self, "sig", norm)
         object.__setattr__(self, "angles", angles)
 
@@ -118,22 +120,7 @@ def classify_cone(cs: ConeStructure) -> GeometryResult:
         c2.numerator, 2 * a2 * c2.denominator,
         c3.numerator, 2 * a3 * c3.denominator,
     )
-    return _geometry(region, _euler_numerator(cs.sig.b, cs.sig.fibers) != 0)
-
-
-def _base_angle(beta: PiRational, a: int) -> tuple[int, int]:
-    """Base angle beta/(2*a) over pi as (num, 2*a*den); beta must be <= 2*pi*a."""
-    num, den = beta.coeff.numerator, 2 * a * beta.coeff.denominator
-    if num > den:
-        raise ValueError(
-            "cone angle %s exceeds 2*pi*%d on a fibre of multiplicity %d" % (beta, a, a)
-        )
-    return num, den
-
-
-def _geometry(region: kernel.RegionClass | None, twisted: bool) -> GeometryResult:
-    """Geometry of a kernel region (None outside the cube); twisted means e != 0."""
-    return _ROWS.get(region, _NO_ROW)[twisted]
+    return _ROWS.get(region, _NO_ROW)[_euler_numerator(cs.sig.b, cs.sig.fibers) != 0]
 
 
 class SphericityInterval(_Value):
@@ -183,16 +170,15 @@ def manifold_geometry_from_limits(
 ) -> GeometryType:
     """Geometry of the manifold read off the position of 2*pi.
 
-    2*pi above beta_U cannot happen; 2*pi below beta_L gives SL2R
-    (H2xR when the Euler number vanishes), equality gives Nil
-    (Euclidean), and beta_L < 2*pi < beta_U gives Spherical (S2xR).
-    The answer agrees with the sign table on the signature.
+    2*pi below beta_L gives SL2R (H2xR when the Euler number vanishes),
+    equality gives Nil (Euclidean), and 2*pi above beta_L gives Spherical
+    (S2xR).  2*pi is above beta_U only when a3 = 1 and a1 < a2: the
+    unequal spindle, spherical too.  The answer agrees with the sign
+    table on the signature.
     """
-    interval = sphericity_limits(a1, a2, a3)
-    if TWO_PI > interval.beta_upper:
-        raise ValueError("2*pi exceeds beta_U: no such fibration")
+    beta_lower = sphericity_limits(a1, a2, a3).beta_lower
     # The base curvature has the sign of 2*pi - beta_L.
-    sign = (TWO_PI > interval.beta_lower) - (TWO_PI < interval.beta_lower)
+    sign = (TWO_PI > beta_lower) - (TWO_PI < beta_lower)
     return _GEOMETRIES[sign][not euler_zero]
 
 

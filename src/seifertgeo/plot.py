@@ -44,24 +44,16 @@ _POINT_TYPES = (int, int, int, int, str)
 
 
 class PlotModel(_Value):
-    """A classified window.  Built by hand, every field and every point is
+    """A classified window of the knot's diagram; the band, the e = 0 ray
+    and the orbifold labels are the knot's.  Built by hand, every point is
     checked; build_plot's model is valid by construction and skips that."""
 
-    __slots__ = (
-        "knot", "window", "x_upper", "x_lower", "euler_zero_slope", "orbifold_xs", "points"
-    )
-    _KINDS = (TorusKnot, PlotWindow, (int, Fraction), (int, Fraction), int, tuple, tuple)
+    __slots__ = ("knot", "window", "points")
+    _KINDS = (TorusKnot, PlotWindow, tuple)
 
-    def __init__(
-        self, knot: TorusKnot, window: PlotWindow, x_upper: Fraction, x_lower: Fraction,
-        euler_zero_slope: int, orbifold_xs: tuple[int, ...], points: tuple[PlotPoint, ...],
-    ):
-        self._set(knot, window, x_upper, x_lower, euler_zero_slope, orbifold_xs, points)
-        if not euler_zero_slope:
-            raise ValueError("euler_zero_slope must be nonzero")
+    def __init__(self, knot: TorusKnot, window: PlotWindow, points: tuple[PlotPoint, ...]):
+        self._set(knot, window, points)
         # Whole-tuple type checks run in C: no Python call per point.
-        if not set(map(type, orbifold_xs)) <= {int}:
-            raise ValueError("orbifold_xs must be a tuple of integers, got %r" % (orbifold_xs,))
         if not set(map(type, points)) <= {PlotPoint}:
             raise ValueError("points must be a tuple of PlotPoints")
         if points:
@@ -76,14 +68,12 @@ class PlotModel(_Value):
 def build_plot(knot: TorusKnot, window: PlotWindow) -> PlotModel:
     """Classify every primitive lattice point inside the window at 2*pi."""
     PlotModel._check(knot, window)
-    x_upper, x_lower = x_limits(knot)
     z, points = _euler_zero_slope(knot), []
     # tuple.__new__ turns each row into a PlotPoint in C, with no Python call per point.
     for m, (flat,), (twisted,) in _column_names(knot, int(window.x_max), (TWO_PI,)):
         rows = _column(z, m, window.y_min, window.y_max, flat, twisted)
         points += map(tuple.__new__, repeat(PlotPoint), rows)
-    orbifold_xs = tuple(_orbifold_xs(x_upper, x_lower))
-    return PlotModel._unchecked(knot, window, x_upper, x_lower, z, orbifold_xs, tuple(points))
+    return PlotModel._unchecked(knot, window, tuple(points))
 
 
 # A marker's shape from its geometry name: circle, square and diamond for
@@ -152,7 +142,8 @@ def render_svg(model: PlotModel) -> str:
         % (_num(tx), _num(ty), _num(scale), _num(-scale))
     )
 
-    x_u, x_l = float(model.x_upper), float(model.x_lower)
+    x_upper, x_lower = x_limits(model.knot)
+    x_u, x_l = float(x_upper), float(x_lower)
     band_hi = min(x_l, x_hi)
     out.append(
         '<rect class="band" x="%s" y="%s" width="%s" height="%s"/>'
@@ -166,7 +157,7 @@ def render_svg(model: PlotModel) -> str:
             )
 
     # e = 0 ray through the origin: y = x / slope.
-    y_end = x_hi / model.euler_zero_slope
+    y_end = x_hi / _euler_zero_slope(model.knot)
     out.append(
         '<line class="euler-zero" x1="0" y1="0" x2="%s" y2="%s"/>'
         % (_num(x_hi), _num(y_end))
@@ -186,7 +177,7 @@ def render_svg(model: PlotModel) -> str:
             '<line class="tick" x1="%d" y1="%s" x2="%d" y2="%s"/>' % (x, tick_lo, x, tick_hi)
         )
     orbifold_lo, orbifold_hi = _num(-0.3), _num(0.3)
-    for x in model.orbifold_xs:
+    for x in _orbifold_xs(x_upper, x_lower):
         out.append(
             '<line class="orbifold-x" x1="%s" y1="%s" x2="%s" y2="%s"/>'
             % (_num(x), orbifold_lo, _num(x), orbifold_hi)

@@ -131,6 +131,9 @@ class TestPiRational:
         assert PiRational(1, 3) * 6 == TWO_PI
         assert TWO_PI / PI == Fraction(2)
         assert TWO_PI / 4 == RIGHT_ANGLE
+        assert not PiRational(0) and PI
+        with pytest.raises(ZeroDivisionError):
+            PiRational(1) / PiRational(0)
 
     def test_int_and_fraction_are_exact(self):
         assert PiRational(2, 3) == PiRational(Fraction(2, 3)) == PiRational(Fraction(4), 6)

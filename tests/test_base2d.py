@@ -12,7 +12,6 @@ from seifertgeo.arith import PI, PiRational
 from seifertgeo.base2d import (
     BasePoint,
     RegionClass,
-    STRUCTURE_CLASSES,
     base_limits,
     classify_triangle,
     curvature_parameter,
@@ -81,7 +80,6 @@ class TestClassify:
 
     def test_one_region_vocabulary(self):
         assert RegionClass is kernel.RegionClass
-        assert STRUCTURE_CLASSES == set(kernel.CURVATURE_SIGN)
         assert [str(region) for region in RegionClass] == [
             "Hyperbolic", "EuclideanFace", "SphericalInterior",
             "SphericalEdge", "NoStructureFace", "DegenerateBoundary",
@@ -289,4 +287,4 @@ class TestBaseLimits:
                     )
                     assert cls is expected
                 else:
-                    assert cls not in STRUCTURE_CLASSES
+                    assert cls not in kernel.CURVATURE_SIGN

@@ -7,11 +7,13 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from seifertgeo import kernel
 from seifertgeo.arith import PI, PiRational, TWO_PI
-from seifertgeo.base2d import STRUCTURE_CLASSES, BasePoint, RegionClass, classify_triangle
+from seifertgeo.base2d import BasePoint, RegionClass, classify_triangle
 from seifertgeo.cone3d import (
     ConeStructure,
-    _geometry,
+    _NO_ROW,
+    _ROWS,
     Dim,
     NO_FAMILY,
     ORBIFOLD_ONLY,
@@ -199,6 +201,8 @@ class TestSphericityLimits:
     def test_rejects_degenerate_pair(self):
         with pytest.raises(ValueError):
             sphericity_limits(1, 3, 5)
+        with pytest.raises(ValueError, match=r"^singular multiplicity must be >= 1, got 0$"):
+            sphericity_limits(2, 3, 0)
 
     def test_amplitude_identity(self):
         for a1 in range(2, 8):
@@ -286,6 +290,8 @@ class TestSweepOracle:
 class TestManifoldFromLimits:
     def test_spherical(self):
         assert manifold_geometry_from_limits(2, 3, 5) is GeometryType.SPHERICAL
+        # the unequal spindle (-1; (2,1),(3,1)) is S^3, with 2*pi above beta_U = 5*pi/3
+        assert manifold_geometry_from_limits(2, 3, 1) is GeometryType.SPHERICAL
 
     def test_boundary_is_flat(self):
         assert manifold_geometry_from_limits(3, 3, 3) is GeometryType.NIL
@@ -296,16 +302,18 @@ class TestManifoldFromLimits:
 
     def test_euler_zero_variants(self):
         assert manifold_geometry_from_limits(2, 3, 5, euler_zero=True) is GeometryType.S2XR
+        assert manifold_geometry_from_limits(2, 3, 1, euler_zero=True) is GeometryType.S2XR
         assert manifold_geometry_from_limits(2, 3, 7, euler_zero=True) is GeometryType.H2XR
 
     def test_agrees_with_manifold_geometry(self):
         rng = random.Random(31)
         for _ in range(300):
             a = sorted((rng.randint(2, 9), rng.randint(2, 9)))
-            a3 = rng.randint(2, 9)
+            a3 = rng.randint(1, 9)
             pairs = []
             for ai in (a3, a[0], a[1]):
-                bi = rng.choice([k for k in range(1, ai) if math.gcd(ai, k) == 1])
+                # a3 = 1 is the unequal or equal spindle, fibre (1, 0)
+                bi = rng.choice([k for k in range(1, ai) if math.gcd(ai, k) == 1] or [0])
                 pairs.append((ai, bi))
             sig = S(rng.randint(-3, 3), tuple(pairs))
             want = manifold_geometry(sig)
@@ -366,13 +374,21 @@ class TestFamilyDimension:
         with pytest.raises(ValueError):
             family_dimension(S(0, ((2, 1), (3, 1), (5, -4))), (1,))
 
+    def test_rejects_a_position_outside_the_three_fibres(self):
+        sig = normalize(S(-1, ((2, 1), (3, 1), (5, 1))))
+        with pytest.raises(ValueError, match=r"^singular set must be a subset of \{1, 2, 3\}$"):
+            family_dimension(sig, {4})
+
+    def test_str(self):
+        assert [str(d) for d in (Dim(2), ORBIFOLD_ONLY, NO_FAMILY)] == ["Dim(2)", "OrbifoldOnly", "None"]
+
     def test_manifold_point_matches_the_base_point_region(self):
         # structure at the base point (pi/a1, pi/a2, pi/a3), as a region class
         pool = [(a, b) for a in range(12, 0, -1) for b in range(a) if math.gcd(a, b) == 1]
         for fibers in combinations_with_replacement(pool, 3):
             sig = normalize(S(0, fibers))
             point = BasePoint(*(PiRational(Fraction(1, a)) for a in sig.multiplicities()))
-            want = Dim(0) if classify_triangle(point) in STRUCTURE_CLASSES else NO_FAMILY
+            want = Dim(0) if classify_triangle(point) in kernel.CURVATURE_SIGN else NO_FAMILY
             assert family_dimension(sig, ()) == want, sig
 
 
@@ -394,7 +410,7 @@ class TestGeometryOfRegionCode:
     @pytest.mark.parametrize("code", range(-1, len(RegionClass)))
     def test_matches_the_written_out_table(self, code, twisted):
         region = self.REGIONS[code]
-        result = _geometry(region, twisted)
+        result = _ROWS.get(region, _NO_ROW)[twisted]
         assert str(result) == self.TABLE[region][twisted]
         assert result.has_structure == (self.TABLE[region][twisted] != "NoStructure")
 

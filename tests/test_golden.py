@@ -97,10 +97,6 @@ def hand_built_model():
     return PlotModel(
         knot=TorusKnot(3, 2, Handedness.LEFT),
         window=PlotWindow(Fraction(4), -2, 2),
-        x_upper=Fraction(6, 7),
-        x_lower=Fraction(6),
-        euler_zero_slope=6,
-        orbifold_xs=(2, 3, 4, 5),
         points=(
             PlotPoint(7, 9, 61, 9, "Spherical"),
             PlotPoint(7, -5, 37, -5, "Nil"),
@@ -127,5 +123,5 @@ def test_off_grid_csv(off_grid_models):
 def test_hand_built_model():
     model = hand_built_model()
     assert digest([render_svg(model), export_csv(model)]) == (
-        "093ebaac50bae436e3c411ac71ef2eba9035c887ff43cb6558a35a41a6ad962c"
+        "7f4c320508998f195173258a8de6752f00e6c69e848a4210247becd662090020"
     )

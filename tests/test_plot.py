@@ -11,6 +11,7 @@ from seifertgeo.surgery import (
     LinePoint,
     TorusKnot,
     classify_surgery_cone,
+    spherical_orbifold_angles,
     surgery_of_line,
     x_limits,
 )
@@ -102,7 +103,7 @@ class TestSVG:
     def test_orbifold_markers(self):
         knot = TorusKnot(5, 2, L)
         model = build_plot(knot, PlotWindow(Fraction(4), 0, 2))
-        assert model.orbifold_xs == (2, 3)
+        assert [x for x, _ in spherical_orbifold_angles(knot)] == [2, 3]
         marks = svg_lines(render_svg(model), "orbifold-x")
         assert sorted(float(el.get("x1")) for el in marks) == [2.0, 3.0]
 
@@ -115,21 +116,23 @@ class TestSVG:
         assert first == second
 
     def test_empty_model_renders(self):
-        knot = TorusKnot(3, 2, L)
-        x_u, x_l = x_limits(knot)
-        model = PlotModel(
-            knot=knot,
-            window=PlotWindow(Fraction(2), 0, 1),
-            x_upper=x_u,
-            x_lower=x_l,
-            euler_zero_slope=6,
-            orbifold_xs=(),
-            points=(),
-        )
+        model = PlotModel(knot=TorusKnot(3, 2, L), window=PlotWindow(Fraction(2), 0, 1), points=())
         text = render_svg(model)
         assert text.startswith('<?xml version="1.0" encoding="UTF-8"?>')
         root = ET.fromstring(text)
         assert root.tag.endswith("svg")
+        assert sorted(float(el.get("x1")) for el in svg_lines(text, "orbifold-x")) == [2.0, 3.0, 4.0, 5.0]
+
+    @pytest.mark.parametrize("hand", list(Handedness))
+    def test_hand_built_model_draws_the_knots_band(self, hand):
+        # The band 6/5 < x < 6 and the e = 0 ray come from the knot alone.
+        assert PlotModel.__slots__ == ("knot", "window", "points")
+        knot = TorusKnot(3, 2, hand)
+        text = render_svg(PlotModel(knot, PlotWindow(4, -2, 2), ()))
+        assert ">%s: x_U=1.2 x_L=6</text>" % knot in text
+        (ray,) = svg_lines(text, "euler-zero")
+        slope = 6 if hand is L else -6
+        assert float(ray.get("y2")) == pytest.approx(4.5 / slope)
 
     def test_built_model_passes_every_check(self):
         # build_plot skips PlotModel's checks; the same fields must pass them

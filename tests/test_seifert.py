@@ -198,6 +198,7 @@ class TestInvariants:
         sig = S(-2, ((7, 3), (7, 4), (7, 2)))
         assert euler_number(sig) != 0 and orbifold_euler_char(sig) < 0
         assert manifold_geometry(sig) is GeometryType.SL2R
+        assert str(GeometryType.NIL) == "Nil"
         h2xr = S(-2, ((5, 4), (5, 4), (5, 2)))
         assert euler_number(h2xr) == 0 and orbifold_euler_char(h2xr) < 0
         assert manifold_geometry(h2xr) is GeometryType.H2XR
@@ -415,6 +416,18 @@ class TestFamilies:
     def test_wrong_arity_is_value_error(self):
         with pytest.raises(ValueError):
             family_signature(FamilyId(FamilyKind.PRISM, (5,)))
+
+    @pytest.mark.parametrize(
+        "family, message",
+        [
+            (FamilyId(FamilyKind.LENS, (3, 1)), "no signature reconstruction for family Lens(3,1)"),
+            (FamilyId(FamilyKind.TETRAHEDRAL, (2,)), "parameters of T(2) name no signature of the family"),
+        ],
+    )
+    def test_no_reconstruction_is_value_error(self, family, message):
+        with pytest.raises(ValueError) as exc:
+            family_signature(family)
+        assert str(exc.value) == message
 
 
 def _paper_family(sig):

@@ -492,6 +492,12 @@ class TestAtlas:
         assert all(math.gcd(rec["m"], abs(rec["n"])) == 1 for rec in records)
         assert all(rec["m"] % 2 == 1 for rec in records)
 
+    @pytest.mark.parametrize("m_max, k_max, message", [(0, 1, "m_max"), (1, 0, "k_max")])
+    def test_rejects_a_bound_below_one(self, m_max, k_max, message):
+        with pytest.raises(ValueError) as exc:
+            atlas(TorusKnot(3, 2, L), m_max, (0, 1), k_max)
+        assert str(exc.value) == message + " must be >= 1"
+
 
 class TestMoserLensSpaces:
     def test_moser_lens_slopes(self):

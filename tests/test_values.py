@@ -27,14 +27,10 @@ POINCARE = ((2, 1), (3, 1), (5, 1))
 TREFOIL = TorusKnot(3, 2, Handedness.LEFT)
 
 
-def _model(slope, **changes):
+def _model(**changes):
     fields = dict(
         knot=TREFOIL,
         window=PlotWindow(Fraction(4), -2, 2),
-        x_upper=Fraction(6, 7),
-        x_lower=Fraction(6),
-        euler_zero_slope=slope,
-        orbifold_xs=(2, 3, 4, 5),
         points=(PlotPoint(1, 0, 1, 0, "Spherical"),),
     )
     return PlotModel(**dict(fields, **changes))
@@ -83,8 +79,8 @@ VALUES = {
         lambda v: PlotPoint(1, 0, 1, 0, "Nil" if v else "Spherical"),
     ),
     "PlotModel": (
-        ("knot", "window", "x_upper", "x_lower", "euler_zero_slope", "orbifold_xs", "points"),
-        lambda v: _model(-6 if v else 6),
+        ("knot", "window", "points"),
+        lambda v: _model(knot=TorusKnot(3, 2, Handedness.RIGHT if v else Handedness.LEFT)),
     ),
 }
 
@@ -262,8 +258,6 @@ NOT_INTEGERS = {
     "sphericity_limits-a1-float": (lambda: sphericity_limits(2.0, 3, 1), "a1"),
     "sphericity_limits-a2-str": (lambda: sphericity_limits(2, "3", 1), "a2"),
     "sphericity_limits-a3-bool": (lambda: sphericity_limits(2, 3, True), "a3"),
-    "PlotModel-euler_zero_slope-fraction": (lambda: _model(Fraction(6)), "euler_zero_slope"),
-    "PlotModel-euler_zero_slope-bool": (lambda: _model(True), "euler_zero_slope"),
 }
 
 
@@ -309,44 +303,34 @@ MALFORMED = {
         "kind must be 'continuous', 'orbifold_only' or 'none', got 'bogus'",
     ),
     "FamilyDimension-none-dim-int": (lambda: FamilyDimension("none", 1), "dim must be None, got 1"),
-    "PlotModel-knot-none": (lambda: _model(6, knot=None), "knot must be a TorusKnot, got None"),
+    "PlotModel-knot-none": (lambda: _model(knot=None), "knot must be a TorusKnot, got None"),
     "PlotModel-window-tuple": (
-        lambda: _model(6, window=(4, -2, 2)), "window must be a PlotWindow, got (4, -2, 2)"
+        lambda: _model(window=(4, -2, 2)), "window must be a PlotWindow, got (4, -2, 2)"
     ),
-    "PlotModel-x_upper-float": (
-        lambda: _model(6, x_upper=0.5), "x_upper must be an integer or a Fraction, got 0.5"
-    ),
-    "PlotModel-x_lower-none": (lambda: _model(6, x_lower=None), "x_lower must be"),
-    "PlotModel-euler_zero_slope-zero": (lambda: _model(0), "euler_zero_slope must be nonzero"),
-    "PlotModel-orbifold_xs-none-item": (
-        lambda: _model(6, orbifold_xs=(2, None)),
-        "orbifold_xs must be a tuple of integers, got (2, None)",
-    ),
-    "PlotModel-orbifold_xs-list": (lambda: _model(6, orbifold_xs=[2, 3]), "orbifold_xs must be"),
     "PlotModel-points-none-item": (
-        lambda: _model(6, points=(PlotPoint(1, 0, 1, 0, "Nil"), None)),
+        lambda: _model(points=(PlotPoint(1, 0, 1, 0, "Nil"), None)),
         "points must be a tuple of PlotPoints",
     ),
     "PlotModel-points-plain-tuple": (
-        lambda: _model(6, points=((1, 0, 1, 0, "Nil"),)), "points must be a tuple of PlotPoints"
+        lambda: _model(points=((1, 0, 1, 0, "Nil"),)), "points must be a tuple of PlotPoints"
     ),
     "PlotModel-points-list": (
-        lambda: _model(6, points=[PlotPoint(1, 0, 1, 0, "Nil")]),
+        lambda: _model(points=[PlotPoint(1, 0, 1, 0, "Nil")]),
         "points must be a tuple, got [PlotPoint(m=1, n=0, p=1, q=0, geometry='Nil')]",
     ),
     "PlotModel-points-none-m": (
-        lambda: _model(6, points=(PlotPoint(1, 0, 1, 0, "Nil"), PlotPoint(None, 0, 1, 0, "Nil"))),
+        lambda: _model(points=(PlotPoint(1, 0, 1, 0, "Nil"), PlotPoint(None, 0, 1, 0, "Nil"))),
         "points must hold integers m, n, p, q and a geometry name, "
         "got PlotPoint(m=None, n=0, p=1, q=0, geometry='Nil')",
     ),
     "PlotModel-points-bool-m-float-n": (
-        lambda: _model(6, points=(PlotPoint(True, 1.5, 1, 0, "Nil"),)), "points must hold integers"
+        lambda: _model(points=(PlotPoint(True, 1.5, 1, 0, "Nil"),)), "points must hold integers"
     ),
     "PlotModel-points-fraction-q": (
-        lambda: _model(6, points=(PlotPoint(1, 0, 1, Fraction(0), "Nil"),)), "points must hold integers"
+        lambda: _model(points=(PlotPoint(1, 0, 1, Fraction(0), "Nil"),)), "points must hold integers"
     ),
     "PlotModel-points-none-geometry": (
-        lambda: _model(6, points=(PlotPoint(1, 0, 1, 0, None),)), "points must hold integers"
+        lambda: _model(points=(PlotPoint(1, 0, 1, 0, None),)), "points must hold integers"
     ),
     "build_plot-knot-none": (
         lambda: build_plot(None, PlotWindow(4, -2, 2)), "knot must be a TorusKnot, got None"
