@@ -51,6 +51,8 @@ def bezout(a: int, b: int) -> tuple[int, int, int]:
 
     Raises ValueError when a == b == 0, since no positive gcd exists.
     """
+    _require(a, "a")
+    _require(b, "b")
     if a == 0 and b == 0:
         raise ValueError("bezout(0, 0) is undefined")
     old_r, r = a, b
@@ -66,13 +68,6 @@ def bezout(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
-def _mod_inverse(a: int, n: int) -> int:
-    g, x, _ = bezout(a, n)
-    if g != 1:
-        raise ValueError("%d has no inverse modulo %d" % (a, n))
-    return x % n
-
-
 def fiber_coeffs(r: int, s: int, hand: Handedness) -> tuple[int, int]:
     """Seifert coefficients (b1, b2) of the exceptional fibres of a torus knot.
 
@@ -85,13 +80,17 @@ def fiber_coeffs(r: int, s: int, hand: Handedness) -> tuple[int, int]:
 
     Requires r > s > 1 and gcd(r, s) == 1.
     """
+    _require(r, "r")
+    _require(s, "s")
+    _require(hand, "hand", Handedness)
     if not (r > s > 1):
         raise ValueError("torus knot needs r > s > 1, got (%d, %d)" % (r, s))
     if math.gcd(r, s) != 1:
         raise ValueError("torus knot parameters must be coprime, got (%d, %d)" % (r, s))
     eps = -1 if hand is Handedness.LEFT else 1
-    # b1*r == r*s + eps (mod s) reduces to b1 == eps * r^{-1} (mod s).
-    b1 = (eps * _mod_inverse(r, s)) % s
+    # b1*r == r*s + eps (mod s) reduces to b1 == eps * r^{-1} (mod s);
+    # bezout's x is that inverse.
+    b1 = (eps * bezout(r, s)[1]) % s
     b2 = (r * s + eps - b1 * r) // s
     assert 0 < b1 < s and 0 < b2 < r
     assert -r * s + b1 * r + b2 * s == eps
@@ -150,7 +149,7 @@ class _Value:
     __delattr__ = __setattr__
 
 
-_PI_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?pi")
+_PI_RE = re.compile(r"(?:([+-]?[0-9]+)(?:/([0-9]+))?)?pi")
 _NEGATIVE = "%s must be non-negative, got %s*pi"
 
 
@@ -169,8 +168,7 @@ class PiRational(_Value):
     _KINDS = ((int, Fraction),)
 
     def __init__(self, coeff, den=None):
-        if coeff.__class__ is not Fraction:  # exact Fractions skip the call
-            self._check(coeff)
+        self._check(coeff)
         if den is not None:
             _require(den, "den")
             if not den:
@@ -185,12 +183,10 @@ class PiRational(_Value):
         if not isinstance(text, str):
             raise ValueError("cannot parse angle %r (expected a string such as '2pi')" % (text,))
         text = text.strip().lower().replace(" ", "")
-        if text == "pi":
-            return cls(1)
         m = _PI_RE.fullmatch(text)
         if not m:
             raise ValueError("cannot parse angle %r (expected e.g. '2pi' or '1/3pi')" % text)
-        num = int(m.group(1))
+        num = int(m.group(1) or 1)
         den = int(m.group(2)) if m.group(2) else 1
         if den == 0:
             raise ValueError("angle %r has a zero denominator" % text)

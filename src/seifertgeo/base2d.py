@@ -33,16 +33,11 @@ class BasePoint(_Value):
     _KINDS = ((PiRational, int, Fraction),) * 3
 
     def __init__(self, alpha1, alpha2, alpha3):
-        self._check(alpha1, alpha2, alpha3)
-        angles = []
         for name, alpha in zip(self.__slots__, (alpha1, alpha2, alpha3)):
             alpha = _angle(alpha, name)
             if alpha.coeff > 1:
                 raise ValueError("base angle %s exceeds pi" % alpha)
-            angles.append(alpha)
-        object.__setattr__(self, "alpha1", angles[0])
-        object.__setattr__(self, "alpha2", angles[1])
-        object.__setattr__(self, "alpha3", angles[2])
+            object.__setattr__(self, name, alpha)
 
     def coeffs(self) -> tuple[Fraction, Fraction, Fraction]:
         return (self.alpha1.coeff, self.alpha2.coeff, self.alpha3.coeff)
@@ -54,14 +49,12 @@ class BasePoint(_Value):
 def classify_triangle(point: BasePoint) -> RegionClass:
     """Region of the cube containing the point, decided exactly."""
     c1, c2, c3 = point.coeffs()
-    region = kernel.classify_region(
+    # A BasePoint lies in the cube, so the kernel never returns None for one.
+    return kernel.classify_region(
         c1.numerator, c1.denominator,
         c2.numerator, c2.denominator,
         c3.numerator, c3.denominator,
     )
-    if region is None:
-        raise ValueError("point %s is outside the angle cube" % point)
-    return region
 
 
 def curvature_parameter(point: BasePoint) -> float:

@@ -30,7 +30,6 @@ from .seifert import (
     identify_family,
     manifold_geometry,
     named_family,
-    normalize,
     orbifold_euler_char,
 )
 
@@ -180,15 +179,12 @@ def _cmd_limits(args) -> int:
     others = list(args.fibers)
     singular = others.pop(args.singular - 1)
     interval = sphericity_limits(*others, singular)
-    ratio = None
-    if interval.beta_lower.coeff != 0:
-        ratio = str(interval.ratio())
     return _emit(
         args,
         {
             "beta_L": interval.beta_lower.text(),
             "beta_U": interval.beta_upper.text(),
-            "ratio": ratio,
+            "ratio": str(interval.ratio()) if interval.beta_lower else None,
         },
     )
 
@@ -203,7 +199,6 @@ def _cmd_surgery(args) -> int:
     sig = surgery_signature(spec)
     point = line_of_surgery(spec)
     geometry = classify_surgery_cone(spec, args.beta)
-    norm = normalize(sig)
     return _emit(
         args,
         {
@@ -215,14 +210,13 @@ def _cmd_surgery(args) -> int:
             "euler": str(euler_number(sig)),
             "geometry": str(geometry),
             "homology_order": homology_order(sig),
-            "family": _family_label(norm),
+            "family": _family_label(sig),
         },
     )
 
 
 def _cmd_identify(args) -> int:
-    sig = normalize(args.sig)
-    return _emit(args, {"family": _family_label(sig)})
+    return _emit(args, {"family": _family_label(args.sig)})
 
 
 def _cmd_plot(args) -> int:
@@ -231,8 +225,6 @@ def _cmd_plot(args) -> int:
 
     r, s = args.knot
     knot = TorusKnot(r, s, args.hand)
-    if args.xmax < 1:
-        raise ValueError("--xmax must be >= 1")
     y_max = args.ymax if args.ymax is not None else args.xmax
     _check_work(args.xmax * max(y_max - args.ymin + 1, 0), "plot")
     window = PlotWindow(args.xmax, args.ymin, y_max)

@@ -231,7 +231,12 @@ def family_dimension(sig: SeifertSignature, singular) -> FamilyDimension:
         an orbifold-like structure unless it degenerates to the
         manifold point (a_free = a_j).
     """
-    singular = frozenset(singular)
+    try:
+        singular = frozenset(singular)
+    except TypeError:
+        raise ValueError("singular must be a set of fibre positions, got %r" % (singular,)) from None
+    for position in singular:
+        _require(position, "singular position")
     if not singular <= {1, 2, 3}:
         raise ValueError("singular set must be a subset of {1, 2, 3}")
     if normalize(sig) != sig:

@@ -53,16 +53,11 @@ class PlotModel(_Value):
 
     def __init__(self, knot: TorusKnot, window: PlotWindow, points: tuple[PlotPoint, ...]):
         self._set(knot, window, points)
-        # Whole-tuple type checks run in C: no Python call per point.
         if not set(map(type, points)) <= {PlotPoint}:
             raise ValueError("points must be a tuple of PlotPoints")
-        if points:
-            m, n, p, q, geometry = zip(*points)
-            if not set(map(type, m + n + p + q)) <= {int} or not set(map(type, geometry)) <= {str}:
-                bad = next(pt for pt in points if tuple(map(type, pt)) != _POINT_TYPES)
-                raise ValueError(
-                    "points must hold integers m, n, p, q and a geometry name, got %r" % (bad,)
-                )
+        for point in points:
+            if tuple(map(type, point)) != _POINT_TYPES:
+                raise ValueError("points must hold integers m, n, p, q and a geometry name, got %r" % (point,))
 
 
 def build_plot(knot: TorusKnot, window: PlotWindow) -> PlotModel:
@@ -178,6 +173,8 @@ def render_svg(model: PlotModel) -> str:
         )
     orbifold_lo, orbifold_hi = _num(-0.3), _num(0.3)
     for x in _orbifold_xs(x_upper, x_lower):
+        if x > x_hi:  # clipped to the canvas, as the boundary lines are
+            break
         out.append(
             '<line class="orbifold-x" x1="%s" y1="%s" x2="%s" y2="%s"/>'
             % (_num(x), orbifold_lo, _num(x), orbifold_hi)

@@ -217,6 +217,9 @@ def brieskorn_surgery(a1: int, a2: int, a3: int):
     (a2, a1) torus knot (equivalently 1/(-q) on the left-handed one).
     Returns None when a3 is not of that form.
     """
+    _require(a1, "a1")
+    _require(a2, "a2")
+    _require(a3, "a3")
     if not (1 < a1 < a2 < a3):
         raise ValueError("need 1 < a1 < a2 < a3")
     if not (gcd(a1, a2) == gcd(a1, a3) == gcd(a2, a3) == 1):

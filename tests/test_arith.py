@@ -108,14 +108,16 @@ class TestPiRational:
         assert PiRational.parse("2pi") == TWO_PI
         assert PiRational.parse("1/2pi") == RIGHT_ANGLE
         assert PiRational.parse("pi") == PI
+        assert PiRational.parse(" Pi ") == PI
 
     def test_parse_rejects_negative(self):
         with pytest.raises(ValueError):
             PiRational.parse("-1/2pi")
 
     def test_parse_rejects_junk(self):
-        # int() would read the Unicode digits of the last three as 2 and 3.
-        for text in ("2tau", "1/0pi", "\u0662pi", "1/\u0663pi", "\uff12pi"):
+        # A bare pi takes no sign and "/3pi" no missing numerator; int() would
+        # read the Unicode digits of the last three as 2 and 3.
+        for text in ("2tau", "1/0pi", "-pi", "+pi", "/3pi", "\u0662pi", "1/\u0663pi", "\uff12pi"):
             with pytest.raises(ValueError):
                 PiRational.parse(text)
 

@@ -325,6 +325,13 @@ class TestExitCodes:
         assert payload["error"]["type"] == "domain"
         assert "exceptional" in payload["error"]["message"]
 
+    def test_window_below_one_is_one(self, capsys, tmp_path):
+        out = tmp_path / "plot.svg"
+        code, payload = run_json(capsys, PLOT + ["--xmax", "0", "--out", str(out)])
+        assert code == 1
+        assert payload["error"] == {"type": "domain", "message": "window needs x_max >= 1"}
+        assert not out.exists()
+
     @pytest.mark.parametrize("hand, slope", [("left", "6/-1"), ("right", "6/1")])
     def test_fibre_slope_is_reducible_not_euler_zero(self, capsys, hand, slope):
         # The fibre slope -+6 of the trefoil has core multiplicity m = 0 and

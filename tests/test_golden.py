@@ -123,5 +123,5 @@ def test_off_grid_csv(off_grid_models):
 def test_hand_built_model():
     model = hand_built_model()
     assert digest([render_svg(model), export_csv(model)]) == (
-        "7f4c320508998f195173258a8de6752f00e6c69e848a4210247becd662090020"
+        "14c8016eb8c4ccd9f26ec83892ad877fddb4ee14a55bde39ea086a8095333899"
     )

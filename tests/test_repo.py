@@ -4,6 +4,7 @@ import ast
 import contextlib
 import io
 import re
+import shlex
 import shutil
 import subprocess
 from pathlib import Path
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import seifertgeo
+from seifertgeo import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -42,6 +44,27 @@ def test_readme_library_example():
         exec(compile(code, "README.md", "exec"), {})
     assert out.getvalue().splitlines() == expected
     assert expected == ["<-1; (5,1),(3,1),(2,1)>", "Spherical", "5/3pi 25/3pi", "Nil"]
+
+
+def test_readme_command_lines(tmp_path, monkeypatch, capsys):
+    # each seifertgeo line of the README's Command line block exits 0, and a
+    # "# ..." line right under a command shows part of its output
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"## Command line\n.*?```sh\n(.*?)```", readme, re.S)
+    monkeypatch.chdir(tmp_path)
+    commands, shown, out = 0, [], None
+    for line in block.replace("\\\n", "").splitlines():
+        if line.startswith("seifertgeo "):
+            assert cli.run(shlex.split(line)[1:]) == 0, line
+            out, commands = " ".join(capsys.readouterr().out.split()), commands + 1
+        elif line.startswith("# ") and out is not None:
+            expected = " ".join(line[2:].replace("...", "").split())
+            assert expected in out, (expected, out)
+            shown.append(expected)
+        else:
+            out = None
+    assert commands == 10
+    assert shown == ["beta_L 5/3pi beta_U 25/3pi ratio 5", '"family": "I(1)-compatible Brieskorn(2,3,5)"']
 
 
 def test_version_matches_pyproject():

@@ -326,6 +326,21 @@ class TestFamilies:
         fam = identify_family(normalize(S(0, ((3, 1), (4, 3)))))
         assert fam.kind is FamilyKind.LENS
 
+    @given(
+        st.integers(-20, 20),
+        st.lists(
+            st.tuples(st.integers(1, 12), st.integers(-60, 60)).filter(lambda f: math.gcd(*f) == 1),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    @settings(max_examples=500)
+    def test_raw_signature_has_the_family_of_its_normal_form(self, b, pairs):
+        # cli's identify and surgery name the family of a signature as given.
+        sig = S(b, tuple(pairs))
+        assert identify_family(sig) == identify_family(normalize(sig))
+        assert named_family(sig) == named_family(normalize(sig))
+
     def test_lens_euler_zero_is_generic(self):
         assert identify_family(normalize(S(-1, ((2, 1), (2, 1))))).kind is FamilyKind.GENERIC
 

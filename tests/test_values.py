@@ -14,16 +14,18 @@ from fractions import Fraction
 import pytest
 
 import seifertgeo
-from seifertgeo.arith import Handedness, PiRational, TWO_PI, _Value
+from seifertgeo.arith import Handedness, PiRational, TWO_PI, _Value, bezout, fiber_coeffs
 from seifertgeo.base2d import BasePoint, base_limits
 from seifertgeo.cone3d import (
-    ConeStructure, FamilyDimension, GeometryResult, SphericityInterval, sphericity_limits,
+    ConeStructure, FamilyDimension, GeometryResult, SphericityInterval, family_dimension,
+    sphericity_limits,
 )
 from seifertgeo.plot import PlotModel, PlotPoint, PlotWindow, build_plot
 from seifertgeo.seifert import FamilyId, FamilyKind, GeometryType, SeifertSignature
-from seifertgeo.surgery import LinePoint, SurgerySpec, TorusKnot, atlas
+from seifertgeo.surgery import LinePoint, SurgerySpec, TorusKnot, atlas, brieskorn_surgery
 
 POINCARE = ((2, 1), (3, 1), (5, 1))
+POINCARE_SIG = SeifertSignature(-1, POINCARE[::-1])
 TREFOIL = TorusKnot(3, 2, Handedness.LEFT)
 
 
@@ -258,6 +260,19 @@ NOT_INTEGERS = {
     "sphericity_limits-a1-float": (lambda: sphericity_limits(2.0, 3, 1), "a1"),
     "sphericity_limits-a2-str": (lambda: sphericity_limits(2, "3", 1), "a2"),
     "sphericity_limits-a3-bool": (lambda: sphericity_limits(2, 3, True), "a3"),
+    "fiber_coeffs-r-float": (lambda: fiber_coeffs(3.0, 2, Handedness.LEFT), "r"),
+    "fiber_coeffs-s-bool": (lambda: fiber_coeffs(3, True, Handedness.LEFT), "s"),
+    "bezout-a-float": (lambda: bezout(1.5, 2), "a"),
+    "bezout-b-str": (lambda: bezout(1, "2"), "b"),
+    "brieskorn_surgery-a3-float": (lambda: brieskorn_surgery(2, 3, 7.0), "a3"),
+    "brieskorn_surgery-a3-str": (lambda: brieskorn_surgery(2, 3, "7"), "a3"),
+    "brieskorn_surgery-a1-bool": (lambda: brieskorn_surgery(True, 3, 7), "a1"),
+    "family_dimension-position-bool": (
+        lambda: family_dimension(POINCARE_SIG, {True}), "singular position"
+    ),
+    "family_dimension-position-float": (
+        lambda: family_dimension(POINCARE_SIG, [1.0]), "singular position"
+    ),
 }
 
 
@@ -291,6 +306,13 @@ MALFORMED = {
         lambda: Handedness.parse(None), "handedness must be 'left' or 'right', got None"
     ),
     "handedness-int": (lambda: Handedness.parse(1), "handedness must be"),
+    "fiber_coeffs-hand-str": (
+        lambda: fiber_coeffs(3, 2, "left"), "hand must be a Handedness, got 'left'"
+    ),
+    "family_dimension-singular-int": (
+        lambda: family_dimension(POINCARE_SIG, 5),
+        "singular must be a set of fibre positions, got 5",
+    ),
     "angle-int": (lambda: PiRational.parse(3), "cannot parse angle 3"),
     "angle-none": (lambda: PiRational.parse(None), "cannot parse angle None"),
     "atlas-n_range-none": (
