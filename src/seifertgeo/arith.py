@@ -83,10 +83,20 @@ def fiber_coeffs(r: int, s: int, hand: Handedness) -> tuple[int, int]:
     _require(r, "r")
     _require(s, "s")
     _require(hand, "hand", Handedness)
+    _check_knot(r, s)
+    return _fiber_coeffs(r, s, hand)
+
+
+def _check_knot(r: int, s: int) -> None:
+    """ValueError unless the integers r, s satisfy r > s > 1 and gcd(r, s) == 1."""
     if not (r > s > 1):
         raise ValueError("torus knot needs r > s > 1, got (%d, %d)" % (r, s))
     if math.gcd(r, s) != 1:
         raise ValueError("torus knot parameters must be coprime, got (%d, %d)" % (r, s))
+
+
+def _fiber_coeffs(r: int, s: int, hand: Handedness) -> tuple[int, int]:
+    """fiber_coeffs of parameters already checked."""
     eps = -1 if hand is Handedness.LEFT else 1
     # b1*r == r*s + eps (mod s) reduces to b1 == eps * r^{-1} (mod s);
     # bezout's x is that inverse.

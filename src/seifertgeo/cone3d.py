@@ -113,6 +113,8 @@ def classify_cone(cs: ConeStructure) -> GeometryResult:
     Decided on integers: base angle i is the unreduced num/(2*a_i*den)
     for beta_i = num/den * pi, and the twist is the sign of e*a1*a2*a3.
     """
+    if cs.__class__ is not ConeStructure:
+        _require(cs, "cs", ConeStructure)
     (a1, _), (a2, _), (a3, _) = cs.sig.fibers
     c1, c2, c3 = [beta.coeff for beta in cs.angles]
     region = kernel.classify_region(

@@ -20,12 +20,14 @@ Euclidean-base families, Brieskorn homology spheres).
 
 The geometry is one lookup in _GEOMETRIES, Scott's table indexed by the
 sign of the base curvature (here the sign of chi) and by e != 0; cone3d
-and plot read the same table.  chi is built from one integer,
-chi*a1*a2*a3, and e from another, e*a1*a2*a3 (_euler_numerator), from
-which the homology order, the lens parameters and the family parameters
-also come.  Each named family is fixed by its multiplicity set, which
-also fixes a constant L, and its parameter is m = -e*L, as in Orlik,
-Seifert Manifolds, LNM 291 (1972).
+and plot read the same table.  Both are signs of integers over the
+positive a1*a2*a3: chi*a1*a2*a3 (_chi_numerator) and e*a1*a2*a3
+(_euler_numerator), from which the homology order, the lens parameters
+and the family parameters also come.  euler_number and
+orbifold_euler_char build their Fractions only for callers and output;
+no decision reads them.  Each named family is fixed by its multiplicity
+set, which also fixes a constant L, and its parameter is m = -e*L, as
+in Orlik, Seifert Manifolds, LNM 291 (1972).
 """
 
 from __future__ import annotations
@@ -144,26 +146,44 @@ def _euler_numerator(b: int, fibers) -> int:
     return -(b * a1 * a2 * a3 + b1 * a2 * a3 + b2 * a1 * a3 + b3 * a1 * a2)
 
 
+def _chi_numerator(fibers) -> int:
+    """chi*a1*a2*a3 = a1*a2 + a1*a3 + a2*a3 - a1*a2*a3 of the base of fibers."""
+    (a1, _), (a2, _), (a3, _) = fibers
+    return a1 * a2 + a1 * a3 + a2 * a3 - a1 * a2 * a3
+
+
 def euler_number(sig: SeifertSignature) -> Fraction:
     """Euler number e = -b - sum(b_i / a_i) of the fibration."""
+    if sig.__class__ is not SeifertSignature:
+        _require(sig, "sig", SeifertSignature)
     (a1, _), (a2, _), (a3, _) = sig.fibers
     return Fraction(_euler_numerator(sig.b, sig.fibers), a1 * a2 * a3)
 
 
 def orbifold_euler_char(sig: SeifertSignature) -> Fraction:
-    """chi = 2 - sum(1 - 1/a_i) of the base, from chi*a1*a2*a3 = a1*a2 + a1*a3 + a2*a3 - a1*a2*a3."""
+    """chi = 2 - sum(1 - 1/a_i) of the base."""
+    if sig.__class__ is not SeifertSignature:
+        _require(sig, "sig", SeifertSignature)
     (a1, _), (a2, _), (a3, _) = sig.fibers
-    return Fraction(a1 * a2 + a1 * a3 + a2 * a3 - a1 * a2 * a3, a1 * a2 * a3)
+    return Fraction(_chi_numerator(sig.fibers), a1 * a2 * a3)
 
 
 def manifold_geometry(sig: SeifertSignature) -> GeometryType:
-    """Geometry of the manifold: _GEOMETRIES[sign of chi][e != 0]."""
-    chi = orbifold_euler_char(sig)
-    return _GEOMETRIES[(chi > 0) - (chi < 0)][euler_number(sig) != 0]
+    """Geometry of the manifold: _GEOMETRIES[sign of chi][e != 0].
+
+    Both are signs of integers over the positive a1*a2*a3: chi*a1*a2*a3
+    (_chi_numerator) and e*a1*a2*a3 (_euler_numerator).
+    """
+    if sig.__class__ is not SeifertSignature:
+        _require(sig, "sig", SeifertSignature)
+    chi = _chi_numerator(sig.fibers)
+    return _GEOMETRIES[(chi > 0) - (chi < 0)][_euler_numerator(sig.b, sig.fibers) != 0]
 
 
 def homology_order(sig: SeifertSignature):
     """Order of H1, which is |e| * a1 * a2 * a3; None means infinite (e == 0)."""
+    if sig.__class__ is not SeifertSignature:
+        _require(sig, "sig", SeifertSignature)
     return abs(_euler_numerator(sig.b, sig.fibers)) or None
 
 
@@ -261,6 +281,8 @@ def identify_family(sig: SeifertSignature) -> FamilyId:
     pairwise coprime multiplicities), then the congruence families of
     named_family.  Anything else is Generic.
     """
+    if sig.__class__ is not SeifertSignature:
+        _require(sig, "sig", SeifertSignature)
     (a1, _), (a2, _), (a3, _) = sig.fibers
     if a1 == 1 or a2 == 1 or a3 == 1:  # at most two exceptional fibres
         if _euler_numerator(sig.b, sig.fibers) == 0:

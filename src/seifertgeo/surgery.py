@@ -44,7 +44,7 @@ from fractions import Fraction
 from math import ceil, floor, gcd
 
 from . import kernel
-from .arith import TWO_PI, Handedness, PiRational, _Value, _angle, _require, fiber_coeffs
+from .arith import TWO_PI, Handedness, PiRational, _Value, _angle, _check_knot, _fiber_coeffs, _require
 from .base2d import base_limits
 from .cone3d import _NO_ROW, _ROWS, ConeStructure, GeometryResult, classify_cone
 from .seifert import SeifertSignature
@@ -60,10 +60,10 @@ class TorusKnot(_Value):
 
     def __init__(self, r: int, s: int, hand: Handedness):
         self._set(r, s, hand)
-        fiber_coeffs(r, s, hand)  # checks r > s > 1 and gcd(r, s) == 1
+        _check_knot(r, s)
 
     def coeffs(self) -> tuple[int, int]:
-        return fiber_coeffs(self.r, self.s, self.hand)
+        return _fiber_coeffs(self.r, self.s, self.hand)
 
     def to_json(self) -> dict:
         return {"r": self.r, "s": self.s, "hand": self.hand.value}

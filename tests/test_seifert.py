@@ -8,6 +8,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from seifertgeo.arith import TWO_PI
+from seifertgeo.cone3d import ConeStructure, classify_cone
 from seifertgeo.seifert import (
     FamilyId,
     FamilyKind,
@@ -237,6 +239,35 @@ class TestInvariants:
                 assert manifold_geometry(S(b, fibers)) is row[b * big_a + twist_a != 0]
                 total += 1
         assert total == 121072
+
+    def test_sweep_request_builds_no_fraction(self):
+        """The sweep path decides on integers: counting Fraction.__new__ as
+        perfbench's FractionCounter does, 2,000 criterion-6 requests build none."""
+        rng = random.Random(2026)
+        signatures = rng.sample(list(itertools.product(CRITERION_6_B, CRITERION_6_TRIPLES)), 2000)
+        count = 0
+        original = Fraction.__dict__["__new__"]
+        new = original.__func__
+
+        def counted(cls, *args, **kwargs):
+            nonlocal count
+            count += 1
+            return new(cls, *args, **kwargs)
+
+        Fraction.__new__ = staticmethod(counted)
+        try:
+            for b, fibers in signatures:
+                sig = S(b, fibers)
+                manifold_geometry(sig)
+                classify_cone(ConeStructure(sig, (TWO_PI,) * 3))
+                identify_family(sig)
+                homology_order(sig)
+            sweep_count = count
+            e = euler_number(S(-1, POINCARE))
+        finally:
+            Fraction.__new__ = original
+        assert sweep_count == 0
+        assert type(e) is Fraction and e == Fraction(-1, 30) and count >= 1
 
     def test_homology_poincare(self):
         assert homology_order(S(-1, ((2, 1), (3, 1), (5, 1)))) == 1

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from seifertgeo.arith import Handedness, PI, PiRational, TWO_PI
+from seifertgeo.arith import Handedness, PI, PiRational, TWO_PI, fiber_coeffs
 from seifertgeo.cone3d import ConeStructure, classify_cone
 from seifertgeo.plot import PlotWindow, build_plot
 from seifertgeo.seifert import (
@@ -58,6 +58,11 @@ class TestTorusKnot:
 
     def test_str(self):
         assert str(TorusKnot(3, 2, L)) == "K(3,2) left"
+
+    def test_coeffs_are_the_fiber_coeffs(self):
+        for r, s in coprime_knots(13):
+            for hand in (L, R):
+                assert TorusKnot(r, s, hand).coeffs() == fiber_coeffs(r, s, hand)
 
 
 class TestSurgerySignature:

@@ -17,11 +17,14 @@ import seifertgeo
 from seifertgeo.arith import Handedness, PiRational, TWO_PI, _Value, bezout, fiber_coeffs
 from seifertgeo.base2d import BasePoint, base_limits
 from seifertgeo.cone3d import (
-    ConeStructure, FamilyDimension, GeometryResult, SphericityInterval, family_dimension,
-    sphericity_limits,
+    ConeStructure, FamilyDimension, GeometryResult, SphericityInterval, classify_cone,
+    family_dimension, sphericity_limits,
 )
 from seifertgeo.plot import PlotModel, PlotPoint, PlotWindow, build_plot
-from seifertgeo.seifert import FamilyId, FamilyKind, GeometryType, SeifertSignature
+from seifertgeo.seifert import (
+    FamilyId, FamilyKind, GeometryType, SeifertSignature, euler_number, homology_order,
+    identify_family, manifold_geometry, orbifold_euler_char,
+)
 from seifertgeo.surgery import LinePoint, SurgerySpec, TorusKnot, atlas, brieskorn_surgery
 
 POINCARE = ((2, 1), (3, 1), (5, 1))
@@ -210,6 +213,27 @@ class TestFieldContract:
         with pytest.raises(ValueError) as exc:
             FamilyId(FamilyKind.PRISM, params)
         assert str(exc.value) == message
+
+
+class TestEntryChecks:
+    @pytest.mark.parametrize(
+        "func, field",
+        [
+            (manifold_geometry, "sig"),
+            (euler_number, "sig"),
+            (orbifold_euler_char, "sig"),
+            (homology_order, "sig"),
+            (identify_family, "sig"),
+            (classify_cone, "cs"),
+        ],
+        ids=lambda arg: getattr(arg, "__name__", arg),
+    )
+    def test_a_wrong_type_raises_naming_the_parameter(self, func, field):
+        other = POINCARE_SIG if field == "cs" else ConeStructure(POINCARE_SIG, (TWO_PI,) * 3)
+        for bad in (None, True, 1, "x", TREFOIL, other):
+            with pytest.raises(ValueError) as exc:
+                func(bad)
+            assert str(exc.value).startswith(field + " must be a "), (bad, str(exc.value))
 
 
 class TestPiRationalOrder:
