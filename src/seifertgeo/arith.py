@@ -246,8 +246,6 @@ class PiRational(_Value):
         return math.pi * self.coeff.numerator / self.coeff.denominator
 
 
-RIGHT_ANGLE = PiRational(Fraction(1, 2))
-PI = PiRational(1)
 TWO_PI = PiRational(2)
 
 

@@ -44,10 +44,6 @@ class GeometryResult(_Value):
     def __init__(self, geometry: GeometryType | None):
         self._set(geometry)
 
-    @property
-    def has_structure(self) -> bool:
-        return self.geometry is not None
-
     def __str__(self):
         return "NoStructure" if self.geometry is None else self.geometry.value
 
@@ -100,12 +96,6 @@ class ConeStructure(_Value):
             *(beta / (2 * a) for (a, _), beta in zip(self.sig.fibers, self.angles))
         )
 
-    def singular_set(self) -> tuple[int, ...]:
-        """1-based positions of the fibres whose angle is not 2*pi."""
-        return tuple(
-            k + 1 for k, beta in enumerate(self.angles) if beta != TWO_PI
-        )
-
 
 def classify_cone(cs: ConeStructure) -> GeometryResult:
     """Geometry of the cone structure, or NO_STRUCTURE.
@@ -131,9 +121,6 @@ class SphericityInterval(_Value):
 
     def __init__(self, beta_lower: PiRational, beta_upper: PiRational):
         self._set(beta_lower, beta_upper)
-
-    def amplitude(self) -> PiRational:
-        return self.beta_upper - self.beta_lower
 
     def ratio(self) -> Fraction:
         if self.beta_lower.coeff == 0:
@@ -178,6 +165,8 @@ def manifold_geometry_from_limits(
     unequal spindle, spherical too.  The answer agrees with the sign
     table on the signature.
     """
+    if euler_zero.__class__ is not bool:
+        raise ValueError("euler_zero must be a bool, got %r" % (euler_zero,))
     beta_lower = sphericity_limits(a1, a2, a3).beta_lower
     # The base curvature has the sign of 2*pi - beta_L.
     sign = (TWO_PI > beta_lower) - (TWO_PI < beta_lower)
@@ -187,7 +176,7 @@ def manifold_geometry_from_limits(
 class FamilyDimension(_Value):
     """Dimension report for the cone structures with a fixed singular set.
 
-    kind is "continuous" (with dim parameters), "orbifold_only" (an
+    kind is "continuous" (with dim parameters, 0 to 3), "orbifold_only" (an
     isolated structure) or "none".
     """
 
@@ -199,6 +188,8 @@ class FamilyDimension(_Value):
         if kind not in ("continuous", "orbifold_only", "none"):
             raise ValueError("kind must be 'continuous', 'orbifold_only' or 'none', got %r" % (kind,))
         _require(dim, "dim", int if kind == "continuous" else NoneType)
+        if dim is not None and not 0 <= dim <= 3:
+            raise ValueError("dim must be 0 to 3, got %d" % dim)
 
     def __str__(self):
         if self.kind == "continuous":
@@ -253,8 +244,6 @@ def family_dimension(sig: SeifertSignature, singular) -> FamilyDimension:
         if kernel.classify_region(1, a1, 1, a2, 1, a3) in kernel.CURVATURE_SIGN:
             return Dim(0)
         return NO_FAMILY
-    if k == 3:
-        return Dim(3)
     if 1 not in pinned:
         return Dim(k)
     if k == 2:

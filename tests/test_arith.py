@@ -10,9 +10,7 @@ from hypothesis import given, strategies as st
 
 from seifertgeo import BasePoint, ConeStructure, SeifertSignature, SurgerySpec, TorusKnot, classify_surgery_cone
 from seifertgeo.arith import (
-    PI,
     PiRational,
-    RIGHT_ANGLE,
     TWO_PI,
     Handedness,
     bezout,
@@ -106,9 +104,9 @@ class TestPiRational:
 
     def test_parse_forms(self):
         assert PiRational.parse("2pi") == TWO_PI
-        assert PiRational.parse("1/2pi") == RIGHT_ANGLE
-        assert PiRational.parse("pi") == PI
-        assert PiRational.parse(" Pi ") == PI
+        assert PiRational.parse("1/2pi") == PiRational(1, 2)
+        assert PiRational.parse("pi") == PiRational(1)
+        assert PiRational.parse(" Pi ") == PiRational(1)
 
     def test_parse_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -125,15 +123,15 @@ class TestPiRational:
         assert float(PiRational(1, 2)) == pytest.approx(math.pi / 2, abs=1e-15)
 
     def test_ordering(self):
-        assert PiRational(1, 3) < PiRational(1, 2) < PI < TWO_PI
+        assert PiRational(1, 3) < PiRational(1, 2) < PiRational(1) < TWO_PI
 
     def test_arith(self):
-        assert PiRational(1, 3) + PiRational(1, 6) == RIGHT_ANGLE
-        assert TWO_PI - PI == PI
+        assert PiRational(1, 3) + PiRational(1, 6) == PiRational(1, 2)
+        assert TWO_PI - PiRational(1) == PiRational(1)
         assert PiRational(1, 3) * 6 == TWO_PI
-        assert TWO_PI / PI == Fraction(2)
-        assert TWO_PI / 4 == RIGHT_ANGLE
-        assert not PiRational(0) and PI
+        assert TWO_PI / PiRational(1) == Fraction(2)
+        assert TWO_PI / 4 == PiRational(1, 2)
+        assert not PiRational(0) and PiRational(1)
         with pytest.raises(ZeroDivisionError):
             PiRational(1) / PiRational(0)
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seifertgeo import kernel
-from seifertgeo.arith import PI, PiRational
+from seifertgeo.arith import PiRational
 from seifertgeo.base2d import (
     BasePoint,
     RegionClass,
@@ -236,10 +236,10 @@ class TestBaseLimits:
         assert base_limits(2, 3) == (PiRational(1, 6), PiRational(5, 6))
 
     def test_2_2(self):
-        assert base_limits(2, 2) == (PiRational(0), PI)
+        assert base_limits(2, 2) == (PiRational(0), PiRational(1))
 
     def test_3_3(self):
-        assert base_limits(3, 3) == (PiRational(1, 3), PI)
+        assert base_limits(3, 3) == (PiRational(1, 3), PiRational(1))
 
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):

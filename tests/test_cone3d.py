@@ -8,7 +8,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 from seifertgeo import kernel
-from seifertgeo.arith import PI, PiRational, TWO_PI
+from seifertgeo.arith import PiRational, TWO_PI
 from seifertgeo.base2d import BasePoint, RegionClass, classify_triangle
 from seifertgeo.cone3d import (
     ConeStructure,
@@ -60,7 +60,7 @@ class TestConeStructure:
 
     def test_singular_set(self):
         cs = ConeStructure(S(-1, ((2, 1), (3, 1), (5, 1))), angles(2, 2, "1/5"))
-        assert cs.singular_set() == (1,)
+        assert [beta != TWO_PI for beta in cs.angles] == [True, False, False]
 
     def test_tied_fibres_keep_their_order(self):
         # (3, 1) and (3, -2) tie once reduced; their angles keep the given order
@@ -101,7 +101,7 @@ class TestClassifyCone:
     def test_poincare_manifold(self):
         cs = ConeStructure(S(-1, ((2, 1), (3, 1), (5, 1))), (TWO_PI, TWO_PI, TWO_PI))
         result = classify_cone(cs)
-        assert result.has_structure
+        assert result.geometry is not None
         assert result.geometry is GeometryType.SPHERICAL
 
     def test_hopf_one_singular_fibre(self):
@@ -183,7 +183,7 @@ class TestIntegerPath:
 class TestSphericityLimits:
     def test_t_family_3_fibre(self):
         iv = sphericity_limits(2, 3, 3)
-        assert (iv.beta_lower, iv.beta_upper) == (PI, PiRational(5))
+        assert (iv.beta_lower, iv.beta_upper) == (PiRational(1), PiRational(5))
 
     def test_prism_n_fibre(self):
         for n in range(2, 11):
@@ -209,7 +209,7 @@ class TestSphericityLimits:
             for a2 in range(a1, 10):
                 for a3 in range(1, 8):
                     iv = sphericity_limits(a1, a2, a3)
-                    assert iv.amplitude() == PiRational(4 * a3, a2)
+                    assert iv.beta_upper - iv.beta_lower == PiRational(4 * a3, a2)
 
     def test_ratio_examples(self):
         assert sphericity_ratio(2, 3) == Fraction(5)
@@ -412,7 +412,7 @@ class TestGeometryOfRegionCode:
         region = self.REGIONS[code]
         result = _ROWS.get(region, _NO_ROW)[twisted]
         assert str(result) == self.TABLE[region][twisted]
-        assert result.has_structure == (self.TABLE[region][twisted] != "NoStructure")
+        assert (result.geometry is not None) == (self.TABLE[region][twisted] != "NoStructure")
 
 
 class TestGeometryTableConsistency:

@@ -112,3 +112,55 @@ def test_no_unused_imports():
         if (found := _unused_imports(path.read_text(encoding="utf-8")))
     }
     assert unused == {}
+
+
+def _public_defs(source: str) -> list[tuple[str, int]]:
+    """(name, line) of each public module-level function, class or constant,
+    and of each public method of a module-level class."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign):
+            found += [(target.id, node.lineno) for target in node.targets if isinstance(target, ast.Name)]
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.append((node.name, node.lineno))
+            if isinstance(node, ast.ClassDef):
+                found += [(item.name, item.lineno) for item in node.body if isinstance(item, ast.FunctionDef)]
+    return [(name, line) for name, line in found if not name.startswith("_")]
+
+
+def _unread_names(sources: dict[str, str], elsewhere: list[str], listed) -> list[str]:
+    """Public names defined in sources (file name -> text) that are not listed
+    and appear as a word neither in elsewhere nor in sources outside their
+    own definition line."""
+    lines = [(path, n, line) for path, text in sources.items() for n, line in enumerate(text.splitlines(), 1)]
+    unread = []
+    for path, text in sources.items():
+        for name, defined in _public_defs(text):
+            word = re.compile(r"\b%s\b" % re.escape(name)).search
+            read = any(map(word, elsewhere)) or any(
+                word(line) for where, n, line in lines if (where, n) != (path, defined)
+            )
+            if name not in listed and not read:
+                unread.append(name)
+    return unread
+
+
+def test_public_name_guard_sees_an_orphan():
+    source = "LIMIT = 3\n\nclass Box:\n    def size(self):\n        return LIMIT\n\n    def _hidden(self):\n        pass\n"
+    assert _unread_names({"m.py": source}, [], set()) == ["Box", "size"]
+    assert _unread_names({"m.py": source}, ["Box().size()"], set()) == []
+    assert _unread_names({"m.py": source, "n.py": "from m import Box\n"}, [], {"size"}) == []
+    # a mention on the definition line itself does not count
+    assert _unread_names({"m.py": "def orphan(): return orphan\n"}, [], set()) == ["orphan"]
+
+
+def test_every_public_name_has_a_reader():
+    # a public name is listed in seifertgeo's home table, or read under src/,
+    # by the benchmark harness or in the README
+    sources = {
+        path.name: path.read_text(encoding="utf-8")
+        for path in sorted((ROOT / "src" / "seifertgeo").glob("*.py"))
+    }
+    elsewhere = [path.read_text(encoding="utf-8") for path in sorted((ROOT / "perfbench").glob("*.py"))]
+    elsewhere.append((ROOT / "README.md").read_text(encoding="utf-8"))
+    assert _unread_names(sources, elsewhere, set(seifertgeo._HOME)) == []

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from seifertgeo.arith import Handedness, PI, PiRational, TWO_PI, fiber_coeffs
+from seifertgeo.arith import Handedness, PiRational, TWO_PI, fiber_coeffs
 from seifertgeo.cone3d import ConeStructure, classify_cone
 from seifertgeo.plot import PlotWindow, build_plot
 from seifertgeo.seifert import (
@@ -293,7 +293,7 @@ class TestClassify:
 
     def test_spherical_on_43(self):
         spec = SurgerySpec(TorusKnot(4, 3, L), 11, -1)
-        assert classify_surgery_cone(spec, PI).geometry is GeometryType.SPHERICAL
+        assert classify_surgery_cone(spec, PiRational(1)).geometry is GeometryType.SPHERICAL
 
     def test_poincare_manifold(self):
         spec = SurgerySpec(TorusKnot(3, 2, L), 1, -1)

@@ -18,7 +18,7 @@ from seifertgeo.arith import Handedness, PiRational, TWO_PI, _Value, bezout, fib
 from seifertgeo.base2d import BasePoint, base_limits
 from seifertgeo.cone3d import (
     ConeStructure, FamilyDimension, GeometryResult, SphericityInterval, classify_cone,
-    family_dimension, sphericity_limits,
+    family_dimension, manifold_geometry_from_limits, sphericity_limits,
 )
 from seifertgeo.plot import PlotModel, PlotPoint, PlotWindow, build_plot
 from seifertgeo.seifert import (
@@ -349,6 +349,16 @@ MALFORMED = {
         "kind must be 'continuous', 'orbifold_only' or 'none', got 'bogus'",
     ),
     "FamilyDimension-none-dim-int": (lambda: FamilyDimension("none", 1), "dim must be None, got 1"),
+    "FamilyDimension-dim-negative": (
+        lambda: FamilyDimension("continuous", -1), "dim must be 0 to 3, got -1"
+    ),
+    "FamilyDimension-dim-above-cube": (
+        lambda: FamilyDimension("continuous", 4), "dim must be 0 to 3, got 4"
+    ),
+    "manifold_geometry_from_limits-euler_zero-str": (
+        lambda: manifold_geometry_from_limits(2, 3, 5, euler_zero="no"),
+        "euler_zero must be a bool, got 'no'",
+    ),
     "PlotModel-knot-none": (lambda: _model(knot=None), "knot must be a TorusKnot, got None"),
     "PlotModel-window-tuple": (
         lambda: _model(window=(4, -2, 2)), "window must be a PlotWindow, got (4, -2, 2)"
