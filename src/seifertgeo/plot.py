@@ -83,17 +83,21 @@ _num = "%.12g".__mod__
 
 
 _LEGEND = (
-    ("spherical", "diamond", "Spherical / S2xR"),
-    ("flat", "square", "Nil / Euclidean"),
-    ("negative", "circle", "SL2R / H2xR"),
-    ("excluded", "cross", "no structure"),
+    ("diamond", "Spherical / S2xR"),
+    ("square", "Nil / Euclidean"),
+    ("circle", "SL2R / H2xR"),
+    ("cross", "no structure"),
 )
+
+_LINE = '<line class="%s" x1="%s" y1="%s" x2="%s" y2="%s"/>'
+_TEXT = '<text x="%s" y="%s"%s>%s</text>'
 
 
 def render_svg(model: PlotModel) -> str:
     """Standalone SVG 1.1 text for the model; byte-deterministic."""
     x_lo, x_hi = -0.5, float(model.window.x_max) + 0.5
     y_lo, y_hi = model.window.y_min - 0.5, model.window.y_max + 0.5
+    left, right, bottom, top = _num(x_lo), _num(x_hi), _num(y_lo), _num(y_hi)
     margin_l, margin_r, margin_t, margin_b = 46.0, 16.0, 34.0, 36.0
     span_x, span_y = x_hi - x_lo, y_hi - y_lo
     scale = min(560.0 / span_x, 420.0 / span_y)
@@ -139,46 +143,28 @@ def render_svg(model: PlotModel) -> str:
 
     x_upper, x_lower = x_limits(model.knot)
     x_u, x_l = float(x_upper), float(x_lower)
+    upper, lower = _num(x_u), _num(x_l)
     band_hi = min(x_l, x_hi)
     out.append(
         '<rect class="band" x="%s" y="%s" width="%s" height="%s"/>'
-        % (_num(x_u), _num(y_lo), _num(max(band_hi - x_u, 0.0)), _num(span_y))
+        % (upper, bottom, _num(max(band_hi - x_u, 0.0)), _num(span_y))
     )
-    for cls, x_b in (("boundary upper", x_u), ("boundary lower", x_l)):
+    for cls, x_b, text in (("boundary upper", x_u, upper), ("boundary lower", x_l, lower)):
         if x_lo <= x_b <= x_hi:
-            out.append(
-                '<line class="%s" x1="%s" y1="%s" x2="%s" y2="%s"/>'
-                % (cls, _num(x_b), _num(y_lo), _num(x_b), _num(y_hi))
-            )
+            out.append(_LINE % (cls, text, bottom, text, top))
 
     # e = 0 ray through the origin: y = x / slope.
     y_end = x_hi / _euler_zero_slope(model.knot)
-    out.append(
-        '<line class="euler-zero" x1="0" y1="0" x2="%s" y2="%s"/>'
-        % (_num(x_hi), _num(y_end))
-    )
-
-    out.append(
-        '<line class="axis" x1="%s" y1="0" x2="%s" y2="0"/>'
-        % (_num(x_lo), _num(x_hi))
-    )
-    out.append(
-        '<line class="axis" x1="0" y1="%s" x2="0" y2="%s"/>'
-        % (_num(y_lo), _num(y_hi))
-    )
-    tick_lo, tick_hi = _num(-0.12), _num(0.12)
-    for x in range(0, int(model.window.x_max) + 1):
-        out.append(
-            '<line class="tick" x1="%d" y1="%s" x2="%d" y2="%s"/>' % (x, tick_lo, x, tick_hi)
-        )
-    orbifold_lo, orbifold_hi = _num(-0.3), _num(0.3)
+    out.append(_LINE % ("euler-zero", "0", "0", right, _num(y_end)))
+    out.append(_LINE % ("axis", left, "0", right, "0"))
+    out.append(_LINE % ("axis", "0", bottom, "0", top))
+    columns = list(map(str, range(int(model.window.x_max) + 1)))
+    for x in columns:
+        out.append(_LINE % ("tick", x, "-0.12", x, "0.12"))
     for x in _orbifold_xs(x_upper, x_lower):
         if x > x_hi:  # clipped to the canvas, as the boundary lines are
             break
-        out.append(
-            '<line class="orbifold-x" x1="%s" y1="%s" x2="%s" y2="%s"/>'
-            % (_num(x), orbifold_lo, _num(x), orbifold_hi)
-        )
+        out.append(_LINE % ("orbifold-x", _num(x), "-0.3", _num(x), "0.3"))
 
     # A point's marker is one lookup from its geometry name.  Each column
     # formats its x texts into the four marker heads once, and each row its
@@ -204,20 +190,14 @@ def render_svg(model: PlotModel) -> str:
         add(heads[i] + tails[y][i] if i < 2 else heads[i] % tails[y][i])
     out.append("</g>")
 
-    title = "%s: x_U=%s x_L=%s" % (model.knot, _num(x_u), _num(x_l))
-    out.append('<text x="%s" y="%s">%s</text>' % (_num(margin_l), _num(20.0), title))
+    title = "%s: x_U=%s x_L=%s" % (model.knot, upper, lower)
+    out.append(_TEXT % (_num(margin_l), "20", "", title))
     baseline = _num(ty - scale * y_lo + 14.0)
-    for x in range(0, int(model.window.x_max) + 1):
-        out.append(
-            '<text x="%s" y="%s" text-anchor="middle">%d</text>'
-            % (_num(tx + scale * x), baseline, x)
-        )
+    for x, text in enumerate(columns):
+        out.append(_TEXT % (_num(tx + scale * x), baseline, ' text-anchor="middle"', text))
     legend_y = _num(height - 8.0)
-    for i, (cls, shape, label) in enumerate(_LEGEND):
-        out.append(
-            '<text x="%s" y="%s">%s = %s</text>'
-            % (_num(margin_l + 130.0 * i), legend_y, shape, label)
-        )
+    for i, entry in enumerate(_LEGEND):
+        out.append(_TEXT % (_num(margin_l + 130.0 * i), legend_y, "", "%s = %s" % entry))
     out.append("</svg>")
     return "\n".join(out) + "\n"
 

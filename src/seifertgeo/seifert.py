@@ -154,16 +154,14 @@ def _chi_numerator(fibers) -> int:
 
 def euler_number(sig: SeifertSignature) -> Fraction:
     """Euler number e = -b - sum(b_i / a_i) of the fibration."""
-    if sig.__class__ is not SeifertSignature:
-        _require(sig, "sig", SeifertSignature)
+    _require(sig, "sig", SeifertSignature)
     (a1, _), (a2, _), (a3, _) = sig.fibers
     return Fraction(_euler_numerator(sig.b, sig.fibers), a1 * a2 * a3)
 
 
 def orbifold_euler_char(sig: SeifertSignature) -> Fraction:
     """chi = 2 - sum(1 - 1/a_i) of the base."""
-    if sig.__class__ is not SeifertSignature:
-        _require(sig, "sig", SeifertSignature)
+    _require(sig, "sig", SeifertSignature)
     (a1, _), (a2, _), (a3, _) = sig.fibers
     return Fraction(_chi_numerator(sig.fibers), a1 * a2 * a3)
 

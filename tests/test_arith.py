@@ -135,6 +135,22 @@ class TestPiRational:
         with pytest.raises(ZeroDivisionError):
             PiRational(1) / PiRational(0)
 
+    @pytest.mark.parametrize(
+        "operation",
+        [
+            lambda: PiRational(1) + 1,
+            lambda: PiRational(1) - 1,
+            lambda: PiRational(1) * 1.5,
+            lambda: 1.5 * PiRational(1),
+            lambda: PiRational(1) / "x",
+        ],
+        ids=["add-int", "sub-int", "mul-float", "rmul-float", "div-str"],
+    )
+    def test_operand_of_another_kind_is_a_type_error(self, operation):
+        # each operator answers NotImplemented, so Python raises TypeError
+        with pytest.raises(TypeError):
+            operation()
+
     def test_int_and_fraction_are_exact(self):
         assert PiRational(2, 3) == PiRational(Fraction(2, 3)) == PiRational(Fraction(4), 6)
 

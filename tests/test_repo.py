@@ -114,32 +114,53 @@ def test_no_unused_imports():
     assert unused == {}
 
 
-def _public_defs(source: str) -> list[tuple[str, int]]:
-    """(name, line) of each public module-level function, class or constant,
-    and of each public method of a module-level class."""
+def _public_defs(tree: ast.Module) -> list[tuple[str, int, bool]]:
+    """(name, line, is_method) of each public module-level function, class or
+    constant, and of each public method of a module-level class."""
     found = []
-    for node in ast.parse(source).body:
+    for node in tree.body:
         if isinstance(node, ast.Assign):
-            found += [(target.id, node.lineno) for target in node.targets if isinstance(target, ast.Name)]
+            found += [(target.id, node.lineno, False) for target in node.targets if isinstance(target, ast.Name)]
         elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            found.append((node.name, node.lineno))
+            found.append((node.name, node.lineno, False))
             if isinstance(node, ast.ClassDef):
-                found += [(item.name, item.lineno) for item in node.body if isinstance(item, ast.FunctionDef)]
-    return [(name, line) for name, line in found if not name.startswith("_")]
+                found += [(item.name, item.lineno, True) for item in node.body if isinstance(item, ast.FunctionDef)]
+    return [entry for entry in found if not entry[0].startswith("_")]
+
+
+def _reads(tree: ast.Module, path) -> dict[tuple[bool, str], set]:
+    """(is_attribute, name) -> the (path, line)s where tree reads it: a loaded
+    name or an import alias, or a loaded attribute."""
+    reads = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            key = (False, node.id)
+        elif isinstance(node, ast.alias):
+            key = (False, node.name.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            key = (True, node.attr)
+        else:
+            continue
+        reads.setdefault(key, set()).add((path, node.lineno))
+    return reads
 
 
 def _unread_names(sources: dict[str, str], elsewhere: list[str], listed) -> list[str]:
     """Public names defined in sources (file name -> text) that are not listed
-    and appear as a word neither in elsewhere nor in sources outside their
-    own definition line."""
-    lines = [(path, n, line) for path, text in sources.items() for n, line in enumerate(text.splitlines(), 1)]
+    and that no code in sources or elsewhere reads off their definition line.
+    A method is read only as an attribute; a module-level name as a name, an
+    import or an attribute.  Docstrings, comments and local variables of the
+    same spelling are not reads."""
+    trees = {path: ast.parse(text) for path, text in sources.items()}
+    reads = {}
+    for path, tree in [*trees.items(), *((None, ast.parse(text)) for text in elsewhere)]:
+        for key, places in _reads(tree, path).items():
+            reads.setdefault(key, set()).update(places)
     unread = []
-    for path, text in sources.items():
-        for name, defined in _public_defs(text):
-            word = re.compile(r"\b%s\b" % re.escape(name)).search
-            read = any(map(word, elsewhere)) or any(
-                word(line) for where, n, line in lines if (where, n) != (path, defined)
-            )
+    for path, tree in trees.items():
+        for name, defined, is_method in _public_defs(tree):
+            kinds = (True,) if is_method else (False, True)
+            read = any(reads.get((kind, name), set()) - {(path, defined)} for kind in kinds)
             if name not in listed and not read:
                 unread.append(name)
     return unread
@@ -152,15 +173,18 @@ def test_public_name_guard_sees_an_orphan():
     assert _unread_names({"m.py": source, "n.py": "from m import Box\n"}, [], {"size"}) == []
     # a mention on the definition line itself does not count
     assert _unread_names({"m.py": "def orphan(): return orphan\n"}, [], set()) == ["orphan"]
+    # nor does a docstring that names Box().size(), nor a local variable named size
+    assert _unread_names({"m.py": source}, ['"""Box().size() is documented."""\n'], set()) == ["Box", "size"]
+    assert _unread_names({"m.py": source}, ["Box\nsize = 3\nprint(size)\n"], set()) == ["size"]
 
 
 def test_every_public_name_has_a_reader():
-    # a public name is listed in seifertgeo's home table, or read under src/,
-    # by the benchmark harness or in the README
+    # a public name is listed in seifertgeo's home table, read by code under
+    # src/ or by the benchmark harness, or named as a word in the README
     sources = {
         path.name: path.read_text(encoding="utf-8")
         for path in sorted((ROOT / "src" / "seifertgeo").glob("*.py"))
     }
     elsewhere = [path.read_text(encoding="utf-8") for path in sorted((ROOT / "perfbench").glob("*.py"))]
-    elsewhere.append((ROOT / "README.md").read_text(encoding="utf-8"))
-    assert _unread_names(sources, elsewhere, set(seifertgeo._HOME)) == []
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert _unread_names(sources, elsewhere, set(seifertgeo._HOME) | set(re.findall(r"\w+", readme))) == []
