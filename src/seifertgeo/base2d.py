@@ -48,6 +48,7 @@ class BasePoint(_Value):
 
 def classify_triangle(point: BasePoint) -> RegionClass:
     """Region of the cube containing the point, decided exactly."""
+    _require(point, "point", BasePoint)
     c1, c2, c3 = point.coeffs()
     # A BasePoint lies in the cube, so the kernel never returns None for one.
     return kernel.classify_region(
@@ -67,6 +68,7 @@ def curvature_parameter(point: BasePoint) -> float:
     exactly on the two upper faces alpha2 +- (alpha3 - alpha1) = pi;
     those points have no triangle and raise ValueError.
     """
+    _require(point, "point", BasePoint)
     c1, c2, c3 = point.coeffs()
     if c1 + c2 + c3 == 1 and c1 > 0 and c2 > 0 and c3 > 0:
         return 0.0

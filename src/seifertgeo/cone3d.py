@@ -70,7 +70,9 @@ class ConeStructure(_Value):
     _KINDS = (SeifertSignature, (tuple, list))
 
     def __init__(self, sig: SeifertSignature, angles):
-        self._check(sig, angles)
+        # exact classes skip the call, as in SeifertSignature's ints
+        if sig.__class__ is not SeifertSignature or angles.__class__ is not tuple:
+            self._check(sig, angles)
         try:
             angles = [beta if isinstance(beta, PiRational) else PiRational(beta) for beta in angles]
         except ValueError:  # name the angle as the caller numbers it
@@ -84,7 +86,8 @@ class ConeStructure(_Value):
         norm, (i, j, k) = normalize_with_order(sig)
         angles = (angles[i], angles[j], angles[k])
         for (a, _), beta in zip(norm.fibers, angles):
-            if beta.coeff.numerator > 2 * a * beta.coeff.denominator:
+            num, den = beta.coeff.as_integer_ratio()
+            if num > 2 * a * den:
                 raise ValueError(
                     "cone angle %s exceeds 2*pi*%d on a fibre of multiplicity %d" % (beta, a, a)
                 )
@@ -106,12 +109,8 @@ def classify_cone(cs: ConeStructure) -> GeometryResult:
     if cs.__class__ is not ConeStructure:
         _require(cs, "cs", ConeStructure)
     (a1, _), (a2, _), (a3, _) = cs.sig.fibers
-    c1, c2, c3 = [beta.coeff for beta in cs.angles]
-    region = kernel.classify_region(
-        c1.numerator, 2 * a1 * c1.denominator,
-        c2.numerator, 2 * a2 * c2.denominator,
-        c3.numerator, 2 * a3 * c3.denominator,
-    )
+    (n1, d1), (n2, d2), (n3, d3) = [beta.coeff.as_integer_ratio() for beta in cs.angles]
+    region = kernel.classify_region(n1, 2 * a1 * d1, n2, 2 * a2 * d2, n3, 2 * a3 * d3)
     return _ROWS.get(region, _NO_ROW)[_euler_numerator(cs.sig.b, cs.sig.fibers) != 0]
 
 
@@ -224,6 +223,7 @@ def family_dimension(sig: SeifertSignature, singular) -> FamilyDimension:
         an orbifold-like structure unless it degenerates to the
         manifold point (a_free = a_j).
     """
+    _require(sig, "sig", SeifertSignature)
     try:
         singular = frozenset(singular)
     except TypeError:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import groupby, repeat
 from operator import itemgetter
 
-from .arith import TWO_PI, _Value
+from .arith import TWO_PI, _Value, _require
 from .seifert import _GEOMETRIES
 from .surgery import TorusKnot, _column, _column_names, _euler_zero_slope, _orbifold_xs, x_limits
 
@@ -95,6 +95,7 @@ _TEXT = '<text x="%s" y="%s"%s>%s</text>'
 
 def render_svg(model: PlotModel) -> str:
     """Standalone SVG 1.1 text for the model; byte-deterministic."""
+    _require(model, "model", PlotModel)
     x_lo, x_hi = -0.5, float(model.window.x_max) + 0.5
     y_lo, y_hi = model.window.y_min - 0.5, model.window.y_max + 0.5
     left, right, bottom, top = _num(x_lo), _num(x_hi), _num(y_lo), _num(y_hi)
@@ -204,6 +205,7 @@ def render_svg(model: PlotModel) -> str:
 
 def export_csv(model: PlotModel) -> str:
     """CSV of the classified manifold points: m,n,p,q,x,geometry."""
+    _require(model, "model", PlotModel)
     lines = ["m,n,p,q,x,geometry"]
     for m, column in groupby(model.points, itemgetter(0)):
         head = f"{m},"

@@ -123,7 +123,10 @@ def normalize_with_order(sig: SeifertSignature) -> tuple[SeifertSignature, tuple
     """Normal form together with the fibre permutation that produced it.
 
     order[k] is the index in sig.fibers of the k-th normalized fibre, so
-    per-fibre data (cone angles) can be carried through the sort.
+    per-fibre data (cone angles) can be carried through the sort.  A
+    SeifertSignature already in normal form comes back as itself, with
+    order (0, 1, 2); a subclass instance comes back as a new
+    SeifertSignature.
     """
     (a1, b1), (a2, b2), (a3, b3) = sig.fibers
     q1, r1 = divmod(b1, a1)
@@ -131,12 +134,17 @@ def normalize_with_order(sig: SeifertSignature) -> tuple[SeifertSignature, tuple
     q3, r3 = divmod(b3, a3)
     # Sorting the triples (-a, b mod a, i) is the stable sort by (-a, b mod a).
     (n1, s1, i), (n2, s2, j), (n3, s3, k) = sorted(((-a1, r1, 0), (-a2, r2, 1), (-a3, r3, 2)))
+    # In normal form already: the order is the identity and each b mod a is b.
+    if i == 0 and j == 1 and not (q1 or q2 or q3) and sig.__class__ is SeifertSignature:
+        return sig, (0, 1, 2)
     # Valid by construction: gcd(a, b mod a) = gcd(a, b) = 1 and a is unchanged.
     norm = SeifertSignature._unchecked(sig.b + q1 + q2 + q3, ((-n1, s1), (-n2, s2), (-n3, s3)))
     return norm, (i, j, k)
 
 
 def normalize(sig: SeifertSignature) -> SeifertSignature:
+    if sig.__class__ is not SeifertSignature:
+        _require(sig, "sig", SeifertSignature)
     return normalize_with_order(sig)[0]
 
 
@@ -197,6 +205,8 @@ def lens_params(sig: SeifertSignature) -> tuple[int, int]:
     [0, |m|).  Swapping the fibres replaces n by its inverse mod m,
     which is the same lens space.  m = 0 (that is e = 0) is an error.
     """
+    if sig.__class__ is not SeifertSignature:
+        _require(sig, "sig", SeifertSignature)
     b = sig.b
     exceptional = []
     for a, bi in sig.fibers:
@@ -303,6 +313,8 @@ def named_family(sig: SeifertSignature) -> FamilyId:
     order; the prism is Prism(n, m), and a Euclidean-base family adds
     the least normalized b_i with a_i > 2.  Generic otherwise.
     """
+    if sig.__class__ is not SeifertSignature:
+        _require(sig, "sig", SeifertSignature)
     mults = tuple(sorted(sig.multiplicities()))
     family = _family_of(mults)
     if family is None:
@@ -327,6 +339,7 @@ def family_signature(family: FamilyId) -> SeifertSignature:
     -e*L = m fixes b*z + r3 of the largest fibre z; the candidate whose
     named_family gives back the parameters is the answer.
     """
+    _require(family, "family", FamilyId)
     kind, params = family.kind, family.params
     if kind is FamilyKind.PRISM:
         if len(params) != 2 or params[0] < 2:

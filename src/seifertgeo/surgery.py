@@ -125,6 +125,7 @@ def _core(spec: SurgerySpec) -> tuple[int, int]:
 
 def surgery_signature(spec: SurgerySpec) -> SeifertSignature:
     """Raw signature of the surgered manifold, core fibre last."""
+    _require(spec, "spec", SurgerySpec)
     m, eps = _core(spec)
     b1, b2 = spec.knot.coeffs()
     return SeifertSignature(
@@ -133,12 +134,15 @@ def surgery_signature(spec: SurgerySpec) -> SeifertSignature:
 
 
 def line_of_surgery(spec: SurgerySpec) -> LinePoint:
+    _require(spec, "spec", SurgerySpec)
     m, eps = _core(spec)
     return LinePoint(m, eps * spec.q)
 
 
 def surgery_of_line(knot: TorusKnot, point: LinePoint) -> SurgerySpec:
     """Inverse chart: the slope whose surgery sits on the ray l_{m/n}."""
+    _require(knot, "knot", TorusKnot)
+    _require(point, "point", LinePoint)
     [(_, _, p, q, _)] = _column(_euler_zero_slope(knot), point.m, point.n, point.n, None, None)
     return SurgerySpec(knot, p, q)
 
@@ -164,6 +168,7 @@ def _column(z: int, m: int, n_lo: int, n_hi: int, flat, twisted) -> list[tuple]:
 
 def x_limits(knot: TorusKnot) -> tuple[Fraction, Fraction]:
     """(x_U, x_L): abscissas of the sphericity limits on every ray."""
+    _require(knot, "knot", TorusKnot)
     alpha_lower, alpha_upper = base_limits(knot.s, knot.r)
     return 1 / alpha_upper.coeff, 1 / alpha_lower.coeff
 
@@ -240,6 +245,7 @@ def atlas(knot: TorusKnot, m_max: int, n_range: tuple[int, int], k_max: int) -> 
     abscissa x = k*m with cone angle beta = 2*pi/k on the core, and the
     resulting geometry.  Ordering is by (m, n, k).
     """
+    _require(knot, "knot", TorusKnot)
     _require(m_max, "m_max")
     _require(k_max, "k_max")
     try:

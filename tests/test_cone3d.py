@@ -6,6 +6,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from seifertgeo import kernel
 from seifertgeo.arith import PiRational, TWO_PI
@@ -136,6 +137,42 @@ class TestClassifyCone:
                     tuple(ang[i] for i in perm),
                 )
                 assert classify_cone(cs) == base
+
+    @given(
+        st.integers(-3, 3),
+        st.lists(
+            st.tuples(st.integers(1, 6), st.integers(-12, 12), st.integers(1, 3), st.integers(0, 36))
+            .filter(lambda f: math.gcd(f[0], f[1]) == 1)
+            .map(lambda f: (*f[:3], f[3] % (2 * f[0] * f[2] + 1))),
+            min_size=3,
+            max_size=3,
+        ),
+        st.permutations(range(3)),
+        st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+    )
+    @settings(max_examples=200)
+    def test_fibre_moves_and_permutations_carry_the_angles(self, b, fibres, perm, moves):
+        # Fibre i is (a, b_i) with cone angle num/den*pi.
+        sig = S(b, tuple((a, bi) for a, bi, _, _ in fibres))
+        ang = tuple(PiRational(num, den) for _, _, den, num in fibres)
+        cs = ConeStructure(sig, ang)
+        norm = cs.sig
+        assert norm == normalize(sig)
+        assert all(0 <= bi < a for a, bi in norm.fibers)
+        assert list(norm.fibers) == sorted(norm.fibers, key=lambda f: (-f[0], f[1]))
+        residues = [(a, bi % a) for a, bi in sig.fibers]
+        assert sorted(zip(norm.fibers, cs.angles)) == sorted(zip(residues, ang))
+        # Every signature of the manifold is the normal form permuted, with
+        # b_i + k*a_i and b - k; the angle goes with its fibre.
+        permuted = [norm.fibers[i] for i in perm]
+        for ks in (moves, (0, 0, 0)):
+            moved = S(norm.b - sum(ks), tuple((a, bi + k * a) for (a, bi), k in zip(permuted, ks)))
+            moved_cs = ConeStructure(moved, tuple(cs.angles[i] for i in perm))
+            assert moved_cs.sig == norm
+            assert sorted(zip(norm.fibers, moved_cs.angles)) == sorted(zip(norm.fibers, cs.angles))
+            if len(set(norm.fibers)) == 3:  # equal fibres may swap their angles
+                assert moved_cs == cs
+            assert classify_cone(moved_cs) == classify_cone(cs)
 
 
 # Reference decision through the Fraction API: the region of the

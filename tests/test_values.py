@@ -15,17 +15,21 @@ import pytest
 
 import seifertgeo
 from seifertgeo.arith import Handedness, PiRational, TWO_PI, _Value, bezout, fiber_coeffs
-from seifertgeo.base2d import BasePoint, base_limits
+from seifertgeo.base2d import BasePoint, base_limits, classify_triangle, curvature_parameter
 from seifertgeo.cone3d import (
     ConeStructure, FamilyDimension, GeometryResult, SphericityInterval, classify_cone,
     family_dimension, manifold_geometry_from_limits, sphericity_limits,
 )
-from seifertgeo.plot import PlotModel, PlotPoint, PlotWindow, build_plot
+from seifertgeo.plot import PlotModel, PlotPoint, PlotWindow, build_plot, export_csv, render_svg
 from seifertgeo.seifert import (
-    FamilyId, FamilyKind, GeometryType, SeifertSignature, euler_number, homology_order,
-    identify_family, manifold_geometry, orbifold_euler_char,
+    FamilyId, FamilyKind, GeometryType, SeifertSignature, euler_number, family_signature,
+    homology_order, identify_family, lens_params, manifold_geometry, named_family, normalize,
+    orbifold_euler_char,
 )
-from seifertgeo.surgery import LinePoint, SurgerySpec, TorusKnot, atlas, brieskorn_surgery
+from seifertgeo.surgery import (
+    LinePoint, SurgerySpec, TorusKnot, atlas, brieskorn_surgery, line_of_surgery, nil_admissible,
+    spherical_orbifold_angles, surgery_of_line, surgery_signature, x_limits,
+)
 
 POINCARE = ((2, 1), (3, 1), (5, 1))
 POINCARE_SIG = SeifertSignature(-1, POINCARE[::-1])
@@ -162,7 +166,8 @@ class TestDefaults:
 
 
 def _value_classes():
-    """Every _Value subclass, found recursively once every module is imported."""
+    """Every _Value subclass of the package, found recursively once every
+    module is imported; subclasses that tests define are left out."""
     for module in pkgutil.iter_modules(seifertgeo.__path__):
         if module.name != "__main__":
             importlib.import_module("seifertgeo." + module.name)
@@ -171,7 +176,7 @@ def _value_classes():
         subclasses = todo.pop().__subclasses__()
         found.update(subclasses)
         todo += subclasses
-    return found
+    return {cls for cls in found if cls.__module__.startswith("seifertgeo.")}
 
 
 # Classes whose values are checked against their _KINDS; PlotPoint is a namedtuple.
@@ -215,25 +220,107 @@ class TestFieldContract:
         assert str(exc.value) == message
 
 
+# One value of each kind a public function takes; each check below passes
+# the ones that are not of the parameter's type.
+SAMPLES = (
+    POINCARE_SIG,
+    ConeStructure(POINCARE_SIG, (TWO_PI,) * 3),
+    BasePoint(Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)),
+    FamilyId(FamilyKind.TETRAHEDRAL, (1,)),
+    TREFOIL,
+    SurgerySpec(TREFOIL, 1, 1),
+    LinePoint(5, 1),
+    _model(),
+)
+
+
+# (function, parameter, its type, the arguments with None in its place)
+ENTRY_CHECKS = [
+    (manifold_geometry, "sig", SeifertSignature, (None,)),
+    (euler_number, "sig", SeifertSignature, (None,)),
+    (orbifold_euler_char, "sig", SeifertSignature, (None,)),
+    (homology_order, "sig", SeifertSignature, (None,)),
+    (identify_family, "sig", SeifertSignature, (None,)),
+    (normalize, "sig", SeifertSignature, (None,)),
+    (lens_params, "sig", SeifertSignature, (None,)),
+    (named_family, "sig", SeifertSignature, (None,)),
+    (family_signature, "family", FamilyId, (None,)),
+    (family_dimension, "sig", SeifertSignature, (None, ())),
+    (classify_cone, "cs", ConeStructure, (None,)),
+    (classify_triangle, "point", BasePoint, (None,)),
+    (curvature_parameter, "point", BasePoint, (None,)),
+    (x_limits, "knot", TorusKnot, (None,)),
+    (spherical_orbifold_angles, "knot", TorusKnot, (None,)),
+    (nil_admissible, "knot", TorusKnot, (None,)),
+    (atlas, "knot", TorusKnot, (None, 1, (0, 1), 1)),
+    (surgery_of_line, "knot", TorusKnot, (None, LinePoint(5, 1))),
+    (surgery_of_line, "point", LinePoint, (TREFOIL, None)),
+    (surgery_signature, "spec", SurgerySpec, (None,)),
+    (line_of_surgery, "spec", SurgerySpec, (None,)),
+    (render_svg, "model", PlotModel, (None,)),
+    (export_csv, "model", PlotModel, (None,)),
+]
+
+
 class TestEntryChecks:
     @pytest.mark.parametrize(
-        "func, field",
-        [
-            (manifold_geometry, "sig"),
-            (euler_number, "sig"),
-            (orbifold_euler_char, "sig"),
-            (homology_order, "sig"),
-            (identify_family, "sig"),
-            (classify_cone, "cs"),
-        ],
-        ids=lambda arg: getattr(arg, "__name__", arg),
+        "func, field, kind, args",
+        ENTRY_CHECKS,
+        ids=["%s-%s" % (func.__name__, field) for func, field, _, _ in ENTRY_CHECKS],
     )
-    def test_a_wrong_type_raises_naming_the_parameter(self, func, field):
-        other = POINCARE_SIG if field == "cs" else ConeStructure(POINCARE_SIG, (TWO_PI,) * 3)
-        for bad in (None, True, 1, "x", TREFOIL, other):
+    def test_a_wrong_type_raises_naming_the_parameter(self, func, field, kind, args):
+        others = [value for value in SAMPLES if not isinstance(value, kind)]
+        for bad in (None, True, 1, "x", *others):
+            given = [bad if arg is None else arg for arg in args]
             with pytest.raises(ValueError) as exc:
-                func(bad)
+                func(*given)
             assert str(exc.value).startswith(field + " must be a "), (bad, str(exc.value))
+
+
+class _Signature(SeifertSignature):
+    pass
+
+
+class _Angles(tuple):
+    pass
+
+
+class TestConeStructureInputs:
+    """The exact-class fast paths accept what the general path accepts."""
+
+    SIG = SeifertSignature(-1, POINCARE)
+    ANGLES = (TWO_PI, PiRational(3), PiRational(5))
+
+    @pytest.mark.parametrize(
+        "sig, angles",
+        [
+            (_Signature(-1, POINCARE), ANGLES),
+            (SIG, list(ANGLES)),
+            (SIG, _Angles(ANGLES)),
+            (_Signature(-1, POINCARE), _Angles(ANGLES)),
+        ],
+        ids=["signature-subclass", "list", "tuple-subclass", "both-subclasses"],
+    )
+    def test_other_classes_give_the_plain_value(self, sig, angles):
+        cs = ConeStructure(sig, angles)
+        plain = ConeStructure(self.SIG, self.ANGLES)
+        assert cs == plain and hash(cs) == hash(plain)
+        assert cs.sig.__class__ is SeifertSignature and cs.angles.__class__ is tuple
+
+    @pytest.mark.parametrize(
+        "angles", [None, "ab", {0: TWO_PI, 1: TWO_PI, 2: TWO_PI}], ids=["None", "str", "dict"]
+    )
+    def test_angles_that_are_not_a_sequence_are_refused(self, angles):
+        with pytest.raises(ValueError) as exc:
+            ConeStructure(self.SIG, angles)
+        assert str(exc.value).startswith("angles must be a tuple or a list, got ")
+
+    def test_normalize_returns_a_plain_signature(self):
+        normal = normalize(self.SIG)
+        assert normalize(normal) is normal
+        sub = _Signature(normal.b, normal.fibers)
+        assert normalize(sub).__class__ is SeifertSignature
+        assert normalize(sub) == normal and hash(normalize(sub)) == hash(normal)
 
 
 class TestPiRationalOrder:
