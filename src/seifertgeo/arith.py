@@ -116,6 +116,7 @@ class _Value:
     _KINDS = ()
 
     def __init_subclass__(cls):
+        cls.__slots__ = cls.__slots__ or cls.__mro__[1].__slots__  # __slots__ = () keeps the parent's fields
         cls._key = attrgetter(*cls.__slots__)
 
     @classmethod

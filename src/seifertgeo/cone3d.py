@@ -79,20 +79,26 @@ class ConeStructure(_Value):
             for i, beta in enumerate(angles):
                 _angle(beta, "angles[%d]" % i)
             raise
-        if len(angles) != len(sig.fibers):
-            raise ValueError(
-                "expected %d cone angles, got %d" % (len(sig.fibers), len(angles))
-            )
+        if len(angles) != 3:
+            raise ValueError("expected 3 cone angles, got %d" % len(angles))
         norm, (i, j, k) = normalize_with_order(sig)
-        angles = (angles[i], angles[j], angles[k])
-        for (a, _), beta in zip(norm.fibers, angles):
-            num, den = beta.coeff.as_integer_ratio()
-            if num > 2 * a * den:
-                raise ValueError(
-                    "cone angle %s exceeds 2*pi*%d on a fibre of multiplicity %d" % (beta, a, a)
-                )
+        x1, x2, x3 = angles[i], angles[j], angles[k]
+        (a1, _), (a2, _), (a3, _) = f1, f2, f3 = norm.fibers
+        n1, d1 = x1.coeff.as_integer_ratio()
+        n2, d2 = x2.coeff.as_integer_ratio()
+        n3, d3 = x3.coeff.as_integer_ratio()
+        if n1 > 2 * a1 * d1 or n2 > 2 * a2 * d2 or n3 > 2 * a3 * d3:
+            a, beta = next((a, beta) for a, beta in ((a1, x1), (a2, x2), (a3, x3)) if beta.coeff > 2 * a)
+            raise ValueError("cone angle %s exceeds 2*pi*%d on a fibre of multiplicity %d" % (beta, a, a))
+        # Equal fibres take their angles in increasing order, so the value is canonical.
+        if f1 == f2 and n1 * d2 > n2 * d1:
+            x1, n1, d1, x2, n2, d2 = x2, n2, d2, x1, n1, d1
+        if f2 == f3 and n2 * d3 > n3 * d2:
+            x2, n2, d2, x3 = x3, n3, d3, x2
+            if f1 == f2 and n1 * d2 > n2 * d1:
+                x1, x2 = x2, x1
         object.__setattr__(self, "sig", norm)
-        object.__setattr__(self, "angles", angles)
+        object.__setattr__(self, "angles", (x1, x2, x3))
 
     def base_point(self) -> BasePoint:
         return BasePoint(
@@ -109,7 +115,10 @@ def classify_cone(cs: ConeStructure) -> GeometryResult:
     if cs.__class__ is not ConeStructure:
         _require(cs, "cs", ConeStructure)
     (a1, _), (a2, _), (a3, _) = cs.sig.fibers
-    (n1, d1), (n2, d2), (n3, d3) = [beta.coeff.as_integer_ratio() for beta in cs.angles]
+    x1, x2, x3 = cs.angles
+    n1, d1 = x1.coeff.as_integer_ratio()
+    n2, d2 = x2.coeff.as_integer_ratio()
+    n3, d3 = x3.coeff.as_integer_ratio()
     region = kernel.classify_region(n1, 2 * a1 * d1, n2, 2 * a2 * d2, n3, 2 * a3 * d3)
     return _ROWS.get(region, _NO_ROW)[_euler_numerator(cs.sig.b, cs.sig.fibers) != 0]
 

@@ -47,22 +47,33 @@ class SeifertSignature(_Value):
     def __init__(self, b: int, fibers):
         if b.__class__ is not int:  # exact ints skip the call, as in the fibres
             self._check(b)
+        # Read the caller's iterable and each pair once, so a one-shot iterator acts as a tuple.
         try:
-            fibers = tuple([(a, bi) for a, bi in fibers])
+            pairs = tuple(fibers)
+            if len(pairs) == 3:
+                (a1, b1), (a2, b2), (a3, b3) = pairs
+            else:
+                pairs = [(a, bi) for a, bi in pairs]
         except (TypeError, ValueError):
             raise ValueError("fibers must be a sequence of pairs (a, b), got %r" % (fibers,)) from None
-        if not 1 <= len(fibers) <= 3:
-            raise ValueError("signature needs 1 to 3 fibre pairs, got %d" % len(fibers))
-        fibers += ((1, 0),) * (3 - len(fibers))
-        for i, (a, bi) in enumerate(fibers):
-            # exact ints skip the call; an int subclass other than bool passes it
-            if a.__class__ is not int or bi.__class__ is not int:
-                _require(a, "fibers[%d][0]" % i)
-                _require(bi, "fibers[%d][1]" % i)
-            if a < 1:
-                raise ValueError("fibre multiplicity must be >= 1, got %d" % a)
-            if gcd(a, bi) != 1:
-                raise ValueError("fibre pair (%d, %d) is not coprime" % (a, bi))
+        if len(pairs) != 3:
+            if not 1 <= len(pairs) <= 3:
+                raise ValueError("signature needs 1 to 3 fibre pairs, got %d" % len(pairs))
+            (a1, b1), (a2, b2), (a3, b3) = pairs + [(1, 0)] * (3 - len(pairs))
+        fibers = ((a1, b1), (a2, b2), (a3, b3))
+        # Exact ints pass in one test; else the loop raises the first error or accepts int subclasses.
+        if not (
+            a1.__class__ is b1.__class__ is a2.__class__ is b2.__class__ is a3.__class__ is b3.__class__ is int
+            and a1 >= 1 and a2 >= 1 and a3 >= 1 and gcd(a1, b1) == gcd(a2, b2) == gcd(a3, b3) == 1
+        ):
+            for i, (a, bi) in enumerate(fibers):
+                if a.__class__ is not int or bi.__class__ is not int:
+                    _require(a, "fibers[%d][0]" % i)
+                    _require(bi, "fibers[%d][1]" % i)
+                if a < 1:
+                    raise ValueError("fibre multiplicity must be >= 1, got %d" % a)
+                if gcd(a, bi) != 1:
+                    raise ValueError("fibre pair (%d, %d) is not coprime" % (a, bi))
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "fibers", fibers)
 
@@ -129,14 +140,14 @@ def normalize_with_order(sig: SeifertSignature) -> tuple[SeifertSignature, tuple
     SeifertSignature.
     """
     (a1, b1), (a2, b2), (a3, b3) = sig.fibers
+    if (0 <= b1 < a1 and 0 <= b2 < a2 and 0 <= b3 < a3 and (a1 > a2 or a1 == a2 and b1 <= b2)
+            and (a2 > a3 or a2 == a3 and b2 <= b3) and sig.__class__ is SeifertSignature):
+        return sig, (0, 1, 2)
     q1, r1 = divmod(b1, a1)
     q2, r2 = divmod(b2, a2)
     q3, r3 = divmod(b3, a3)
     # Sorting the triples (-a, b mod a, i) is the stable sort by (-a, b mod a).
     (n1, s1, i), (n2, s2, j), (n3, s3, k) = sorted(((-a1, r1, 0), (-a2, r2, 1), (-a3, r3, 2)))
-    # In normal form already: the order is the identity and each b mod a is b.
-    if i == 0 and j == 1 and not (q1 or q2 or q3) and sig.__class__ is SeifertSignature:
-        return sig, (0, 1, 2)
     # Valid by construction: gcd(a, b mod a) = gcd(a, b) = 1 and a is unchanged.
     norm = SeifertSignature._unchecked(sig.b + q1 + q2 + q3, ((-n1, s1), (-n2, s2), (-n3, s3)))
     return norm, (i, j, k)
@@ -297,11 +308,11 @@ def identify_family(sig: SeifertSignature) -> FamilyId:
             return GENERIC
         return FamilyId._unchecked(FamilyKind.LENS, lens_params(normalize(sig)))
 
-    a1, a2, a3 = sorted((a1, a2, a3))
-    if gcd(a1, a2) == gcd(a1, a3) == gcd(a2, a3) == 1:
-        if homology_order(sig) == 1:
-            return FamilyId._unchecked(FamilyKind.BRIESKORN, (a1, a2, a3))
-    return named_family(sig)
+    mults = tuple(sorted((a1, a2, a3)))
+    # |H1| = 1 makes the a_i pairwise coprime: gcd(a_i, a_j) divides each term of e*a1*a2*a3.
+    if abs(_euler_numerator(sig.b, sig.fibers)) == 1:
+        return FamilyId._unchecked(FamilyKind.BRIESKORN, mults)
+    return _named_family(sig, mults)
 
 
 def named_family(sig: SeifertSignature) -> FamilyId:
@@ -315,7 +326,11 @@ def named_family(sig: SeifertSignature) -> FamilyId:
     """
     if sig.__class__ is not SeifertSignature:
         _require(sig, "sig", SeifertSignature)
-    mults = tuple(sorted(sig.multiplicities()))
+    return _named_family(sig, tuple(sorted(sig.multiplicities())))
+
+
+def _named_family(sig: SeifertSignature, mults: tuple[int, int, int]) -> FamilyId:
+    """named_family of a checked signature with its sorted multiplicities."""
     family = _family_of(mults)
     if family is None:
         return GENERIC

@@ -3,7 +3,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -63,14 +63,21 @@ class TestConeStructure:
         cs = ConeStructure(S(-1, ((2, 1), (3, 1), (5, 1))), angles(2, 2, "1/5"))
         assert [beta != TWO_PI for beta in cs.angles] == [True, False, False]
 
-    def test_tied_fibres_keep_their_order(self):
-        # (3, 1) and (3, -2) tie once reduced; their angles keep the given order
-        cs = ConeStructure(S(0, ((2, 1), (3, 1), (3, -2))), angles(1, "1/3", "2/3"))
-        assert cs.sig == S(-1, ((3, 1), (3, 1), (2, 1)))
-        assert cs.angles == angles("1/3", "2/3", 1)
-        cs = ConeStructure(S(0, ((3, 4), (3, 1), (3, 1))), angles(3, 2, 1))
-        assert cs.sig == S(1, ((3, 1), (3, 1), (3, 1)))
-        assert cs.angles == angles(3, 2, 1)
+    def test_tied_fibres_order_their_angles(self):
+        # (3, 1) and (3, -2) tie once reduced; tied fibres take their angles in increasing order
+        for given in (angles(1, "1/3", "2/3"), angles(1, "2/3", "1/3")):
+            cs = ConeStructure(S(0, ((2, 1), (3, 1), (3, -2))), given)
+            assert cs.sig == S(-1, ((3, 1), (3, 1), (2, 1)))
+            assert cs.angles == angles("1/3", "2/3", 1)
+        for given in permutations((3, 2, 1)):
+            cs = ConeStructure(S(0, ((3, 4), (3, 1), (3, 1))), angles(*given))
+            assert cs.sig == S(1, ((3, 1), (3, 1), (3, 1)))
+            assert cs.angles == angles(1, 2, 3)
+        # the same cone manifold, its tied angles given in either order
+        one = ConeStructure(S(-1, ((3, 1), (2, 1), (2, 1))), angles(2, 1, 2))
+        other = ConeStructure(S(-1, ((3, 1), (2, 1), (2, 1))), angles(2, 2, 1))
+        assert one == other and hash(one) == hash(other)
+        assert one.angles == angles(2, 1, 2)
 
     def test_takes_an_angle_subclass_an_int_and_a_fraction(self):
         class Angle(PiRational):
@@ -170,8 +177,7 @@ class TestClassifyCone:
             moved_cs = ConeStructure(moved, tuple(cs.angles[i] for i in perm))
             assert moved_cs.sig == norm
             assert sorted(zip(norm.fibers, moved_cs.angles)) == sorted(zip(norm.fibers, cs.angles))
-            if len(set(norm.fibers)) == 3:  # equal fibres may swap their angles
-                assert moved_cs == cs
+            assert moved_cs == cs
             assert classify_cone(moved_cs) == classify_cone(cs)
 
 

@@ -7,8 +7,11 @@ reads Name(field=value, ...), and values survive pickle and copy.
 
 import copy
 import importlib
+import inspect
 import pickle
 import pkgutil
+import types
+import typing
 from fractions import Fraction
 
 import pytest
@@ -27,8 +30,8 @@ from seifertgeo.seifert import (
     orbifold_euler_char,
 )
 from seifertgeo.surgery import (
-    LinePoint, SurgerySpec, TorusKnot, atlas, brieskorn_surgery, line_of_surgery, nil_admissible,
-    spherical_orbifold_angles, surgery_of_line, surgery_signature, x_limits,
+    LinePoint, SurgerySpec, TorusKnot, atlas, brieskorn_surgery, classify_surgery_cone, line_of_surgery,
+    nil_admissible, spherical_orbifold_angles, surgery_of_line, surgery_signature, x_limits,
 )
 
 POINCARE = ((2, 1), (3, 1), (5, 1))
@@ -234,7 +237,7 @@ SAMPLES = (
 )
 
 
-# (function, parameter, its type, the arguments with None in its place)
+# (function, parameter, the types it takes, the arguments with None in its place)
 ENTRY_CHECKS = [
     (manifold_geometry, "sig", SeifertSignature, (None,)),
     (euler_number, "sig", SeifertSignature, (None,)),
@@ -256,6 +259,8 @@ ENTRY_CHECKS = [
     (surgery_of_line, "knot", TorusKnot, (None, LinePoint(5, 1))),
     (surgery_of_line, "point", LinePoint, (TREFOIL, None)),
     (surgery_signature, "spec", SurgerySpec, (None,)),
+    (classify_surgery_cone, "spec", SurgerySpec, (None, TWO_PI)),
+    (classify_surgery_cone, "beta", (PiRational, int, Fraction), (SurgerySpec(TREFOIL, 1, 1), None)),
     (line_of_surgery, "spec", SurgerySpec, (None,)),
     (render_svg, "model", PlotModel, (None,)),
     (export_csv, "model", PlotModel, (None,)),
@@ -269,16 +274,38 @@ class TestEntryChecks:
         ids=["%s-%s" % (func.__name__, field) for func, field, _, _ in ENTRY_CHECKS],
     )
     def test_a_wrong_type_raises_naming_the_parameter(self, func, field, kind, args):
-        others = [value for value in SAMPLES if not isinstance(value, kind)]
-        for bad in (None, True, 1, "x", *others):
+        others = [value for value in (1, *SAMPLES) if not isinstance(value, kind)]
+        for bad in (None, True, "x", *others):
             given = [bad if arg is None else arg for arg in args]
             with pytest.raises(ValueError) as exc:
                 func(*given)
             assert str(exc.value).startswith(field + " must be a "), (bad, str(exc.value))
 
+    def test_every_value_parameter_of_a_public_function_has_a_row(self):
+        # A public function that takes a value type needs a row above, or it
+        # could take any object unchecked.
+        rows = {(func, field): kind for func, field, kind, _ in ENTRY_CHECKS}
+        missing = []
+        for name, module in sorted(seifertgeo._HOME.items()):
+            func = getattr(importlib.import_module("seifertgeo." + module), name)
+            if not inspect.isfunction(func):
+                continue
+            for param, hint in typing.get_type_hints(func).items():
+                union = typing.get_origin(hint) in (typing.Union, types.UnionType)
+                values = [t for t in (typing.get_args(hint) if union else (hint,)) if _is_value_type(t)]
+                kinds = rows.get((func, param), ())
+                kinds = kinds if kinds.__class__ is tuple else (kinds,)
+                if param != "return" and any(t not in kinds for t in values):
+                    missing.append("%s(%s)" % (name, param))
+        assert missing == []
+
+
+def _is_value_type(hint):
+    return isinstance(hint, type) and issubclass(hint, _Value)
+
 
 class _Signature(SeifertSignature):
-    pass
+    __slots__ = ()
 
 
 class _Angles(tuple):
@@ -314,6 +341,19 @@ class TestConeStructureInputs:
         with pytest.raises(ValueError) as exc:
             ConeStructure(self.SIG, angles)
         assert str(exc.value).startswith("angles must be a tuple or a list, got ")
+
+    def test_a_subclass_with_empty_slots_keeps_the_fields(self):
+        sub = _Signature(-1, POINCARE)
+        assert not hasattr(sub, "__dict__")
+        with pytest.raises(AttributeError):
+            sub.extra = 1
+        assert sub == _Signature(-1, iter(POINCARE)) and hash(sub) == hash(_Signature(-1, POINCARE))
+        assert sub != _Signature(0, POINCARE) and sub != self.SIG
+        assert repr(sub) == "_Signature(b=-1, fibers=((2, 1), (3, 1), (5, 1)))"
+        for clone in (pickle.loads(pickle.dumps(sub)), copy.copy(sub), copy.deepcopy(sub)):
+            assert type(clone) is _Signature and clone == sub
+        with pytest.raises(ValueError, match="^fibers must be a tuple, got 'x'$"):
+            _Signature._check(-1, "x")
 
     def test_normalize_returns_a_plain_signature(self):
         normal = normalize(self.SIG)
@@ -493,3 +533,40 @@ class TestMalformedShapes:
     def test_any_iterable_of_pairs_still_builds(self):
         pairs = ((2, 1), (3, 1), (5, 1))
         assert SeifertSignature(-1, iter(pairs)) == SeifertSignature(-1, [list(p) for p in pairs])
+
+
+def _once(*items):
+    """A one-shot iterator over items."""
+    return (item for item in items)
+
+
+# id -> (fibers, the error): the signature reads its input once, so a
+# one-shot iterator gives the error that a tuple of the same pairs gives.
+ONE_PASS = {
+    "generator-three-pairs": (
+        lambda: _once((2, 1), (4, 2), (3, 1)), "fibre pair (4, 2) is not coprime"
+    ),
+    "generator-two-pairs": (lambda: _once((2, 1), (4, 2)), "fibre pair (4, 2) is not coprime"),
+    "pair-iterator": (lambda: (_once(6, 4), (3, 1)), "fibre pair (6, 4) is not coprime"),
+    "str": (lambda: "abc", "fibers must be a sequence of pairs (a, b), got 'abc'"),
+    "zero-then-not-coprime": (
+        lambda: _once((2, 1), (0, 1), (4, 2)), "fibre multiplicity must be >= 1, got 0"
+    ),
+    "not-coprime-then-zero": (lambda: ((4, 2), (0, 1), (2, 1)), "fibre pair (4, 2) is not coprime"),
+}
+
+
+class TestOnePassInput:
+    @pytest.mark.parametrize("case", sorted(ONE_PASS))
+    def test_gives_the_error_of_the_same_pairs_in_a_tuple(self, case):
+        fibers, message = ONE_PASS[case]
+        with pytest.raises(ValueError) as exc:
+            SeifertSignature(0, fibers())
+        assert str(exc.value) == message
+        if case != "str":
+            with pytest.raises(ValueError) as exc:
+                SeifertSignature(0, tuple(tuple(pair) for pair in fibers()))
+            assert str(exc.value) == message
+
+    def test_a_pair_iterator_is_read_once(self):
+        assert SeifertSignature(-1, (iter((2, 1)), _once(3, 1), (5, 1))) == SeifertSignature(-1, POINCARE)
