@@ -25,7 +25,7 @@ _HOMES = {
     "arith": "Handedness PiRational bezout fiber_coeffs",
     "base2d": "BasePoint base_limits classify_triangle curvature_parameter",
     "cone3d": "ConeStructure FamilyDimension GeometryResult NO_STRUCTURE SphericityInterval classify_cone"
-    " family_dimension manifold_geometry_from_limits sphericity_limits sphericity_ratio",
+    " family_dimension sphericity_limits",
     "kernel": "RegionClass",
     "seifert": "FamilyId FamilyKind GeometryType SeifertSignature euler_number family_signature"
     " homology_order identify_family lens_params manifold_geometry named_family normalize orbifold_euler_char",

@@ -223,6 +223,8 @@ def _cmd_plot(args) -> int:
     from .plot import PlotWindow, build_plot, export_csv, render_svg
     from .surgery import TorusKnot
 
+    if args.csv and os.path.realpath(args.csv) == os.path.realpath(args.out):
+        raise ValueError("--out and --csv name the same file %r" % args.csv)
     r, s = args.knot
     knot = TorusKnot(r, s, args.hand)
     y_max = args.ymax if args.ymax is not None else args.xmax

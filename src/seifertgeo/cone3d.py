@@ -20,17 +20,18 @@ exactly between the sphericity limits
 where (alpha_L, alpha_U) = base2d.base_limits(a1, a2) is the band of
 the singular fibre's base angle.  The base curvature has the sign of
 beta - beta_L below beta_U, so the geometry is Nil (Euclidean when
-e = 0) at beta_L and SL2R (H2xR) below it.  The ratio beta_U / beta_L
-does not depend on a3 and the width is 4*pi*a3/a2.
+e = 0) at beta_L and SL2R (H2xR) below it.  The ratio beta_U / beta_L,
+SphericityInterval.ratio, is free of a3; the width is 4*pi*a3/a2.
 """
 
 from __future__ import annotations
 
+from enum import Enum
 from fractions import Fraction
 from types import NoneType
 
 from . import kernel
-from .arith import PiRational, TWO_PI, _Value, _angle, _require
+from .arith import PiRational, _Value, _angle, _require
 from .base2d import BasePoint, base_limits
 from .seifert import _GEOMETRIES, GeometryType, SeifertSignature, _euler_numerator, normalize, normalize_with_order
 
@@ -157,60 +158,28 @@ def sphericity_limits(a1: int, a2: int, a3: int) -> SphericityInterval:
     return SphericityInterval(lower * (2 * a3), upper * (2 * a3))
 
 
-def sphericity_ratio(a1: int, a2: int) -> Fraction:
-    """beta_U / beta_L, independent of the singular multiplicity."""
-    return sphericity_limits(a1, a2, 1).ratio()
+class FamilyDimension(Enum):
+    """Dimension of the cone structures with a fixed singular set: a family
+    of 0 to 3 parameters, an isolated orbifold-like structure, or none."""
 
-
-def manifold_geometry_from_limits(
-    a1: int, a2: int, a3: int, euler_zero: bool = False
-) -> GeometryType:
-    """Geometry of the manifold read off the position of 2*pi.
-
-    2*pi below beta_L gives SL2R (H2xR when the Euler number vanishes),
-    equality gives Nil (Euclidean), and 2*pi above beta_L gives Spherical
-    (S2xR).  2*pi is above beta_U only when a3 = 1 and a1 < a2: the
-    unequal spindle, spherical too.  The answer agrees with the sign
-    table on the signature.
-    """
-    if euler_zero.__class__ is not bool:
-        raise ValueError("euler_zero must be a bool, got %r" % (euler_zero,))
-    beta_lower = sphericity_limits(a1, a2, a3).beta_lower
-    # The base curvature has the sign of 2*pi - beta_L.
-    sign = (TWO_PI > beta_lower) - (TWO_PI < beta_lower)
-    return _GEOMETRIES[sign][not euler_zero]
-
-
-class FamilyDimension(_Value):
-    """Dimension report for the cone structures with a fixed singular set.
-
-    kind is "continuous" (with dim parameters, 0 to 3), "orbifold_only" (an
-    isolated structure) or "none".
-    """
-
-    __slots__ = ("kind", "dim")
-    _KINDS = (str, (int, NoneType))
-
-    def __init__(self, kind: str, dim: int | None = None):
-        self._set(kind, dim)
-        if kind not in ("continuous", "orbifold_only", "none"):
-            raise ValueError("kind must be 'continuous', 'orbifold_only' or 'none', got %r" % (kind,))
-        _require(dim, "dim", int if kind == "continuous" else NoneType)
-        if dim is not None and not 0 <= dim <= 3:
-            raise ValueError("dim must be 0 to 3, got %d" % dim)
+    DIM_0 = "Dim(0)"
+    DIM_1 = "Dim(1)"
+    DIM_2 = "Dim(2)"
+    DIM_3 = "Dim(3)"
+    ORBIFOLD_ONLY = "OrbifoldOnly"
+    NO_FAMILY = "None"
 
     def __str__(self):
-        if self.kind == "continuous":
-            return "Dim(%d)" % self.dim
-        return {"orbifold_only": "OrbifoldOnly", "none": "None"}[self.kind]
+        return self.value
 
 
 def Dim(k: int) -> FamilyDimension:
-    return FamilyDimension("continuous", k)
+    _require(k, "k")
+    return FamilyDimension("Dim(%d)" % k)
 
 
-ORBIFOLD_ONLY = FamilyDimension("orbifold_only")
-NO_FAMILY = FamilyDimension("none")
+ORBIFOLD_ONLY = FamilyDimension.ORBIFOLD_ONLY
+NO_FAMILY = FamilyDimension.NO_FAMILY
 
 
 def family_dimension(sig: SeifertSignature, singular) -> FamilyDimension:

@@ -14,7 +14,7 @@ from itertools import combinations_with_replacement
 
 from seifertgeo.arith import Handedness, PiRational, TWO_PI
 from seifertgeo.base2d import BasePoint, RegionClass, classify_triangle, curvature_parameter
-from seifertgeo.cone3d import ConeStructure, classify_cone, sphericity_limits, sphericity_ratio
+from seifertgeo.cone3d import ConeStructure, classify_cone, sphericity_limits
 from seifertgeo.plot import PlotWindow, build_plot, export_csv, render_svg
 from seifertgeo.seifert import SeifertSignature, manifold_geometry, normalize
 from seifertgeo.seifert import euler_number, homology_order
@@ -140,7 +140,6 @@ def test_criterion_2_ratio_corollary():
         (4, 5): Fraction(19, 11),
     }
     for (a1, a2), ratio in want.items():
-        assert sphericity_ratio(a1, a2) == ratio
         for a3 in range(1, 51):
             interval = sphericity_limits(a1, a2, a3)
             assert interval.ratio() == ratio

@@ -496,6 +496,25 @@ class TestExitCodes:
         assert code == 1
         assert svg.read_text(encoding="utf-8") == "old"
 
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    @pytest.mark.parametrize("csv", ["same.svg", "./same.svg"])
+    def test_out_and_csv_naming_one_file_is_one(self, capsys, tmp_path, monkeypatch, csv, existing):
+        # refused before any file is opened: an existing file keeps its
+        # bytes and no file is created
+        monkeypatch.chdir(tmp_path)
+        if existing:
+            (tmp_path / "same.svg").write_text("old", encoding="utf-8")
+        code, payload = run_json(
+            capsys,
+            ["plot", "--knot", "3,2", "--hand", "left", "--xmax", "3", "--out", "same.svg", "--csv", csv],
+        )
+        assert code == 1
+        assert payload == {
+            "error": {"type": "domain", "message": "--out and --csv name the same file %r" % csv}
+        }
+        files = {path.name: path.read_text(encoding="utf-8") for path in tmp_path.iterdir()}
+        assert files == ({"same.svg": "old"} if existing else {})
+
 
 ATLAS = ["atlas", "--knot", "3,2", "--hand", "left"]
 PLOT = ["plot", "--knot", "3,2", "--hand", "left"]

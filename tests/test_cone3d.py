@@ -1,7 +1,10 @@
 """Conemanifold classification, sphericity limits, family dimensions."""
 
+import copy
 import math
+import pickle
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 
@@ -16,14 +19,13 @@ from seifertgeo.cone3d import (
     _NO_ROW,
     _ROWS,
     Dim,
+    FamilyDimension,
     NO_FAMILY,
     ORBIFOLD_ONLY,
     NO_STRUCTURE,
     classify_cone,
     family_dimension,
-    manifold_geometry_from_limits,
     sphericity_limits,
-    sphericity_ratio,
 )
 from seifertgeo.seifert import (
     GeometryType,
@@ -255,30 +257,30 @@ class TestSphericityLimits:
                     assert iv.beta_upper - iv.beta_lower == PiRational(4 * a3, a2)
 
     def test_ratio_examples(self):
-        assert sphericity_ratio(2, 3) == Fraction(5)
-        assert sphericity_ratio(3, 4) == Fraction(11, 5)
-        assert sphericity_ratio(2, 5) == Fraction(7, 3)
+        assert sphericity_limits(2, 3, 1).ratio() == Fraction(5)
+        assert sphericity_limits(3, 4, 1).ratio() == Fraction(11, 5)
+        assert sphericity_limits(2, 5, 1).ratio() == Fraction(7, 3)
 
     def test_ratio_prism_undefined(self):
         with pytest.raises(ValueError):
-            sphericity_ratio(2, 2)
+            sphericity_limits(2, 2, 1).ratio()
 
     def test_ratio_matches_the_written_out_band_formula(self):
         for a1 in range(2, 41):
             for a2 in range(max(a1, 3), 41):
                 want = Fraction(a1 * a2 - a2 + a1, a1 * a2 - a2 - a1)
-                assert sphericity_ratio(a1, a2) == want, (a1, a2)
-                assert sphericity_ratio(a2, a1) == want, (a2, a1)
+                assert sphericity_limits(a1, a2, 1).ratio() == want, (a1, a2)
+                assert sphericity_limits(a2, a1, 1).ratio() == want, (a2, a1)
         with pytest.raises(ValueError) as exc:
-            sphericity_ratio(2, 2)
+            sphericity_limits(2, 2, 1).ratio()
         assert str(exc.value) == "sphericity ratio undefined when beta_L = 0"
         with pytest.raises(ValueError) as exc:
-            sphericity_ratio(5, 1)
+            sphericity_limits(5, 1, 1)
         assert str(exc.value) == "sphericity limits need both non-singular multiplicities > 1"
 
     def test_ratio_independent_of_singular_multiplicity(self):
         for a1, a2 in ((2, 3), (3, 4), (2, 5), (3, 5), (4, 5)):
-            want = sphericity_ratio(a1, a2)
+            want = Fraction(a1 * a2 - a2 + a1, a1 * a2 - a2 - a1)
             for a3 in range(1, 51):
                 assert sphericity_limits(a1, a2, a3).ratio() == want
 
@@ -330,23 +332,55 @@ class TestSweepOracle:
                 self.assert_transitions(a1, a2, a3)
 
 
+# Scott's table as the paper states it: the sign of the base curvature
+# picks the row, e != 0 the entry.
+SCOTT = {
+    -1: (GeometryType.H2XR, GeometryType.SL2R),
+    0: (GeometryType.EUCLIDEAN, GeometryType.NIL),
+    1: (GeometryType.S2XR, GeometryType.SPHERICAL),
+}
+
+
+def geometry_from_limits(a1, a2, a3, euler_zero):
+    """Manifold geometry read off the position of 2*pi against beta_L.
+
+    The base curvature has the sign of 2*pi - beta_L: below beta_L the
+    manifold is SL2R (H2xR when e = 0), at it Nil (Euclidean), above it
+    spherical (S2xR).  2*pi is above beta_U only when a3 = 1 and a1 < a2,
+    the unequal spindle, spherical too.
+    """
+    beta_lower = sphericity_limits(a1, a2, a3).beta_lower
+    return SCOTT[(TWO_PI > beta_lower) - (TWO_PI < beta_lower)][not euler_zero]
+
+
 class TestManifoldFromLimits:
+    # each row pairs the limits oracle with a signature of the same multiplicities
     def test_spherical(self):
-        assert manifold_geometry_from_limits(2, 3, 5) is GeometryType.SPHERICAL
+        assert geometry_from_limits(2, 3, 5, False) is GeometryType.SPHERICAL
+        assert manifold_geometry(S(-1, ((2, 1), (3, 1), (5, 1)))) is GeometryType.SPHERICAL
         # the unequal spindle (-1; (2,1),(3,1)) is S^3, with 2*pi above beta_U = 5*pi/3
-        assert manifold_geometry_from_limits(2, 3, 1) is GeometryType.SPHERICAL
+        assert geometry_from_limits(2, 3, 1, False) is GeometryType.SPHERICAL
+        assert manifold_geometry(S(-1, ((2, 1), (3, 1)))) is GeometryType.SPHERICAL
 
     def test_boundary_is_flat(self):
-        assert manifold_geometry_from_limits(3, 3, 3) is GeometryType.NIL
-        assert manifold_geometry_from_limits(3, 3, 3, euler_zero=True) is GeometryType.EUCLIDEAN
+        assert geometry_from_limits(3, 3, 3, False) is GeometryType.NIL
+        assert manifold_geometry(S(-1, ((3, 1), (3, 1), (3, 2)))) is GeometryType.NIL
+        assert geometry_from_limits(3, 3, 3, True) is GeometryType.EUCLIDEAN
+        assert manifold_geometry(S(-1, ((3, 1), (3, 1), (3, 1)))) is GeometryType.EUCLIDEAN
 
     def test_sl2r(self):
-        assert manifold_geometry_from_limits(2, 3, 7) is GeometryType.SL2R
+        assert geometry_from_limits(2, 3, 7, False) is GeometryType.SL2R
+        assert manifold_geometry(S(-1, ((2, 1), (3, 1), (7, 1)))) is GeometryType.SL2R
 
     def test_euler_zero_variants(self):
-        assert manifold_geometry_from_limits(2, 3, 5, euler_zero=True) is GeometryType.S2XR
-        assert manifold_geometry_from_limits(2, 3, 1, euler_zero=True) is GeometryType.S2XR
-        assert manifold_geometry_from_limits(2, 3, 7, euler_zero=True) is GeometryType.H2XR
+        assert geometry_from_limits(2, 3, 5, True) is GeometryType.S2XR
+        assert geometry_from_limits(2, 3, 1, True) is GeometryType.S2XR
+        assert geometry_from_limits(2, 3, 7, True) is GeometryType.H2XR
+        # multiplicities that admit e = 0: the prism spindle and (3, 6, 6)
+        assert geometry_from_limits(2, 2, 1, True) is GeometryType.S2XR
+        assert manifold_geometry(S(-1, ((2, 1), (2, 1)))) is GeometryType.S2XR
+        assert geometry_from_limits(6, 6, 3, True) is GeometryType.H2XR
+        assert manifold_geometry(S(-2, ((3, 1), (6, 5), (6, 5)))) is GeometryType.H2XR
 
     def test_agrees_with_manifold_geometry(self):
         rng = random.Random(31)
@@ -359,29 +393,26 @@ class TestManifoldFromLimits:
                 bi = rng.choice([k for k in range(1, ai) if math.gcd(ai, k) == 1] or [0])
                 pairs.append((ai, bi))
             sig = S(rng.randint(-3, 3), tuple(pairs))
-            want = manifold_geometry(sig)
-            got = manifold_geometry_from_limits(
-                a[0], a[1], a3, euler_zero=euler_number(sig) == 0
-            )
-            assert got is want, str(sig)
+            want = geometry_from_limits(a[0], a[1], a3, euler_number(sig) == 0)
+            assert manifold_geometry(sig) is want, str(sig)
 
 
 class TestFamilyDimension:
     def test_three_singular(self):
         sig = normalize(S(-1, ((2, 1), (3, 1), (5, 1))))
-        assert family_dimension(sig, (1, 2, 3)) == Dim(3)
+        assert family_dimension(sig, (1, 2, 3)) is Dim(3)
 
     def test_general_fibre_of_lens(self):
         sig = normalize(S(0, ((3, 1), (4, 3))))
-        assert family_dimension(sig, (3,)) == Dim(1)
+        assert family_dimension(sig, (3,)) is Dim(1)
 
     def test_hopf_single_fibre(self):
         hopf = normalize(S(-1, ((1, 0),)))
-        assert family_dimension(hopf, (3,)) == NO_FAMILY
+        assert family_dimension(hopf, (3,)) is NO_FAMILY
 
     def test_exceptional_fibre_orbifold_only(self):
         sig = normalize(S(0, ((3, 1), (4, 3))))
-        assert family_dimension(sig, (1,)) == ORBIFOLD_ONLY
+        assert family_dimension(sig, (1,)) is ORBIFOLD_ONLY
 
     def test_one_exceptional_fibre_at_the_cube_vertex(self):
         # the others pinned at pi: beta = 2*pi*a puts the base point on the
@@ -390,28 +421,28 @@ class TestFamilyDimension:
             sig = normalize(S(-1, ((a, 1),)))
             cone = classify_cone(ConeStructure(sig, (PiRational(2 * a), TWO_PI, TWO_PI)))
             assert cone.geometry is GeometryType.SPHERICAL
-            assert family_dimension(sig, (1,)) == ORBIFOLD_ONLY, a
+            assert family_dimension(sig, (1,)) is ORBIFOLD_ONLY, a
 
     def test_equal_pair_exceptional_fibre_none(self):
         sig = normalize(S(-1, ((3, 1), (3, 2))))
-        assert family_dimension(sig, (1,)) == NO_FAMILY
+        assert family_dimension(sig, (1,)) is NO_FAMILY
 
     def test_both_exceptional_fibres_singular(self):
         # general fibre pinned on the alpha3 = pi face: one-parameter
         # family beta_i = 2 alpha a_i
         sig = normalize(S(0, ((3, 1), (4, 3))))
-        assert family_dimension(sig, (1, 2)) == Dim(1)
+        assert family_dimension(sig, (1, 2)) is Dim(1)
 
     def test_exceptional_plus_general_singular(self):
         # remaining exceptional fibre pinned in the cube interior
         sig = normalize(S(0, ((3, 1), (4, 3))))
-        assert family_dimension(sig, (1, 3)) == Dim(2)
+        assert family_dimension(sig, (1, 3)) is Dim(2)
 
     def test_manifold_point(self):
         poincare = normalize(S(-1, ((2, 1), (3, 1), (5, 1))))
-        assert family_dimension(poincare, ()) == Dim(0)
+        assert family_dimension(poincare, ()) is Dim(0)
         teardrop = normalize(S(-1, ((3, 1),)))
-        assert family_dimension(teardrop, ()) == NO_FAMILY
+        assert family_dimension(teardrop, ()) is NO_FAMILY
 
     def test_requires_normalized(self):
         with pytest.raises(ValueError):
@@ -424,6 +455,18 @@ class TestFamilyDimension:
 
     def test_str(self):
         assert [str(d) for d in (Dim(2), ORBIFOLD_ONLY, NO_FAMILY)] == ["Dim(2)", "OrbifoldOnly", "None"]
+        assert [str(d) for d in FamilyDimension] == ["Dim(0)", "Dim(1)", "Dim(2)", "Dim(3)", "OrbifoldOnly", "None"]
+
+    def test_dim_is_a_member(self):
+        for k, member in enumerate(list(FamilyDimension)[:4]):
+            assert Dim(k) is member
+        with pytest.raises(ValueError, match=r"^k must be an integer, got True$"):
+            Dim(True)
+
+    def test_pickle_and_copy_give_the_same_member(self):
+        for member in FamilyDimension:
+            for clone in (pickle.loads(pickle.dumps(member)), copy.copy(member), copy.deepcopy(member)):
+                assert clone is member
 
     def test_manifold_point_matches_the_base_point_region(self):
         # structure at the base point (pi/a1, pi/a2, pi/a3), as a region class
@@ -432,7 +475,23 @@ class TestFamilyDimension:
             sig = normalize(S(0, fibers))
             point = BasePoint(*(PiRational(Fraction(1, a)) for a in sig.multiplicities()))
             want = Dim(0) if classify_triangle(point) in kernel.CURVATURE_SIGN else NO_FAMILY
-            assert family_dimension(sig, ()) == want, sig
+            assert family_dimension(sig, ()) is want, sig
+
+    def test_answers_on_the_grid(self):
+        # (size of the singular set, answer) -> count over every singular set
+        # of the signatures of test_manifold_point_matches_the_base_point_region
+        pool = [(a, b) for a in range(12, 0, -1) for b in range(a) if math.gcd(a, b) == 1]
+        subsets = [(), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]
+        counts = Counter()
+        for fibers in combinations_with_replacement(pool, 3):
+            sig = normalize(S(0, fibers))
+            counts.update((len(singular), str(family_dimension(sig, singular))) for singular in subsets)
+        assert counts == {
+            (0, "Dim(0)"): 16363, (0, "None"): 933,
+            (1, "Dim(1)"): 49680, (1, "OrbifoldOnly"): 1911, (1, "None"): 297,
+            (2, "Dim(1)"): 1128, (2, "Dim(2)"): 50760,
+            (3, "Dim(3)"): 17296,
+        }
 
 
 class TestGeometryOfRegionCode:

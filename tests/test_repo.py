@@ -178,13 +178,22 @@ def test_public_name_guard_sees_an_orphan():
     assert _unread_names({"m.py": source}, ["Box\nsize = 3\nprint(size)\n"], set()) == ["size"]
 
 
+# Public names that no code reads yet, each with the reason it stays.
+UNREAD = {
+    "curvature_parameter": "printed once it is exact: math.cos may differ in its last bit between C libraries",
+    "nil_admissible": "printed by a knot command that is still to come",
+    "family_signature": "the inverse of named_family; only tests read it",
+}
+
+
 def test_every_public_name_has_a_reader():
-    # a public name is listed in seifertgeo's home table, read by code under
-    # src/ or by the benchmark harness, or named as a word in the README
+    # a public name is read by code under src/ or by the benchmark harness,
+    # or named as a word in the README; the names of UNREAD, and only they,
+    # are not, so a listed name that gains a reader fails too
     sources = {
         path.name: path.read_text(encoding="utf-8")
         for path in sorted((ROOT / "src" / "seifertgeo").glob("*.py"))
     }
     elsewhere = [path.read_text(encoding="utf-8") for path in sorted((ROOT / "perfbench").glob("*.py"))]
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    assert _unread_names(sources, elsewhere, set(seifertgeo._HOME) | set(re.findall(r"\w+", readme))) == []
+    assert sorted(_unread_names(sources, elsewhere, set(re.findall(r"\w+", readme)))) == sorted(UNREAD)

@@ -20,8 +20,8 @@ import seifertgeo
 from seifertgeo.arith import Handedness, PiRational, TWO_PI, _Value, bezout, fiber_coeffs
 from seifertgeo.base2d import BasePoint, base_limits, classify_triangle, curvature_parameter
 from seifertgeo.cone3d import (
-    ConeStructure, FamilyDimension, GeometryResult, SphericityInterval, classify_cone,
-    family_dimension, manifold_geometry_from_limits, sphericity_limits,
+    ConeStructure, Dim, GeometryResult, SphericityInterval, classify_cone, family_dimension,
+    sphericity_limits,
 )
 from seifertgeo.plot import PlotModel, PlotPoint, PlotWindow, build_plot, export_csv, render_svg
 from seifertgeo.seifert import (
@@ -73,7 +73,6 @@ VALUES = {
         ("beta_lower", "beta_upper"),
         lambda v: SphericityInterval(PiRational(Fraction(5, 3)), PiRational(24 if v else 25, 3)),
     ),
-    "FamilyDimension": (("kind", "dim"), lambda v: FamilyDimension("continuous", 1 if v else 2)),
     "TorusKnot": (
         ("r", "s", "hand"),
         lambda v: TorusKnot(3, 2, Handedness.RIGHT if v else Handedness.LEFT),
@@ -156,12 +155,6 @@ class TestDefaults:
         assert family.params == ()
         assert family == FamilyId(kind=FamilyKind.GENERIC, params=())
         assert str(family) == "Generic"
-
-    def test_family_dimension_dim_defaults_to_none(self):
-        report = FamilyDimension("none")
-        assert report.dim is None
-        assert report == FamilyDimension(kind="none", dim=None)
-        assert str(report) == "None"
 
     def test_pi_rational_takes_a_denominator(self):
         assert PiRational(1, 3) == PiRational(Fraction(1, 3))
@@ -471,21 +464,8 @@ MALFORMED = {
     ),
     "atlas-n_range-int": (lambda: atlas(TREFOIL, 3, 4, 2), "n_range must be"),
     "atlas-n_range-triple": (lambda: atlas(TREFOIL, 3, (0, 1, 2), 2), "n_range must be"),
-    "FamilyDimension-kind-bogus": (
-        lambda: FamilyDimension("bogus"),
-        "kind must be 'continuous', 'orbifold_only' or 'none', got 'bogus'",
-    ),
-    "FamilyDimension-none-dim-int": (lambda: FamilyDimension("none", 1), "dim must be None, got 1"),
-    "FamilyDimension-dim-negative": (
-        lambda: FamilyDimension("continuous", -1), "dim must be 0 to 3, got -1"
-    ),
-    "FamilyDimension-dim-above-cube": (
-        lambda: FamilyDimension("continuous", 4), "dim must be 0 to 3, got 4"
-    ),
-    "manifold_geometry_from_limits-euler_zero-str": (
-        lambda: manifold_geometry_from_limits(2, 3, 5, euler_zero="no"),
-        "euler_zero must be a bool, got 'no'",
-    ),
+    "FamilyDimension-dim-negative": (lambda: Dim(-1), "'Dim(-1)' is not a valid FamilyDimension"),
+    "FamilyDimension-dim-above-cube": (lambda: Dim(4), "'Dim(4)' is not a valid FamilyDimension"),
     "PlotModel-knot-none": (lambda: _model(knot=None), "knot must be a TorusKnot, got None"),
     "PlotModel-window-tuple": (
         lambda: _model(window=(4, -2, 2)), "window must be a PlotWindow, got (4, -2, 2)"
