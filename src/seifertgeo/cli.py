@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
@@ -50,25 +51,28 @@ def _check_work(bound: int, what: str) -> None:
 
 
 def _write_files(outputs) -> None:
-    """Write each (path, text), or none of them if a path cannot be opened.
+    """Write each (path, chunks), or none if a path cannot be opened or is,
+    by os.path.samefile, the file of an earlier path (through a link too).
 
-    Every path is first opened for appending, which truncates nothing;
-    when one of those opens fails, the files they created are removed.
+    Every path is first opened for appending, which truncates nothing; on
+    a failure the files those opens created are removed.
     """
     created = []
     try:
-        for path, _ in outputs:
+        for index, (path, _) in enumerate(outputs):
             existed = os.path.exists(path)
             open(path, "a", encoding="utf-8").close()
             if not existed:
-                created.append(path)
-    except OSError:
+                created.append(os.path.realpath(path))
+            if any(os.path.samefile(path, other) for other, _ in outputs[:index]):
+                raise ValueError("--out and --csv name the same file %r" % path)
+    except (OSError, ValueError):
         for path in created:
             os.remove(path)
         raise
-    for path, text in outputs:
+    for path, chunks in outputs:
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
 
 
 def _arg(parse):
@@ -124,13 +128,14 @@ def _emit(args, payload: dict) -> int:
         print(json.dumps(payload))
     else:
         for key, value in payload.items():
-            print("%s\t%s" % (key, _human(value)))
+            print("%s\t%s" % (key, _human(key, value)))
     return 0
 
 
-def _human(value):
+def _human(key, value):
+    # None is an unbounded homology_order or ratio, or a plot without --csv
     if value is None:
-        return "infinite"
+        return "none" if key == "csv" else "infinite"
     if isinstance(value, dict):
         return json.dumps(value)
     return str(value)
@@ -223,17 +228,15 @@ def _cmd_plot(args) -> int:
     from .plot import PlotWindow, build_plot, export_csv, render_svg
     from .surgery import TorusKnot
 
-    if args.csv and os.path.realpath(args.csv) == os.path.realpath(args.out):
-        raise ValueError("--out and --csv name the same file %r" % args.csv)
     r, s = args.knot
     knot = TorusKnot(r, s, args.hand)
     y_max = args.ymax if args.ymax is not None else args.xmax
     _check_work(args.xmax * max(y_max - args.ymin + 1, 0), "plot")
     window = PlotWindow(args.xmax, args.ymin, y_max)
     model = build_plot(knot, window)
-    outputs = [(args.out, render_svg(model))]
+    outputs = [(args.out, [render_svg(model)])]
     if args.csv:
-        outputs.append((args.csv, export_csv(model)))
+        outputs.append((args.csv, [export_csv(model)]))
     _write_files(outputs)
     return _emit(
         args,
@@ -252,9 +255,7 @@ def _cmd_atlas(args) -> int:
         max(args.mmax, 0) * max(n_hi - n_lo + 1, 1) * max(args.kmax, 0), "atlas"
     )
     records = atlas(knot, args.mmax, args.nrange, args.kmax)
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(records, handle, indent=1)
-        handle.write("\n")
+    _write_files([(args.out, itertools.chain(json.JSONEncoder(indent=1).iterencode(records), "\n"))])
     return _emit(args, {"out": args.out, "records": len(records)})
 
 

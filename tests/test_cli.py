@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -9,7 +10,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from seifertgeo import __version__, cli
+from seifertgeo.arith import Handedness
 from seifertgeo.cli import run
+from seifertgeo.surgery import TorusKnot, atlas
 
 POINCARE = json.dumps({"b": -1, "fibers": [[2, 1], [3, 1], [5, 1]]})
 
@@ -220,6 +223,16 @@ class TestRepeatedRuns:
         assert with_options == {"out": svg, "csv": csv, "points": 9}
         assert again == first == {"out": svg, "csv": None, "points": 8}
 
+    def test_plot_text_names_a_missing_csv_none(self, capsys, tmp_path):
+        # None reads "infinite" only for homology_order and ratio
+        svg, csv = str(tmp_path / "k.svg"), str(tmp_path / "k.csv")
+        argv = ["plot", "--knot", "3,2", "--hand", "left", "--xmax", "3", "--out", svg]
+        code, lines = run_lines(capsys, argv)
+        assert code == 0
+        assert lines == ["out\t" + svg, "csv\tnone", "points\t8"]
+        _, lines = run_lines(capsys, argv + ["--csv", csv])
+        assert lines == ["out\t" + svg, "csv\t" + csv, "points\t8"]
+
 
 class TestFileOutputs:
     def test_plot(self, capsys, tmp_path):
@@ -253,6 +266,16 @@ class TestFileOutputs:
         records = json.loads(out.read_text(encoding="utf-8"))
         assert len(records) == payload["records"] == 6
         assert records[4]["geometry"] == "Spherical"
+
+    @pytest.mark.parametrize("nrange", ["-3..3", "1..0"], ids=["records", "empty"])
+    def test_atlas_file_is_json_dump_with_a_newline(self, capsys, tmp_path, nrange):
+        out = tmp_path / "atlas.json"
+        argv = ["atlas", "--knot", "3,2", "--hand", "left", "--mmax", "7", "--nrange=" + nrange, "--kmax", "3"]
+        assert run(argv + ["--out", str(out)]) == 0
+        n_lo, n_hi = map(int, nrange.split(".."))
+        records = atlas(TorusKnot(3, 2, Handedness.LEFT), 7, (n_lo, n_hi), 3)
+        assert out.read_bytes() == (json.dumps(records, indent=1) + "\n").encode("utf-8")
+        assert bool(records) == (nrange != "1..0")
 
 
 def _digest(text: str) -> str:
@@ -514,6 +537,48 @@ class TestExitCodes:
         }
         files = {path.name: path.read_text(encoding="utf-8") for path in tmp_path.iterdir()}
         assert files == ({"same.svg": "old"} if existing else {})
+
+    @pytest.mark.parametrize(
+        "link, out, csv",
+        [
+            (os.link, "a.svg", "b.csv"),
+            (os.symlink, "a.svg", "b.csv"),
+            (os.symlink, "b.csv", "a.svg"),
+            (os.symlink, "new.svg", "b.csv"),
+            (os.symlink, "b.csv", "new.svg"),
+        ],
+        ids=["hard", "symbolic-csv", "symbolic-out", "dangling-csv", "dangling-out"],
+    )
+    def test_out_and_csv_linking_one_file_is_one(self, capsys, tmp_path, monkeypatch, link, out, csv):
+        # b.csv links to a.svg, or to the missing new.svg; the link and the
+        # existing file are left as they were and no file is created
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "a.svg").write_text("old", encoding="utf-8")
+        target = "new.svg" if "new.svg" in (out, csv) else "a.svg"
+        link(target, "b.csv")
+        before = sorted((path.name, path.is_symlink(), path.exists()) for path in tmp_path.iterdir())
+        code, payload = run_json(
+            capsys,
+            ["plot", "--knot", "3,2", "--hand", "left", "--xmax", "3", "--out", out, "--csv", csv],
+        )
+        assert code == 1
+        assert payload == {
+            "error": {"type": "domain", "message": "--out and --csv name the same file %r" % csv}
+        }
+        assert sorted((path.name, path.is_symlink(), path.exists()) for path in tmp_path.iterdir()) == before
+        assert (tmp_path / "a.svg").read_text(encoding="utf-8") == "old"
+
+    def test_atlas_into_a_missing_directory_is_one(self, capsys, tmp_path):
+        code, payload = run_json(
+            capsys,
+            [
+                "atlas", "--knot", "3,2", "--hand", "left", "--mmax", "2", "--nrange", "1..1",
+                "--kmax", "1", "--out", str(tmp_path / "missing" / "atlas.json"),
+            ],
+        )
+        assert code == 1
+        assert payload["error"]["type"] == "domain"
+        assert list(tmp_path.iterdir()) == []
 
 
 ATLAS = ["atlas", "--knot", "3,2", "--hand", "left"]

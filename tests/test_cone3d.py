@@ -6,10 +6,10 @@ import pickle
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from seifertgeo import kernel
 from seifertgeo.arith import PiRational, TWO_PI
@@ -31,8 +31,10 @@ from seifertgeo.seifert import (
     GeometryType,
     SeifertSignature,
     euler_number,
+    homology_order,
     manifold_geometry,
     normalize,
+    normalize_with_order,
 )
 
 S = SeifertSignature
@@ -107,6 +109,16 @@ class TestConeStructure:
         assert str(exc.value) == message
 
 
+# Three (a, b_i, den, num): fibre (a, b_i) with cone angle num/den*pi <= 2*pi*a.
+FIBRES_WITH_ANGLES = st.lists(
+    st.tuples(st.integers(1, 6), st.integers(-12, 12), st.integers(1, 3), st.integers(0, 36))
+    .filter(lambda f: math.gcd(f[0], f[1]) == 1)
+    .map(lambda f: (*f[:3], f[3] % (2 * f[0] * f[2] + 1))),
+    min_size=3,
+    max_size=3,
+)
+
+
 class TestClassifyCone:
     def test_poincare_manifold(self):
         cs = ConeStructure(S(-1, ((2, 1), (3, 1), (5, 1))), (TWO_PI, TWO_PI, TWO_PI))
@@ -149,13 +161,7 @@ class TestClassifyCone:
 
     @given(
         st.integers(-3, 3),
-        st.lists(
-            st.tuples(st.integers(1, 6), st.integers(-12, 12), st.integers(1, 3), st.integers(0, 36))
-            .filter(lambda f: math.gcd(f[0], f[1]) == 1)
-            .map(lambda f: (*f[:3], f[3] % (2 * f[0] * f[2] + 1))),
-            min_size=3,
-            max_size=3,
-        ),
+        FIBRES_WITH_ANGLES,
         st.permutations(range(3)),
         st.lists(st.integers(-3, 3), min_size=3, max_size=3),
     )
@@ -181,6 +187,31 @@ class TestClassifyCone:
             assert sorted(zip(norm.fibers, moved_cs.angles)) == sorted(zip(norm.fibers, cs.angles))
             assert moved_cs == cs
             assert classify_cone(moved_cs) == classify_cone(cs)
+
+
+class TestOrientationReversal:
+    @given(st.integers(-3, 3), FIBRES_WITH_ANGLES)
+    @example(-1, [(2, 1, 1, 2), (3, 1, 1, 2), (5, 1, 1, 2)])
+    @example(-1, [(2, 1, 1, 2), (3, 1, 1, 1), (6, 1, 1, 2)])
+    @settings(max_examples=200, deadline=None)
+    def test_reversed_signature_has_the_same_answers(self, b, fibres):
+        # -(b; (a_i, b_i)) = (-b; (a_i, -b_i)), and no answer depends on
+        # orientation: the geometry, |H1|, the cone geometry at the same
+        # angles in caller order, the family dimension of each singular set.
+        sig = S(b, tuple((a, bi) for a, bi, _, _ in fibres))
+        reversed_sig = S(-b, tuple((a, -bi) for a, bi, _, _ in fibres))
+        ang = tuple(PiRational(num, den) for _, _, den, num in fibres)
+        assert manifold_geometry(reversed_sig) is manifold_geometry(sig)
+        assert homology_order(reversed_sig) == homology_order(sig)
+        assert classify_cone(ConeStructure(reversed_sig, ang)) == classify_cone(ConeStructure(sig, ang))
+        norm, order = normalize_with_order(sig)
+        reversed_norm, reversed_order = normalize_with_order(reversed_sig)
+        for size in range(4):
+            for singular in combinations(range(3), size):
+                # fibre i of the caller is fibre order.index(i) + 1 of the normal form
+                positions = {order.index(i) + 1 for i in singular}
+                reversed_positions = {reversed_order.index(i) + 1 for i in singular}
+                assert family_dimension(reversed_norm, reversed_positions) is family_dimension(norm, positions)
 
 
 # Reference decision through the Fraction API: the region of the

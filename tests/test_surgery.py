@@ -431,6 +431,43 @@ class TestRayOracle:
             assert (spec.p, spec.q) == (p, q)
 
 
+class TestKnotMirror:
+    # S^3_{p/q}(K_L(r,s)) = -S^3_{-p/q}(K_R(r,s)), and no geometry depends
+    # on orientation.  The mirror of the slope p/q is p/-q; 0/-1 is 0/1.
+    @settings(max_examples=150, deadline=None)
+    @given(
+        knot=st.sampled_from(list(coprime_knots(9))),
+        slope=st.tuples(st.integers(0, 80), st.integers(-12, 12)).filter(lambda pq: math.gcd(*pq) == 1),
+        beta=st.fractions(0, 2, max_denominator=12).map(PiRational),
+        m_max=st.integers(1, 25),
+        n_lo=st.integers(-15, 15),
+        width=st.integers(-1, 20),
+        k_max=st.integers(1, 3),
+    )
+    @example(knot=(3, 2), slope=(6, -1), beta=TWO_PI, m_max=7, n_lo=-2, width=5, k_max=2)
+    @example(knot=(5, 2), slope=(0, 1), beta=PiRational(Fraction(2, 3)), m_max=11, n_lo=-1, width=3, k_max=3)
+    def test_mirror_negates_q_and_n(self, knot, slope, beta, m_max, n_lo, width, k_max):
+        r, s = knot
+        p, q = slope
+        left = SurgerySpec(TorusKnot(r, s, L), p, q)
+        right = SurgerySpec(TorusKnot(r, s, R), p, -q)
+        if p + r * s * q == 0:  # -r*s, the left hand's fibre slope, mirrors the right hand's r*s
+            for spec in (left, right):
+                with pytest.raises(ValueError, match="exceptional fibre slope"):
+                    classify_surgery_cone(spec, beta)
+        else:
+            assert classify_surgery_cone(left, beta) == classify_surgery_cone(right, beta)
+
+        n_hi = n_lo + width - 1
+        mirrored = [
+            dict(rec, knot=dict(rec["knot"], hand="right"), n=-rec["n"], q=-rec["q"] if rec["p"] else rec["q"])
+            for rec in atlas(TorusKnot(r, s, L), m_max, (n_lo, n_hi), k_max)
+        ]
+        key = lambda rec: (rec["m"], rec["n"], rec["x"])
+        right_records = atlas(TorusKnot(r, s, R), m_max, (-n_hi, -n_lo), k_max)
+        assert sorted(right_records, key=key) == sorted(mirrored, key=key)
+
+
 class TestBrieskorn:
     def test_poincare(self):
         knot, q = brieskorn_surgery(2, 3, 5)
