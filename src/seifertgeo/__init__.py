@@ -22,13 +22,13 @@ BACKEND = "python"
 # Home module -> the public names it defines.  Every key also resolves as
 # a submodule.
 _HOMES = {
-    "arith": "Handedness PiRational bezout fiber_coeffs",
+    "arith": "Handedness PiRational fiber_coeffs",
     "base2d": "BasePoint base_limits classify_triangle curvature_parameter",
     "cone3d": "ConeStructure FamilyDimension GeometryResult NO_STRUCTURE SphericityInterval classify_cone"
     " family_dimension sphericity_limits",
     "kernel": "RegionClass",
-    "seifert": "FamilyId FamilyKind GeometryType SeifertSignature euler_number family_signature"
-    " homology_order identify_family lens_params manifold_geometry named_family normalize orbifold_euler_char",
+    "seifert": "FamilyId FamilyKind GeometryType SeifertSignature euler_number homology_order"
+    " identify_family lens_params manifold_geometry named_family normalize orbifold_euler_char",
     "surgery": "LinePoint SurgerySpec TorusKnot atlas brieskorn_surgery classify_surgery_cone line_of_surgery"
     " nil_admissible spherical_orbifold_angles surgery_of_line surgery_signature x_limits",
 }

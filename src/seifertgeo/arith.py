@@ -46,28 +46,6 @@ def _require(value, field: str, kinds=int) -> None:
         raise ValueError("%s must be %s, got %r" % (field, text, value))
 
 
-def bezout(a: int, b: int) -> tuple[int, int, int]:
-    """Extended Euclid: return (g, x, y) with a*x + b*y == g == gcd(a, b) > 0.
-
-    Raises ValueError when a == b == 0, since no positive gcd exists.
-    """
-    _require(a, "a")
-    _require(b, "b")
-    if a == 0 and b == 0:
-        raise ValueError("bezout(0, 0) is undefined")
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    if old_r < 0:
-        old_r, old_x, old_y = -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
-
-
 def fiber_coeffs(r: int, s: int, hand: Handedness) -> tuple[int, int]:
     """Seifert coefficients (b1, b2) of the exceptional fibres of a torus knot.
 
@@ -98,9 +76,8 @@ def _check_knot(r: int, s: int) -> None:
 def _fiber_coeffs(r: int, s: int, hand: Handedness) -> tuple[int, int]:
     """fiber_coeffs of parameters already checked."""
     eps = -1 if hand is Handedness.LEFT else 1
-    # b1*r == r*s + eps (mod s) reduces to b1 == eps * r^{-1} (mod s);
-    # bezout's x is that inverse.
-    b1 = (eps * bezout(r, s)[1]) % s
+    # b1*r == r*s + eps (mod s) reduces to b1 == eps * r^{-1} (mod s).
+    b1 = eps * pow(r, -1, s) % s
     b2 = (r * s + eps - b1 * r) // s
     assert 0 < b1 < s and 0 < b2 < r
     assert -r * s + b1 * r + b2 * s == eps

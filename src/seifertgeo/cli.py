@@ -132,10 +132,13 @@ def _emit(args, payload: dict) -> int:
     return 0
 
 
+# Text of a None value: an infinite H1, a ratio undefined at beta_L = 0, a plot without --csv.
+_NONE_TEXT = {"homology_order": "infinite", "ratio": "undefined", "csv": "none"}
+
+
 def _human(key, value):
-    # None is an unbounded homology_order or ratio, or a plot without --csv
     if value is None:
-        return "none" if key == "csv" else "infinite"
+        return _NONE_TEXT[key]
     if isinstance(value, dict):
         return json.dumps(value)
     return str(value)

@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import groupby, repeat
 from operator import itemgetter
 
-from .arith import TWO_PI, _Value, _require
+from .arith import _Value, _require
 from .seifert import _GEOMETRIES
 from .surgery import TorusKnot, _column, _column_names, _euler_zero_slope, _orbifold_xs, x_limits
 
@@ -65,7 +65,7 @@ def build_plot(knot: TorusKnot, window: PlotWindow) -> PlotModel:
     PlotModel._check(knot, window)
     z, points = _euler_zero_slope(knot), []
     # tuple.__new__ turns each row into a PlotPoint in C, with no Python call per point.
-    for m, (flat,), (twisted,) in _column_names(knot, int(window.x_max), (TWO_PI,)):
+    for m, (flat,), (twisted,) in _column_names(knot, int(window.x_max), (1,)):
         rows = _column(z, m, window.y_min, window.y_max, flat, twisted)
         points += map(tuple.__new__, repeat(PlotPoint), rows)
     return PlotModel._unchecked(knot, window, tuple(points))

@@ -37,7 +37,7 @@ from enum import Enum
 from fractions import Fraction
 from math import gcd
 
-from .arith import _Value, _require, bezout
+from .arith import _Value, _require
 
 
 class SeifertSignature(_Value):
@@ -212,9 +212,10 @@ def lens_params(sig: SeifertSignature) -> tuple[int, int]:
 
         m = -e*a1*a2 = b*a1*a2 + a1*b2 + a2*b1,      n = rho*a2 + sigma*b2
 
-    where -rho*a1 + sigma*(b*a1 + b1) = 1.  n is reported modulo m in
-    [0, |m|).  Swapping the fibres replaces n by its inverse mod m,
-    which is the same lens space.  m = 0 (that is e = 0) is an error.
+    where sigma is the inverse of c = b*a1 + b1 mod a1 and
+    rho = (sigma*c - 1) / a1.  n is reported modulo m in [0, |m|).
+    Swapping the fibres replaces n by its inverse mod m, which is the
+    same lens space.  m = 0 (that is e = 0) is an error.
     """
     if sig.__class__ is not SeifertSignature:
         _require(sig, "sig", SeifertSignature)
@@ -232,8 +233,9 @@ def lens_params(sig: SeifertSignature) -> tuple[int, int]:
     m = -_euler_numerator(sig.b, sig.fibers)
     if m == 0:
         raise ValueError("m = 0: the Euler number vanishes, not a lens space")
-    g, rho, sigma = bezout(-a1, b * a1 + b1)
-    assert g == 1
+    c = b * a1 + b1
+    sigma = pow(c, -1, a1)
+    rho = (sigma * c - 1) // a1
     n = (rho * a2 + sigma * b2) % abs(m)
     return m, n
 
@@ -280,7 +282,6 @@ _FAMILIES = {
     (2, 4, 4): (FamilyKind.N244, 4),
     (2, 3, 6): (FamilyKind.N236, 6),
 }
-_MULTIPLICITIES = {kind: mults for mults, (kind, _) in _FAMILIES.items()}
 # The Euclidean-base families carry a second parameter.
 _NIL_KINDS = (FamilyKind.N333, FamilyKind.N244, FamilyKind.N236)
 
@@ -342,39 +343,3 @@ def _named_family(sig: SeifertSignature, mults: tuple[int, int, int]) -> FamilyI
     if kind in _NIL_KINDS:
         return FamilyId._unchecked(kind, (m, min(bi % a for a, bi in sig.fibers if a > 2)))
     return FamilyId._unchecked(kind, (m,))
-
-
-def family_signature(family: FamilyId) -> SeifertSignature:
-    """Normalized signature reconstructed from the family parameters.
-
-    Defined for Prism/T/O/I and the three Euclidean-base families;
-    these parameters determine the signature, so identify_family and
-    family_signature are mutually inverse on them.  For each coprime
-    residue r1, r2 of the two smaller fibres x, y, the equation
-    -e*L = m fixes b*z + r3 of the largest fibre z; the candidate whose
-    named_family gives back the parameters is the answer.
-    """
-    _require(family, "family", FamilyId)
-    kind, params = family.kind, family.params
-    if kind is FamilyKind.PRISM:
-        if len(params) != 2 or params[0] < 2:
-            raise ValueError("prism family needs parameters (n, m) with n >= 2")
-        mults, m = (2, 2, params[0]), params[1]
-    elif kind in _MULTIPLICITIES and params:
-        mults, m = _MULTIPLICITIES[kind], params[0]
-    else:
-        raise ValueError("no signature reconstruction for family %s" % family)
-    x, y, z = mults
-    rhs = m * (x * y * z // _family_of(mults)[1])
-    for r1 in range(1, x):
-        for r2 in range(1, y):
-            if gcd(r1, x) != 1 or gcd(r2, y) != 1:
-                continue
-            q, rem = divmod(rhs - r1 * y * z - r2 * x * z, x * y)
-            b, r3 = divmod(q, z)
-            if rem or gcd(r3, z) != 1:
-                continue
-            sig = normalize(SeifertSignature(b, ((x, r1), (y, r2), (z, r3))))
-            if named_family(sig) == family:
-                return sig
-    raise ValueError("parameters of %s name no signature of the family" % family)

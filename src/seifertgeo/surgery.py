@@ -27,10 +27,10 @@ angle there is 2*pi/x.
 atlas and plot.build_plot decide each ray from integers alone, one
 column (m fixed) at a time, in two steps.  The kernel step,
 _column_names, gives the region kernel the base angles (1, s), (1, r)
-and (num, 2*m*den) for beta = num/den*pi.  None of them holds n, so the
-kernel runs once per (m, beta) column.  One lookup in _NAMES, the
-region -> (untwisted, twisted) table read once from cone3d's geometry
-rows, gives the column's two names.  The ray step, _column, is the one
+and (1, k*m) for beta = 2*pi/k.  None of them holds n, so the kernel
+runs once per (m, k) column.  One lookup in _NAMES, the region ->
+(untwisted, twisted) table read once from cone3d's geometry rows,
+gives the column's two names.  The ray step, _column, is the one
 ray enumeration: the slope numerator m - z*n (z = +-r*s, the e = 0
 slope) is affine in n, and one pass gives each ray its slope p/q and
 its twist p != 0: |e*r*s*m| = |H1| = p (Moser), so e vanishes only on
@@ -178,18 +178,19 @@ def classify_surgery_cone(spec: SurgerySpec, beta: PiRational) -> GeometryResult
     return classify_cone(ConeStructure(surgery_signature(spec), (TWO_PI, TWO_PI, _angle(beta, "beta"))))
 
 
-def _column_names(knot: TorusKnot, m_max: int, betas):
+def _column_names(knot: TorusKnot, m_max: int, ks):
     """The kernel step: (m, flat, twisted) for each column m = 1..m_max,
-    the geometry names at each core angle in betas, untwisted and twisted.
+    the geometry names at each core angle 2*pi/k for k in ks, untwisted
+    and twisted.
 
-    No base angle holds n, so the kernel runs once per (m, beta) column,
-    and one lookup in _NAMES names its region; _column then gives each of
-    the column's rays one of the two names.
+    The orbifold point at x = k*m has base angles pi/s, pi/r and pi/x.
+    None holds n, so the kernel runs once per (m, k) column, and one
+    lookup in _NAMES names its region; _column then gives each of the
+    column's rays one of the two names.
     """
     s, r = knot.s, knot.r
-    angles = [(beta.coeff.numerator, 2 * beta.coeff.denominator) for beta in betas]
     for m in range(1, m_max + 1):
-        flat, twisted = zip(*[_NAMES[kernel.classify_region(1, s, 1, r, num, m * den)] for num, den in angles])
+        flat, twisted = zip(*[_NAMES[kernel.classify_region(1, s, 1, r, 1, k * m)] for k in ks])
         yield m, flat, twisted
 
 
@@ -260,13 +261,13 @@ def atlas(knot: TorusKnot, m_max: int, n_range: tuple[int, int], k_max: int) -> 
         raise ValueError("k_max must be >= 1")
     if n_lo > n_hi:
         return []
-    betas = [PiRational(Fraction(2, k)) for k in range(1, k_max + 1)]
-    texts = [beta.text() for beta in betas]
+    ks = range(1, k_max + 1)
+    texts = [PiRational(Fraction(2, k)).text() for k in ks]
     knot_json, z = knot.to_json(), _euler_zero_slope(knot)
     return [
         {"knot": dict(knot_json), "m": m, "n": n, "p": p, "q": q,
          "x": k * m, "beta": text, "geometry": geometry}
-        for m, flat, twisted in _column_names(knot, m_max, betas)
+        for m, flat, twisted in _column_names(knot, m_max, ks)
         for _, n, p, q, geometries in _column(z, m, n_lo, n_hi, flat, twisted)
-        for k, text, geometry in zip(range(1, k_max + 1), texts, geometries)
+        for k, text, geometry in zip(ks, texts, geometries)
     ]

@@ -1,7 +1,6 @@
 """Integer and angle arithmetic."""
 
 import math
-import random
 import re
 from fractions import Fraction
 
@@ -13,36 +12,8 @@ from seifertgeo.arith import (
     PiRational,
     TWO_PI,
     Handedness,
-    bezout,
     fiber_coeffs,
 )
-
-
-class TestBezout:
-    def test_example_12_5(self):
-        g, x, y = bezout(12, 5)
-        assert g == 1
-        assert 12 * x + 5 * y == 1
-
-    def test_zero_pair_rejected(self):
-        with pytest.raises(ValueError):
-            bezout(0, 0)
-
-    def test_gcd_nonnegative(self):
-        g, x, y = bezout(-12, -8)
-        assert g == 4
-        assert -12 * x + -8 * y == 4
-
-    def test_random_identity(self):
-        rng = random.Random(20260814)
-        for _ in range(10_000):
-            a = rng.randint(-10**9, 10**9)
-            b = rng.randint(-10**9, 10**9)
-            if a == 0 and b == 0:
-                continue
-            g, x, y = bezout(a, b)
-            assert g == math.gcd(a, b)
-            assert a * x + b * y == g
 
 
 class TestFiberCoeffs:

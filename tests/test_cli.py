@@ -112,7 +112,7 @@ class TestLimits:
         assert code == 0
         pairs = kv(lines)
         assert pairs["beta_L"] == "0pi"
-        assert pairs["ratio"] == "infinite"
+        assert pairs["ratio"] == "undefined"
 
 
 class TestSurgery:
@@ -224,7 +224,7 @@ class TestRepeatedRuns:
         assert again == first == {"out": svg, "csv": None, "points": 8}
 
     def test_plot_text_names_a_missing_csv_none(self, capsys, tmp_path):
-        # None reads "infinite" only for homology_order and ratio
+        # None reads "none" for csv, "infinite" for homology_order and "undefined" for ratio
         svg, csv = str(tmp_path / "k.svg"), str(tmp_path / "k.csv")
         argv = ["plot", "--knot", "3,2", "--hand", "left", "--xmax", "3", "--out", svg]
         code, lines = run_lines(capsys, argv)

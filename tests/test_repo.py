@@ -182,7 +182,6 @@ def test_public_name_guard_sees_an_orphan():
 UNREAD = {
     "curvature_parameter": "printed once it is exact: math.cos may differ in its last bit between C libraries",
     "nil_admissible": "printed by a knot command that is still to come",
-    "family_signature": "the inverse of named_family; only tests read it",
 }
 
 

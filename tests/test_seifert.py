@@ -16,7 +16,6 @@ from seifertgeo.seifert import (
     GeometryType,
     SeifertSignature,
     euler_number,
-    family_signature,
     homology_order,
     identify_family,
     lens_params,
@@ -331,6 +330,28 @@ class TestLensParams:
             if abs(m) > 1:
                 assert math.gcd(abs(m), n) == 1
 
+    def test_n_solves_the_lens_congruences(self):
+        # No Bezout pair needed: with the general fibres folded into b,
+        # a1*n == -a2 and c*n == b2 (mod m) for c = b*a1 + b1, and since
+        # gcd(a1, c) = 1 the two congruences fix n mod m.
+        fibres = [(a, bi) for a in range(1, 8) for bi in range(-a - 1, a + 2) if math.gcd(a, bi) == 1]
+        checked = 0
+        for f1, f2 in itertools.product(fibres, repeat=2):
+            pairs = (f1, f2, (1, 1))
+            (a1, b1), (a2, b2) = ([f for f in pairs if f[0] > 1] + [(1, 0)] * 2)[:2]
+            general = sum(bi for a, bi in pairs if a == 1)
+            for b in range(-3, 4):
+                folded = b + general
+                c, m = folded * a1 + b1, folded * a1 * a2 + b1 * a2 + a1 * b2
+                if m == 0:
+                    continue
+                sig = S(b, pairs)
+                got, n = lens_params(sig)
+                assert got == m and 0 <= n < abs(m), str(sig)
+                assert (a1 * n + a2) % m == 0 and (c * n - b2) % m == 0, str(sig)
+                checked += 1
+        assert checked == 18_056
+
 
 class TestFamilies:
     def test_prism_quaternion(self):
@@ -411,29 +432,10 @@ class TestFamilies:
             fam = named_family(normalize(sig))
             assert fam == FamilyId(kind, params), str(sig)
 
-    def test_family_round_trip(self):
-        # reconstructed signature identifies back to the same parameters
-        checked = 0
-        for b in range(-5, 6):
-            for kind, param_iter in _family_parameter_grid(b):
-                for params in param_iter:
-                    fam = FamilyId(kind, params)
-                    try:
-                        sig = family_signature(fam)
-                    except ValueError:
-                        continue
-                    assert identify_family(sig) in (
-                        fam,
-                        FamilyId(FamilyKind.BRIESKORN, tuple(sorted(a for a, _ in sig.fibers))),
-                    )
-                    if identify_family(sig).kind is FamilyKind.BRIESKORN:
-                        assert named_family(sig) == fam
-                    checked += 1
-        assert checked > 200
-
     def test_paper_formulas(self):
-        # every normalized signature of each multiplicity set, b in -5..5
-        checked = 0
+        # every normalized signature of each multiplicity set, b in -5..5;
+        # the parameters determine the signature, so no two share a family
+        checked, signature_of = 0, {}
         for mults in [(n, 2, 2) for n in range(2, 9)] + [
             (3, 3, 2), (4, 3, 2), (5, 3, 2), (3, 3, 3), (4, 4, 2), (6, 3, 2)
         ]:
@@ -446,34 +448,12 @@ class TestFamilies:
             for sig in sigs:
                 fam = _paper_family(sig)
                 assert named_family(sig) == fam, str(sig)
-                assert family_signature(fam) == sig, str(sig)
+                assert signature_of.setdefault(fam, sig) == sig, str(sig)
                 # the same manifold, unnormalized: b_i + a_i, b - 3, reversed
                 moved = S(sig.b - 3, tuple((a, bi + a) for a, bi in reversed(sig.fibers)))
                 assert named_family(moved) == fam, str(moved)
                 checked += 1
         assert checked == 11 * (21 + 3 + 4 + 8 + 4 + 3 + 4)
-
-    @pytest.mark.parametrize("n", [10**6 + 1, 10**30 + 1])
-    def test_prism_reconstruction_is_bounded(self, n):
-        # no loop over the n residues: 10**30 of them would never finish
-        sig = family_signature(FamilyId(FamilyKind.PRISM, (n, 5)))
-        assert sig == S(-1, ((n, 5), (2, 1), (2, 1)))
-
-    def test_wrong_arity_is_value_error(self):
-        with pytest.raises(ValueError):
-            family_signature(FamilyId(FamilyKind.PRISM, (5,)))
-
-    @pytest.mark.parametrize(
-        "family, message",
-        [
-            (FamilyId(FamilyKind.LENS, (3, 1)), "no signature reconstruction for family Lens(3,1)"),
-            (FamilyId(FamilyKind.TETRAHEDRAL, (2,)), "parameters of T(2) name no signature of the family"),
-        ],
-    )
-    def test_no_reconstruction_is_value_error(self, family, message):
-        with pytest.raises(ValueError) as exc:
-            family_signature(family)
-        assert str(exc.value) == message
 
 
 def _paper_family(sig):
@@ -503,29 +483,3 @@ def _paper_family(sig):
         b2, b3 = c[3][0], c[6][0]
         return FamilyId(FamilyKind.N236, (6 * b + 3 + 2 * b2 + b3, min(b2, b3)))
     raise AssertionError("no family formula for %s" % sig)
-
-
-def _family_parameter_grid(b):
-    prism = [(n, (b + 1) * n + b3) for n in range(2, 8) for b3 in range(1, n) if math.gcd(n, b3) == 1]
-    t = [(6 * b + 3 + 2 * (b2 + b3),) for b2 in (1, 2) for b3 in (1, 2)]
-    o = [(12 * b + 6 + 4 * b2 + 3 * b3,) for b2 in (1, 2) for b3 in (1, 3)]
-    i = [(30 * b + 15 + 10 * b2 + 6 * b3,) for b2 in (1, 2) for b3 in (1, 2, 3, 4)]
-    n333 = [
-        (3 * b + b1 + b2 + b3, min(b1, b2, b3))
-        for b1 in (1, 2)
-        for b2 in (1, 2)
-        for b3 in (1, 2)
-    ]
-    n244 = [
-        (4 * b + 2 + b2 + b3, min(b2, b3))
-        for b2 in (1, 3)
-        for b3 in (1, 3)
-    ]
-    n236 = [(6 * b + 3 + 2 * b2 + b3, min(b2, b3)) for b2 in (1, 2) for b3 in (1, 5)]
-    yield FamilyKind.PRISM, prism
-    yield FamilyKind.TETRAHEDRAL, t
-    yield FamilyKind.OCTAHEDRAL, o
-    yield FamilyKind.ICOSAHEDRAL, i
-    yield FamilyKind.N333, n333
-    yield FamilyKind.N244, n244
-    yield FamilyKind.N236, n236

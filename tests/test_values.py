@@ -17,7 +17,7 @@ from fractions import Fraction
 import pytest
 
 import seifertgeo
-from seifertgeo.arith import Handedness, PiRational, TWO_PI, _Value, bezout, fiber_coeffs
+from seifertgeo.arith import Handedness, PiRational, TWO_PI, _Value, fiber_coeffs
 from seifertgeo.base2d import BasePoint, base_limits, classify_triangle, curvature_parameter
 from seifertgeo.cone3d import (
     ConeStructure, Dim, GeometryResult, SphericityInterval, classify_cone, family_dimension,
@@ -25,9 +25,8 @@ from seifertgeo.cone3d import (
 )
 from seifertgeo.plot import PlotModel, PlotPoint, PlotWindow, build_plot, export_csv, render_svg
 from seifertgeo.seifert import (
-    FamilyId, FamilyKind, GeometryType, SeifertSignature, euler_number, family_signature,
-    homology_order, identify_family, lens_params, manifold_geometry, named_family, normalize,
-    orbifold_euler_char,
+    FamilyId, FamilyKind, GeometryType, SeifertSignature, euler_number, homology_order,
+    identify_family, lens_params, manifold_geometry, named_family, normalize, orbifold_euler_char,
 )
 from seifertgeo.surgery import (
     LinePoint, SurgerySpec, TorusKnot, atlas, brieskorn_surgery, classify_surgery_cone, line_of_surgery,
@@ -240,7 +239,6 @@ ENTRY_CHECKS = [
     (normalize, "sig", SeifertSignature, (None,)),
     (lens_params, "sig", SeifertSignature, (None,)),
     (named_family, "sig", SeifertSignature, (None,)),
-    (family_signature, "family", FamilyId, (None,)),
     (family_dimension, "sig", SeifertSignature, (None, ())),
     (classify_cone, "cs", ConeStructure, (None,)),
     (classify_triangle, "point", BasePoint, (None,)),
@@ -406,8 +404,6 @@ NOT_INTEGERS = {
     "sphericity_limits-a3-bool": (lambda: sphericity_limits(2, 3, True), "a3"),
     "fiber_coeffs-r-float": (lambda: fiber_coeffs(3.0, 2, Handedness.LEFT), "r"),
     "fiber_coeffs-s-bool": (lambda: fiber_coeffs(3, True, Handedness.LEFT), "s"),
-    "bezout-a-float": (lambda: bezout(1.5, 2), "a"),
-    "bezout-b-str": (lambda: bezout(1, "2"), "b"),
     "brieskorn_surgery-a3-float": (lambda: brieskorn_surgery(2, 3, 7.0), "a3"),
     "brieskorn_surgery-a3-str": (lambda: brieskorn_surgery(2, 3, "7"), "a3"),
     "brieskorn_surgery-a1-bool": (lambda: brieskorn_surgery(True, 3, 7), "a1"),
