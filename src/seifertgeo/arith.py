@@ -145,23 +145,21 @@ _NEGATIVE = "%s must be non-negative, got %s*pi"
 class PiRational(_Value):
     """A non-negative angle written as an exact rational multiple of pi.
 
-    The textual form is "<num>/<den>pi"; integer multiples drop the
-    denominator ("2pi").  Ratios of two angles are exact Fractions, and
-    angles are ordered by their coefficient.  The coefficient is an int
-    or a Fraction and the optional denominator an int; a float, whose
-    binary value is rarely the rational meant, is refused.
+    PiRational(coeff) is the one constructor: the coefficient is an int
+    or a Fraction, so 2/3*pi is PiRational(Fraction(2, 3)); a float,
+    whose binary value is rarely the rational meant, is refused.  The
+    textual form is "<num>/<den>pi"; integer multiples drop the
+    denominator ("2pi").  An angle times or over an int or Fraction is
+    an angle, the ratio of two angles is an exact Fraction, and angles
+    are ordered by their coefficient.
     """
 
     __slots__ = ("coeff",)
     _KINDS = ((int, Fraction),)
 
-    def __init__(self, coeff, den=None):
+    def __init__(self, coeff):
         self._check(coeff)
-        if den is not None:
-            _require(den, "den")
-            if not den:
-                raise ValueError("den must be nonzero, got 0")
-        value = Fraction(coeff, den) if den is not None else Fraction(coeff)
+        value = Fraction(coeff)
         if value < 0:
             raise ValueError(_NEGATIVE % ("angle", value))
         object.__setattr__(self, "coeff", value)
@@ -188,22 +186,10 @@ class PiRational(_Value):
     def __str__(self):
         return self.text()
 
-    def __add__(self, other):
-        if not isinstance(other, PiRational):
-            return NotImplemented
-        return PiRational(self.coeff + other.coeff)
-
-    def __sub__(self, other):
-        if not isinstance(other, PiRational):
-            return NotImplemented
-        return PiRational(self.coeff - other.coeff)
-
     def __mul__(self, k):
         if isinstance(k, (int, Fraction)):
             return PiRational(self.coeff * k)
         return NotImplemented
-
-    __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, PiRational):

@@ -113,12 +113,6 @@ def _ints(form: str, sep: str):
     return parse
 
 
-def _slope(text: str) -> tuple[int, int]:
-    p, q = _ints("p/q", "/")(text)
-    # canonical form keeps the sign in q
-    return (-p, -q) if p < 0 else (p, q)
-
-
 def _angles(text: str) -> list[PiRational]:
     return [PiRational.parse(part) for part in text.split(",")]
 
@@ -280,7 +274,8 @@ COMMANDS = {
         _opt("--singular", _arg(_int), choices=(1, 2, 3), default=3),
     ]),
     "surgery": (_cmd_surgery, "classify a Dehn surgery on a torus knot", [
-        _KNOT, _HAND, _opt("--slope", _arg(_slope)), _opt("--beta", _arg(PiRational.parse), default=TWO_PI),
+        _KNOT, _HAND, _opt("--slope", _arg(_ints("p/q", "/"))),
+        _opt("--beta", _arg(PiRational.parse), default=TWO_PI),
     ]),
     "identify": (_cmd_identify, "standard family of a signature", [_SIG]),
     "plot": (_cmd_plot, "render the surgery-line diagram of a knot", [

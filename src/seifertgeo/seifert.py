@@ -215,7 +215,8 @@ def lens_params(sig: SeifertSignature) -> tuple[int, int]:
     where sigma is the inverse of c = b*a1 + b1 mod a1 and
     rho = (sigma*c - 1) / a1.  n is reported modulo m in [0, |m|).
     Swapping the fibres replaces n by its inverse mod m, which is the
-    same lens space.  m = 0 (that is e = 0) is an error.
+    same lens space; identify_family prints its one label.  m = 0 (that
+    is e = 0) is an error.
     """
     if sig.__class__ is not SeifertSignature:
         _require(sig, "sig", SeifertSignature)
@@ -300,6 +301,11 @@ def identify_family(sig: SeifertSignature) -> FamilyId:
     and nonzero Euler number), Brieskorn homology spheres (|H1| = 1 and
     pairwise coprime multiplicities), then the congruence families of
     named_family.  Anything else is Generic.
+
+    Each oriented lens space has one label Lens(p, q): from lens_params'
+    (m, n), p = |m| and k = n if m > 0, else -n mod p, and q is the lesser
+    of k and its inverse mod p.  S^3 is Lens(1,0).  The mirror is
+    Lens(p, -q mod p) in this form, the same label only when q^2 = -1 mod p.
     """
     if sig.__class__ is not SeifertSignature:
         _require(sig, "sig", SeifertSignature)
@@ -307,7 +313,12 @@ def identify_family(sig: SeifertSignature) -> FamilyId:
     if a1 == 1 or a2 == 1 or a3 == 1:  # at most two exceptional fibres
         if _euler_numerator(sig.b, sig.fibers) == 0:
             return GENERIC
-        return FamilyId._unchecked(FamilyKind.LENS, lens_params(normalize(sig)))
+        m, n = lens_params(sig)
+        p = abs(m)
+        k = n if m > 0 else -n % p
+        # L(p, k) and L(p, k') are orientation-preservingly homeomorphic exactly
+        # when k' = k^(+-1) mod p (Reidemeister 1935, Brody 1960).
+        return FamilyId._unchecked(FamilyKind.LENS, (p, min(k, pow(k, -1, p))))
 
     mults = tuple(sorted((a1, a2, a3)))
     # |H1| = 1 makes the a_i pairwise coprime: gcd(a_i, a_j) divides each term of e*a1*a2*a3.

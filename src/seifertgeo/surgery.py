@@ -62,9 +62,6 @@ class TorusKnot(_Value):
         self._set(r, s, hand)
         _check_knot(r, s)
 
-    def coeffs(self) -> tuple[int, int]:
-        return _fiber_coeffs(self.r, self.s, self.hand)
-
     def to_json(self) -> dict:
         return {"r": self.r, "s": self.s, "hand": self.hand.value}
 
@@ -73,22 +70,25 @@ class TorusKnot(_Value):
 
 
 class SurgerySpec(_Value):
-    """Slope p/q with p >= 0 and the sign carried by q; (1, 0) is infinity
-    and (0, 1) is zero, which (0, -1) also names."""
+    """Slope p/q of a surgery on knot, for any reduced p/q other than 0/0.
+
+    It is stored with p >= 0 and the sign in q, so -p/-q is p/q; (1, 0)
+    is infinity and (0, 1) is zero, which (0, -1) also names.
+    """
 
     __slots__ = ("knot", "p", "q")
     _KINDS = (TorusKnot, int, int)
 
     def __init__(self, knot: TorusKnot, p: int, q: int):
         self._set(knot, p, q)
-        if p < 0:
-            raise ValueError("slope numerator must be >= 0 (sign lives in q)")
+        if p < 0:  # the sign lives in q
+            p, q = -p, -q
         if (p, q) == (0, 0):
             raise ValueError("slope 0/0 is not a surgery")
         if gcd(p, abs(q)) != 1:
             raise ValueError("slope %d/%d is not reduced" % (p, q))
-        if not p:  # 0/-1 is stored as 0/1
-            object.__setattr__(self, "q", 1)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q if p else 1)  # 0/-1 is stored as 0/1
 
     def slope_text(self) -> str:
         return "%d/%d" % (self.p, self.q)
@@ -127,10 +127,9 @@ def surgery_signature(spec: SurgerySpec) -> SeifertSignature:
     """Raw signature of the surgered manifold, core fibre last."""
     _require(spec, "spec", SurgerySpec)
     m, eps = _core(spec)
-    b1, b2 = spec.knot.coeffs()
-    return SeifertSignature(
-        -1, ((spec.knot.s, b1), (spec.knot.r, b2), (m, eps * spec.q))
-    )
+    knot = spec.knot
+    b1, b2 = _fiber_coeffs(knot.r, knot.s, knot.hand)
+    return SeifertSignature(-1, ((knot.s, b1), (knot.r, b2), (m, eps * spec.q)))
 
 
 def line_of_surgery(spec: SurgerySpec) -> LinePoint:

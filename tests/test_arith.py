@@ -71,11 +71,11 @@ class TestPiRational:
         assert TWO_PI.text() == "2pi"
 
     def test_text_fraction(self):
-        assert PiRational(1, 3).text() == "1/3pi"
+        assert PiRational(Fraction(1, 3)).text() == "1/3pi"
 
     def test_parse_forms(self):
         assert PiRational.parse("2pi") == TWO_PI
-        assert PiRational.parse("1/2pi") == PiRational(1, 2)
+        assert PiRational.parse("1/2pi") == PiRational(Fraction(1, 2))
         assert PiRational.parse("pi") == PiRational(1)
         assert PiRational.parse(" Pi ") == PiRational(1)
 
@@ -91,17 +91,15 @@ class TestPiRational:
                 PiRational.parse(text)
 
     def test_float(self):
-        assert float(PiRational(1, 2)) == pytest.approx(math.pi / 2, abs=1e-15)
+        assert float(PiRational(Fraction(1, 2))) == pytest.approx(math.pi / 2, abs=1e-15)
 
     def test_ordering(self):
-        assert PiRational(1, 3) < PiRational(1, 2) < PiRational(1) < TWO_PI
+        assert PiRational(Fraction(1, 3)) < PiRational(Fraction(1, 2)) < PiRational(1) < TWO_PI
 
     def test_arith(self):
-        assert PiRational(1, 3) + PiRational(1, 6) == PiRational(1, 2)
-        assert TWO_PI - PiRational(1) == PiRational(1)
-        assert PiRational(1, 3) * 6 == TWO_PI
+        assert PiRational(Fraction(1, 3)) * 6 == TWO_PI
         assert TWO_PI / PiRational(1) == Fraction(2)
-        assert TWO_PI / 4 == PiRational(1, 2)
+        assert TWO_PI / 4 == PiRational(Fraction(1, 2))
         assert not PiRational(0) and PiRational(1)
         with pytest.raises(ZeroDivisionError):
             PiRational(1) / PiRational(0)
@@ -123,7 +121,13 @@ class TestPiRational:
             operation()
 
     def test_int_and_fraction_are_exact(self):
-        assert PiRational(2, 3) == PiRational(Fraction(2, 3)) == PiRational(Fraction(4), 6)
+        assert PiRational(Fraction(2, 3)) == PiRational(Fraction(4, 6))
+        assert PiRational(2) == PiRational(Fraction(2)) == TWO_PI
+
+    def test_takes_one_coefficient(self):
+        # no denominator argument: 2/3*pi is PiRational(Fraction(2, 3))
+        with pytest.raises(TypeError):
+            PiRational(1, 2)
 
     @pytest.mark.parametrize(
         "args, shown",
@@ -131,8 +135,6 @@ class TestPiRational:
             ((2 / 3,), "0.6666666666666666"),
             ((True,), "True"),
             (("2/3",), "'2/3'"),
-            ((2, 3.0), "3.0"),
-            ((2, True), "True"),
         ],
     )
     def test_refuses_float_bool_and_str(self, args, shown):
@@ -140,20 +142,10 @@ class TestPiRational:
         with pytest.raises(ValueError, match=re.escape("got %s" % shown)):
             PiRational(*args)
 
-    def test_zero_denominator_names_den(self):
-        with pytest.raises(ValueError) as exc:
-            PiRational(1, 0)
-        assert str(exc.value) == "den must be nonzero, got 0"
-
     @given(st.integers(0, 400), st.integers(1, 400))
     def test_parse_text_round_trip(self, num, den):
-        angle = PiRational(num, den)
+        angle = PiRational(Fraction(num, den))
         assert PiRational.parse(angle.text()) == angle
-
-    @given(st.integers(0, 100), st.integers(1, 100), st.integers(0, 100), st.integers(1, 100))
-    def test_addition_matches_fractions(self, n1, d1, n2, d2):
-        a, b = PiRational(n1, d1), PiRational(n2, d2)
-        assert (a + b).coeff == Fraction(n1, d1) + Fraction(n2, d2)
 
 
 class TestNoFloatAngles:

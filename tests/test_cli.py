@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -171,6 +172,20 @@ class TestSurgery:
         assert negative == positive
         assert negative["slope"] == "0/1"
 
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.tuples(st.integers(-40, 40), st.integers(-9, 9)).filter(lambda pq: math.gcd(*pq) == 1))
+    @example((0, 1))
+    @example((6, -1))
+    def test_negated_slope_prints_the_same_bytes(self, capsys, pq):
+        # -p/-q is the slope p/q, also on the fibre slope's error
+        p, q = pq
+        outputs = []
+        for slope in ("%d/%d" % (p, q), "%d/%d" % (-p, -q)):
+            code = run(["surgery", "--knot", "3,2", "--hand", "left", "--slope=" + slope, "--json"])
+            outputs.append((code, capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] in (0, 1)
+
 
 class TestIdentify:
     def test_poincare(self, capsys):
@@ -179,10 +194,11 @@ class TestIdentify:
         assert payload == {"family": "I(1)-compatible Brieskorn(2,3,5)"}
 
     def test_lens(self, capsys):
-        # e = 5/7 > 0: |H1| = 5, orientation carried by the sign
+        # e = 5/7 > 0, so lens_params gives m = -5 and n = 2: L(5, -2) = L(5, 3),
+        # and 3 * 2 = 1 mod 5 makes the label L(5, 2)
         sig = json.dumps({"b": -1, "fibers": [[7, 2]]})
         _, payload = run_json(capsys, ["identify", "--sig", sig])
-        assert payload["family"] == "Lens(-5,2)"
+        assert payload["family"] == "Lens(5,2)"
 
 
 class TestRepeatedRuns:

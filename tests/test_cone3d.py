@@ -6,7 +6,7 @@ import pickle
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -28,10 +28,12 @@ from seifertgeo.cone3d import (
     sphericity_limits,
 )
 from seifertgeo.seifert import (
+    FamilyKind,
     GeometryType,
     SeifertSignature,
     euler_number,
     homology_order,
+    identify_family,
     manifold_geometry,
     normalize,
     normalize_with_order,
@@ -57,7 +59,7 @@ class TestConeStructure:
         # the pi/5 angle stays attached to the 5-fibre wherever it sorts
         cs = ConeStructure(S(-1, ((2, 1), (3, 1), (5, 1))), angles(2, 2, "1/5"))
         assert cs.sig.fibers == ((5, 1), (3, 1), (2, 1))
-        assert cs.angles[0] == PiRational(1, 5)
+        assert cs.angles[0] == PiRational(Fraction(1, 5))
 
     def test_angle_bound(self):
         with pytest.raises(ValueError):
@@ -149,7 +151,7 @@ class TestClassifyCone:
                 a = rng.randint(1, 6)
                 b = rng.choice([k for k in range(-5, 6) if math.gcd(a, abs(k)) == 1])
                 pairs.append((a, b))
-                ang.append(PiRational(rng.randint(0, 2 * a), a))
+                ang.append(PiRational(Fraction(rng.randint(0, 2 * a), a)))
             b0 = rng.randint(-2, 2)
             base = classify_cone(ConeStructure(S(b0, tuple(pairs)), tuple(ang)))
             for perm in ((1, 2, 0), (2, 0, 1), (0, 2, 1)):
@@ -169,7 +171,7 @@ class TestClassifyCone:
     def test_fibre_moves_and_permutations_carry_the_angles(self, b, fibres, perm, moves):
         # Fibre i is (a, b_i) with cone angle num/den*pi.
         sig = S(b, tuple((a, bi) for a, bi, _, _ in fibres))
-        ang = tuple(PiRational(num, den) for _, _, den, num in fibres)
+        ang = tuple(PiRational(Fraction(num, den)) for _, _, den, num in fibres)
         cs = ConeStructure(sig, ang)
         norm = cs.sig
         assert norm == normalize(sig)
@@ -200,7 +202,7 @@ class TestOrientationReversal:
         # angles in caller order, the family dimension of each singular set.
         sig = S(b, tuple((a, bi) for a, bi, _, _ in fibres))
         reversed_sig = S(-b, tuple((a, -bi) for a, bi, _, _ in fibres))
-        ang = tuple(PiRational(num, den) for _, _, den, num in fibres)
+        ang = tuple(PiRational(Fraction(num, den)) for _, _, den, num in fibres)
         assert manifold_geometry(reversed_sig) is manifold_geometry(sig)
         assert homology_order(reversed_sig) == homology_order(sig)
         assert classify_cone(ConeStructure(reversed_sig, ang)) == classify_cone(ConeStructure(sig, ang))
@@ -212,6 +214,22 @@ class TestOrientationReversal:
                 positions = {order.index(i) + 1 for i in singular}
                 reversed_positions = {reversed_order.index(i) + 1 for i in singular}
                 assert family_dimension(reversed_norm, reversed_positions) is family_dimension(norm, positions)
+
+    def test_reversal_mirrors_the_lens_label(self):
+        # -L(p, q) = L(p, -q): every ordered pair of fibres a_i <= 8, b in -3..3, e != 0
+        fibres = [(a, bi) for a in range(1, 9) for bi in range(a if a > 1 else 1) if math.gcd(a, bi) == 1]
+        checked = 0
+        for pair in product(fibres, repeat=2):
+            for b in range(-3, 4):
+                family = identify_family(S(b, pair))
+                if family.kind is not FamilyKind.LENS:
+                    continue
+                p, q = family.params
+                k = -q % p
+                reversed_family = identify_family(S(-b, [(a, -bi) for a, bi in pair]))
+                assert reversed_family.params == (p, min(k, pow(k, -1, p))), (b, pair)
+                checked += 1
+        assert checked == 3366
 
 
 # Reference decision through the Fraction API: the region of the
@@ -269,7 +287,7 @@ class TestSphericityLimits:
 
     def test_i_family_5_fibre(self):
         iv = sphericity_limits(2, 3, 5)
-        assert (iv.beta_lower, iv.beta_upper) == (PiRational(5, 3), PiRational(25, 3))
+        assert (iv.beta_lower, iv.beta_upper) == (PiRational(Fraction(5, 3)), PiRational(Fraction(25, 3)))
 
     def test_unsorted_pair_accepted(self):
         assert sphericity_limits(3, 2, 5) == sphericity_limits(2, 3, 5)
@@ -285,7 +303,7 @@ class TestSphericityLimits:
             for a2 in range(a1, 10):
                 for a3 in range(1, 8):
                     iv = sphericity_limits(a1, a2, a3)
-                    assert iv.beta_upper - iv.beta_lower == PiRational(4 * a3, a2)
+                    assert iv.beta_upper.coeff - iv.beta_lower.coeff == Fraction(4 * a3, a2)
 
     def test_ratio_examples(self):
         assert sphericity_limits(2, 3, 1).ratio() == Fraction(5)

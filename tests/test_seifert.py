@@ -353,6 +353,78 @@ class TestLensParams:
         assert checked == 18_056
 
 
+def _hirzebruch_jung(a, b):
+    """[c1, c2, ...] with every c_i >= 2 and a/b = c1 - 1/(c2 - ...), for 0 < b < a."""
+    chain = []
+    while b:
+        c = -(-a // b)
+        chain.append(c)
+        a, b = b, c * b - a
+    return chain
+
+
+def _plumbing_lens(b, f1, f2):
+    """Lens(p, q) of (b; f1, f2) with 0 < b_i < a_i, from the linear plumbing
+    [HJ(a1/b1) reversed, -b, HJ(a2/b2)] (Neumann, "A calculus for plumbing",
+    Trans. AMS 268, 1981), which is L(p, q) for p/q = w1 - 1/(w2 - ...).
+
+    The chain is evaluated as the product of the matrices ((w, -1), (1, 0)),
+    whose first column is (p, q), so no partial quotient divides by zero.
+    L(p, k) and L(p, k') are orientation-preservingly homeomorphic exactly
+    when k' = k^(+-1) mod p (Reidemeister 1935, Brody 1960); the label takes
+    the lesser.
+    """
+    chain = _hirzebruch_jung(*f1)[::-1] + [-b] + _hirzebruch_jung(*f2)
+    p, r, q, t = 1, 0, 0, 1  # rows (p, r) and (q, t)
+    for w in chain:
+        p, r, q, t = p * w + r, -p, q * w + t, -q
+    if p < 0:  # L(-p, -q) = L(p, q)
+        p, q = -p, -q
+    k = q % p
+    return "Lens(%d,%d)" % (p, min(k, pow(k, -1, p)))
+
+
+class TestLensLabel:
+    """One label per oriented lens space."""
+
+    def test_projective_space(self):
+        assert str(identify_family(S(-1, ((3, 1),)))) == "Lens(2,1)"
+        assert str(identify_family(S(0, ((3, 2),)))) == "Lens(2,1)"
+        assert str(identify_family(S(-1, ((2, 1), (3, 1))))) == "Lens(1,0)"
+
+    def test_matches_the_plumbing(self):
+        # every ordered pair of fibres 0 < b_i < a_i <= 8, b in -3..3, e != 0
+        fibres = [(a, bi) for a in range(2, 9) for bi in range(1, a) if math.gcd(a, bi) == 1]
+        checked = 0
+        for f1, f2 in itertools.product(fibres, repeat=2):
+            for b in range(-3, 4):
+                sig = S(b, (f1, f2))
+                if euler_number(sig) == 0:
+                    continue
+                assert str(identify_family(sig)) == _plumbing_lens(b, f1, f2), str(sig)
+                checked += 1
+        assert checked == 3066
+
+    @given(
+        st.integers(-5, 5),
+        st.lists(
+            st.tuples(st.integers(1, 12), st.integers(-30, 30)).filter(lambda f: math.gcd(*f) == 1),
+            min_size=1,
+            max_size=2,
+        ),
+        st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+        st.permutations(range(3)),
+    )
+    @settings(max_examples=300)
+    def test_label_survives_fibre_moves_and_permutations(self, b, pairs, shifts, order):
+        # (b; (a_i, b_i)) is (b - k; (a_i, b_i + k*a_i)); a general fibre (1, k) is such a move
+        pairs = pairs + [(1, 0)] * (3 - len(pairs))
+        moved = [(a, bi + k * a) for (a, bi), k in zip(pairs, shifts)]
+        family = identify_family(S(b, pairs))
+        assert identify_family(S(b - sum(shifts), [moved[i] for i in order])) == family
+        assert family.kind in (FamilyKind.LENS, FamilyKind.GENERIC)
+
+
 class TestFamilies:
     def test_prism_quaternion(self):
         assert identify_family(S(-1, ((2, 1), (2, 1), (2, 1)))) == FamilyId(

@@ -15,8 +15,7 @@ from seifertgeo.seifert import (
     SeifertSignature,
     euler_number,
     homology_order,
-    lens_params,
-    normalize,
+    identify_family,
 )
 from seifertgeo.surgery import (
     LinePoint,
@@ -60,9 +59,12 @@ class TestTorusKnot:
         assert str(TorusKnot(3, 2, L)) == "K(3,2) left"
 
     def test_coeffs_are_the_fiber_coeffs(self):
+        # the surgery reads the knot's exceptional fibres from fiber_coeffs
         for r, s in coprime_knots(13):
             for hand in (L, R):
-                assert TorusKnot(r, s, hand).coeffs() == fiber_coeffs(r, s, hand)
+                b1, b2 = fiber_coeffs(r, s, hand)
+                sig = surgery_signature(SurgerySpec(TorusKnot(r, s, hand), 1, 0))
+                assert sig.fibers[:2] == ((s, b1), (r, b2))
 
 
 class TestSurgerySignature:
@@ -91,12 +93,12 @@ class TestSurgerySignature:
             surgery_signature(SurgerySpec(TorusKnot(3, 2, R), 6, 1))
 
     def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            SurgerySpec(TorusKnot(3, 2, L), -1, 2)
-        with pytest.raises(ValueError):
-            SurgerySpec(TorusKnot(3, 2, L), 2, 4)
-        with pytest.raises(ValueError):
-            SurgerySpec(TorusKnot(3, 2, L), 0, 0)
+        # a negative numerator moves its sign to q before the checks read it
+        for p, q, message in ((2, 4, "2/4 is not reduced"), (-2, -4, "2/4 is not reduced"),
+                              (-2, 4, "2/-4 is not reduced"), (0, 0, "0/0 is not a surgery")):
+            with pytest.raises(ValueError) as exc:
+                SurgerySpec(TorusKnot(3, 2, L), p, q)
+            assert str(exc.value) == "slope " + message
         with pytest.raises(ValueError) as exc:
             SurgerySpec(None, 1, 2)
         assert str(exc.value) == "knot must be a TorusKnot, got None"
@@ -202,6 +204,17 @@ class TestLineModel:
         assert spec == SurgerySpec(knot, 0, 1)
         assert (spec.q, spec.slope_text()) == (1, "0/1")
 
+    @given(
+        st.sampled_from([TorusKnot(3, 2, L), TorusKnot(5, 3, R)]),
+        st.tuples(st.integers(-60, 60), st.integers(-60, 60)).filter(lambda pq: math.gcd(*pq) == 1),
+    )
+    def test_negated_slope_is_the_same_spec(self, knot, pq):
+        # every reduced p/q: stored with p >= 0, the sign in q, the same slope
+        p, q = pq
+        spec = SurgerySpec(knot, p, q)
+        assert spec == SurgerySpec(knot, -p, -q)
+        assert spec.p >= 0 and spec.p * q == spec.q * p
+
     def test_primitive_validation(self):
         with pytest.raises(ValueError):
             LinePoint(4, 2)
@@ -288,7 +301,7 @@ class TestSphericalOrbifolds:
 class TestClassify:
     def test_nil_orbifold_on_trefoil(self):
         spec = SurgerySpec(TorusKnot(3, 2, L), 4, -1)
-        result = classify_surgery_cone(spec, PiRational(2, 3))
+        result = classify_surgery_cone(spec, PiRational(Fraction(2, 3)))
         assert result.geometry is GeometryType.NIL
 
     def test_spherical_on_43(self):
@@ -312,7 +325,7 @@ class TestClassify:
                 continue
             n1, n2 = rng.sample(candidates, 2)
             k = rng.randint(1, 4)
-            beta = PiRational(2, k)
+            beta = PiRational(Fraction(2, k))
             results, signs = [], []
             for n in (n1, n2):
                 spec = surgery_of_line(knot, LinePoint(m, n))
@@ -545,8 +558,8 @@ class TestMoserLensSpaces:
     def test_moser_lens_slopes(self):
         # Moser (Pacific J. Math. 38, 1971): p/q surgery on the (r, s)
         # torus knot with p = eps*q*r*s +- 1 is the lens space L(p, q*s^2),
-        # eps = +1 for the right hand and -1 for the left.  L(p, k) and
-        # L(p, k') agree exactly when k' = +-k^{+-1} (mod p).
+        # eps = +1 for the right hand and -1 for the left.  Its one label
+        # is Lens(p, min(k, k^-1 mod p)) for k = q*s^2 mod p.
         checked = 0
         for r, s in coprime_knots(11):
             for hand, eps in ((R, 1), (L, -1)):
@@ -555,10 +568,8 @@ class TestMoserLensSpaces:
                         if q == 0 or p < 2 or math.gcd(p, abs(q)) != 1:
                             continue
                         k = q * s * s % p
-                        expected = {k, -k % p, pow(k, -1, p), -pow(k, -1, p) % p}
                         spec = SurgerySpec(TorusKnot(r, s, hand), p, q)
-                        m, n = lens_params(normalize(surgery_signature(spec)))
-                        assert abs(m) == p, (r, s, hand, p, q)
-                        assert n in expected, (r, s, hand, p, q)
+                        family = identify_family(surgery_signature(spec))
+                        assert str(family) == "Lens(%d,%d)" % (p, min(k, pow(k, -1, p))), (r, s, hand, p, q)
                         checked += 1
         assert checked == 744
