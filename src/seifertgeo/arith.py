@@ -138,7 +138,6 @@ class _Value:
 
 
 _PI_RE = re.compile(r"(?:([+-]?[0-9]+)(?:/([0-9]+))?)?pi")
-_NEGATIVE = "%s must be non-negative, got %s*pi"
 
 
 @total_ordering
@@ -161,7 +160,7 @@ class PiRational(_Value):
         self._check(coeff)
         value = Fraction(coeff)
         if value < 0:
-            raise ValueError(_NEGATIVE % ("angle", value))
+            raise ValueError("angle must be non-negative, got %s*pi" % value)
         object.__setattr__(self, "coeff", value)
 
     @classmethod
@@ -212,13 +211,3 @@ class PiRational(_Value):
 
 TWO_PI = PiRational(2)
 
-
-def _angle(value, field: str) -> PiRational:
-    """value as a PiRational; a ValueError names the field when value is
-    not a PiRational, an int or a Fraction, or is negative."""
-    if isinstance(value, PiRational):
-        return value
-    _require(value, field, (PiRational, int, Fraction))
-    if value < 0:
-        raise ValueError(_NEGATIVE % (field, Fraction(value)))
-    return PiRational(value)

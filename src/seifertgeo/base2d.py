@@ -24,20 +24,21 @@ import math
 from fractions import Fraction
 
 from . import kernel
-from .arith import PiRational, _Value, _angle, _require
+from .arith import PiRational, _Value, _require
 from .kernel import RegionClass
 
 
 class BasePoint(_Value):
-    __slots__ = ("alpha1", "alpha2", "alpha3")
-    _KINDS = ((PiRational, int, Fraction),) * 3
+    """A point of the angle cube [0, pi]^3: three PiRational base angles."""
 
-    def __init__(self, alpha1, alpha2, alpha3):
-        for name, alpha in zip(self.__slots__, (alpha1, alpha2, alpha3)):
-            alpha = _angle(alpha, name)
+    __slots__ = ("alpha1", "alpha2", "alpha3")
+    _KINDS = (PiRational,) * 3
+
+    def __init__(self, alpha1: PiRational, alpha2: PiRational, alpha3: PiRational):
+        self._set(alpha1, alpha2, alpha3)
+        for alpha in (alpha1, alpha2, alpha3):
             if alpha.coeff > 1:
                 raise ValueError("base angle %s exceeds pi" % alpha)
-            object.__setattr__(self, name, alpha)
 
     def coeffs(self) -> tuple[Fraction, Fraction, Fraction]:
         return (self.alpha1.coeff, self.alpha2.coeff, self.alpha3.coeff)

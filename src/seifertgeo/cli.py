@@ -232,12 +232,12 @@ def _cmd_plot(args) -> int:
     window = PlotWindow(args.xmax, args.ymin, y_max)
     model = build_plot(knot, window)
     outputs = [(args.out, [render_svg(model)])]
-    if args.csv:
+    if args.csv is not None:
         outputs.append((args.csv, [export_csv(model)]))
     _write_files(outputs)
     return _emit(
         args,
-        {"out": args.out, "csv": args.csv or None, "points": len(model.points)},
+        {"out": args.out, "csv": args.csv, "points": len(model.points)},
     )
 
 

@@ -31,7 +31,7 @@ from fractions import Fraction
 from types import NoneType
 
 from . import kernel
-from .arith import PiRational, _Value, _angle, _require
+from .arith import PiRational, _Value, _require
 from .base2d import BasePoint, base_limits
 from .seifert import _GEOMETRIES, GeometryType, SeifertSignature, _euler_numerator, normalize, normalize_with_order
 
@@ -62,26 +62,25 @@ _NO_ROW = (NO_STRUCTURE, NO_STRUCTURE)
 class ConeStructure(_Value):
     """A normalized signature with one cone angle per fibre.
 
-    The constructor accepts a raw signature; normalization carries the
-    angles through the fibre permutation, so angle k always belongs to
-    fibre k of the stored signature.
+    The constructor accepts a raw signature and a tuple or list of three
+    PiRational angles; any other angle is refused, named angles[i] as
+    the caller numbers it.  Normalization carries the angles through the
+    fibre permutation, so angle k always belongs to fibre k of the
+    stored signature.
     """
 
     __slots__ = ("sig", "angles")
     _KINDS = (SeifertSignature, (tuple, list))
 
     def __init__(self, sig: SeifertSignature, angles):
-        # exact classes skip the call, as in SeifertSignature's ints
+        # exact classes skip the calls, as in SeifertSignature's ints
         if sig.__class__ is not SeifertSignature or angles.__class__ is not tuple:
             self._check(sig, angles)
-        try:
-            angles = [beta if isinstance(beta, PiRational) else PiRational(beta) for beta in angles]
-        except ValueError:  # name the angle as the caller numbers it
-            for i, beta in enumerate(angles):
-                _angle(beta, "angles[%d]" % i)
-            raise
         if len(angles) != 3:
             raise ValueError("expected 3 cone angles, got %d" % len(angles))
+        if not (angles[0].__class__ is angles[1].__class__ is angles[2].__class__ is PiRational):
+            for i, beta in enumerate(angles):
+                _require(beta, "angles[%d]" % i, PiRational)
         norm, (i, j, k) = normalize_with_order(sig)
         x1, x2, x3 = angles[i], angles[j], angles[k]
         (a1, _), (a2, _), (a3, _) = f1, f2, f3 = norm.fibers

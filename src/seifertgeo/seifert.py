@@ -86,10 +86,12 @@ class SeifertSignature(_Value):
 
     @classmethod
     def from_json(cls, data) -> "SeifertSignature":
-        """Signature from its JSON object or text; ValueError names the bad field."""
+        """Signature from its JSON object or text, which has the fields b and
+        fibers and no other; ValueError names a missing, unknown, duplicate
+        or bad field."""
         if isinstance(data, str):
             try:
-                data = json.loads(data)
+                data = json.loads(data, object_pairs_hook=_unique_fields)
             except RecursionError:
                 raise ValueError("signature JSON is nested too deeply") from None
         if not isinstance(data, dict):
@@ -97,6 +99,9 @@ class SeifertSignature(_Value):
         for field in ("b", "fibers"):
             if field not in data:
                 raise ValueError("signature is missing field %r" % field)
+        if len(data) != 2:
+            unknown = next(field for field in data if field not in ("b", "fibers"))
+            raise ValueError("signature has unknown field %r" % unknown)
         if not isinstance(data["fibers"], (list, tuple)):
             raise ValueError("fibers must be a list, got %s" % type(data["fibers"]).__name__)
         for i, pair in enumerate(data["fibers"]):
@@ -107,6 +112,17 @@ class SeifertSignature(_Value):
     def __str__(self):
         pairs = ",".join("(%d,%d)" % f for f in self.fibers)
         return "<%d; %s>" % (self.b, pairs)
+
+
+def _unique_fields(pairs) -> dict:
+    """json object_pairs_hook: the object's dict, refusing a repeated key,
+    which json.loads would otherwise resolve to its last value."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError("signature has duplicate field %r" % key)
+        data[key] = value
+    return data
 
 
 class GeometryType(Enum):

@@ -44,7 +44,7 @@ from fractions import Fraction
 from math import ceil, floor, gcd
 
 from . import kernel
-from .arith import TWO_PI, Handedness, PiRational, _Value, _angle, _check_knot, _fiber_coeffs, _require
+from .arith import TWO_PI, Handedness, PiRational, _Value, _check_knot, _fiber_coeffs, _require
 from .base2d import base_limits
 from .cone3d import _NO_ROW, _ROWS, ConeStructure, GeometryResult, classify_cone
 from .seifert import SeifertSignature
@@ -173,8 +173,10 @@ def x_limits(knot: TorusKnot) -> tuple[Fraction, Fraction]:
 
 
 def classify_surgery_cone(spec: SurgerySpec, beta: PiRational) -> GeometryResult:
-    """Geometry of the surgered manifold with cone angle beta on the core."""
-    return classify_cone(ConeStructure(surgery_signature(spec), (TWO_PI, TWO_PI, _angle(beta, "beta"))))
+    """Geometry of the surgered manifold with cone angle beta, a PiRational, on the core."""
+    sig = surgery_signature(spec)
+    _require(beta, "beta", PiRational)
+    return classify_cone(ConeStructure(sig, (TWO_PI, TWO_PI, beta)))
 
 
 def _column_names(knot: TorusKnot, m_max: int, ks):

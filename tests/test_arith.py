@@ -3,6 +3,7 @@
 import math
 import re
 from fractions import Fraction
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -149,60 +150,96 @@ class TestPiRational:
 
 
 class TestNoFloatAngles:
-    """Every type that converts an angle through PiRational refuses a float,
-    which would otherwise move an exact point off its region."""
+    """Every angle entry point refuses a float, which would otherwise move
+    an exact point off its region."""
 
     def test_surgery_cone_angle(self):
         spec = SurgerySpec(TorusKnot(3, 2, Handedness.LEFT), 4, -1)
         assert str(classify_surgery_cone(spec, PiRational(Fraction(2, 3)))) == "Nil"
         with pytest.raises(ValueError) as exc:
             classify_surgery_cone(spec, 2 / 3)
-        assert str(exc.value) == (
-            "beta must be a PiRational or an integer or a Fraction, got 0.6666666666666666"
-        )
+        assert str(exc.value) == "beta must be a PiRational, got 0.6666666666666666"
 
     def test_base_point(self):
         with pytest.raises(ValueError) as exc:
             BasePoint(1 / 3, 1 / 3, 1 / 3)
-        assert str(exc.value) == (
-            "alpha1 must be a PiRational or an integer or a Fraction, got 0.3333333333333333"
-        )
+        assert str(exc.value) == "alpha1 must be a PiRational, got 0.3333333333333333"
 
     def test_cone_structure(self):
         sig = SeifertSignature(-1, ((2, 1), (3, 1), (5, 1)))
         with pytest.raises(ValueError) as exc:
-            ConeStructure(sig, (2.0, 2, 2))
-        assert str(exc.value) == "angles[0] must be a PiRational or an integer or a Fraction, got 2.0"
-        # counted in the caller's order, not the normalized fibre order
-        with pytest.raises(ValueError) as exc:
-            ConeStructure(SeifertSignature(-1, ((5, 1), (3, 1), (2, 1))), (2, 2, "2pi"))
-        assert str(exc.value) == "angles[2] must be a PiRational or an integer or a Fraction, got '2pi'"
+            ConeStructure(sig, (2.0, TWO_PI, TWO_PI))
+        assert str(exc.value) == "angles[0] must be a PiRational, got 2.0"
+
+
+class _Angle(PiRational):
+    __slots__ = ()
+
+
+# Normalization reverses these fibres, so angles[i] as the caller numbers
+# it is angle 2 - i of the stored value.
+_REVERSED = SeifertSignature(-1, ((2, 1), (3, 1), (5, 1)))
+_NIL_SPEC = SurgerySpec(TorusKnot(3, 2, Handedness.LEFT), 4, -1)
+_THIRD = PiRational(Fraction(1, 3))
+
+
+def _with(beta, i):
+    angles = [_THIRD] * 3
+    angles[i] = beta
+    return angles
+
+
+# entry point -> (call with beta at angle position i, giving the angles the
+# value holds or the geometry's name; the field each position is named by)
+ANGLE_ENTRIES = {
+    "ConeStructure": (
+        lambda beta, i: ConeStructure(_REVERSED, _with(beta, i)).angles,
+        ("angles[0]", "angles[1]", "angles[2]"),
+    ),
+    "BasePoint": (
+        lambda beta, i: attrgetter("alpha1", "alpha2", "alpha3")(BasePoint(*_with(beta, i))),
+        ("alpha1", "alpha2", "alpha3"),
+    ),
+    "classify_surgery_cone": (lambda beta, i: str(classify_surgery_cone(_NIL_SPEC, beta)), ("beta",)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ANGLE_ENTRIES))
+class TestAnglesArePiRationals:
+    """An angle is a PiRational: no entry point reads an int or a Fraction
+    in units of pi, and each names the field of a value it refuses."""
+
+    @pytest.mark.parametrize(
+        "bad", [1, Fraction(1, 2), 0.5, "2pi", True, None], ids=["int", "Fraction", "float", "str", "bool", "None"]
+    )
+    def test_anything_else_is_refused_naming_the_field(self, entry, bad):
+        call, fields = ANGLE_ENTRIES[entry]
+        for i, field in enumerate(fields):
+            with pytest.raises(ValueError) as exc:
+                call(bad, i)
+            assert str(exc.value) == "%s must be a PiRational, got %r" % (field, bad)
+
+    def test_a_subclass_passes_through_as_it_is(self, entry):
+        call, fields = ANGLE_ENTRIES[entry]
+        for i in range(len(fields)):
+            beta = _Angle(Fraction(2, 3))
+            if entry == "classify_surgery_cone":
+                assert call(beta, i) == call(PiRational(Fraction(2, 3)), i) == "Nil"
+            else:
+                assert any(angle is beta for angle in call(beta, i))
+
+
+def test_cone_angles_are_named_in_the_callers_order():
+    # normalization moves the first angle given to the last fibre, yet a bad one is angles[0]
+    assert ConeStructure(_REVERSED, _with(TWO_PI, 0)).angles == (_THIRD, _THIRD, TWO_PI)
+    with pytest.raises(ValueError) as exc:
+        ConeStructure(_REVERSED, _with(1, 0))
+    assert str(exc.value) == "angles[0] must be a PiRational, got 1"
 
 
 class TestNegativeAngles:
-    """A negative angle is reported under the field the caller gave it;
-    a bare PiRational has no field and calls it the angle."""
-
-    def test_cone_structure(self):
-        sig = SeifertSignature(-1, ((2, 1), (3, 1), (5, 1)))
-        with pytest.raises(ValueError) as exc:
-            ConeStructure(sig, (2, -1, 2))
-        assert str(exc.value) == "angles[1] must be non-negative, got -1*pi"
-        # counted in the caller's order, not the normalized fibre order
-        with pytest.raises(ValueError) as exc:
-            ConeStructure(sig, (2, 2, Fraction(-1, 2)))
-        assert str(exc.value) == "angles[2] must be non-negative, got -1/2*pi"
-
-    def test_base_point(self):
-        with pytest.raises(ValueError) as exc:
-            BasePoint(0, -1, 0)
-        assert str(exc.value) == "alpha2 must be non-negative, got -1*pi"
-
-    def test_surgery_cone_angle(self):
-        spec = SurgerySpec(TorusKnot(3, 2, Handedness.LEFT), 4, -1)
-        with pytest.raises(ValueError) as exc:
-            classify_surgery_cone(spec, -2)
-        assert str(exc.value) == "beta must be non-negative, got -2*pi"
+    """A negative angle can only arrive as PiRational(-x), which refuses it
+    itself: an angle has no field of its own, so it is called the angle."""
 
     def test_bare_pi_rational(self):
         with pytest.raises(ValueError) as exc:

@@ -449,6 +449,22 @@ class TestExitCodes:
         capsys.readouterr()
 
     @pytest.mark.parametrize(
+        "sig, message",
+        [
+            ('{"b":-1,"b":3,"fibers":[[2,1],[3,1],[5,1]]}', "duplicate field 'b'"),
+            ('{"b":-1,"fibers":[[2,1],[3,1],[5,1]],"extra":1}', "unknown field 'extra'"),
+        ],
+        ids=["duplicate", "unknown"],
+    )
+    def test_duplicate_or_unknown_signature_field_is_two(self, capsys, sig, message):
+        with pytest.raises(SystemExit) as exc:
+            run(["classify", "--json", "--sig", sig])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("error: argument --sig: signature has %s\n" % message)
+
+    @pytest.mark.parametrize(
         "argv, reason",
         [
             (["surgery", "--knot", "3,2", "--hand", "left", "--slope", "1/1",
@@ -517,6 +533,16 @@ class TestExitCodes:
                 "plot", "--knot", "3,2", "--hand", "left", "--xmax", "2",
                 "--out", str(svg), "--csv", str(tmp_path / "nodir" / "y.csv"),
             ],
+        )
+        assert code == 1
+        assert payload["error"]["type"] == "domain"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_empty_csv_path_is_one_and_writes_no_svg(self, capsys, tmp_path):
+        # an empty --csv is a path that cannot be opened, as an empty --out is
+        code, payload = run_json(
+            capsys,
+            ["plot", "--knot", "3,2", "--hand", "left", "--xmax", "2", "--out", str(tmp_path / "y.svg"), "--csv", ""],
         )
         assert code == 1
         assert payload["error"]["type"] == "domain"

@@ -85,16 +85,15 @@ class TestConeStructure:
         assert one == other and hash(one) == hash(other)
         assert one.angles == angles(2, 1, 2)
 
-    def test_takes_an_angle_subclass_an_int_and_a_fraction(self):
+    def test_takes_an_angle_subclass(self):
         class Angle(PiRational):
             pass
 
         beta = Angle(Fraction(1, 2))
-        cs = ConeStructure(S(-1, ((2, 1), (3, 1), (5, 1))), (2, beta, Fraction(3, 2)))
-        # the subclass passes through as it is; the others become PiRationals
+        cs = ConeStructure(S(-1, ((2, 1), (3, 1), (5, 1))), (TWO_PI, beta, PiRational(Fraction(3, 2))))
+        # the subclass passes through as it is, beside the plain PiRationals
         assert cs.angles[1] is beta
         assert cs.angles[0] == PiRational(Fraction(3, 2)) and cs.angles[2] == TWO_PI
-        assert type(cs.angles[0]) is PiRational and type(cs.angles[2]) is PiRational
 
     @pytest.mark.parametrize(
         "given, message",

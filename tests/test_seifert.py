@@ -72,8 +72,14 @@ class TestSignature:
             '"x"',
             '{"b": 1, "fibers": 5}',
             '{"b": 1, "fibers": [[2]]}',
+            '{"b": -1, "b": 3, "fibers": [[2, 1], [3, 1], [5, 1]]}',
+            '{"b": -1, "fibers": [[2, 1]], "extra": 1, "other": 2}',
+            {"fibers": [[2, 1]], "b": -1, "extra": 1},
         ],
-        ids=["nested", "no-fibers", "list", "string", "fibers-not-list", "short-pair"],
+        ids=[
+            "nested", "no-fibers", "list", "string", "fibers-not-list", "short-pair", "duplicate", "unknown",
+            "unknown-in-object",
+        ],
     )
     def test_from_json_malformed_is_value_error(self, text):
         with pytest.raises(ValueError):

@@ -54,7 +54,9 @@ VALUES = {
     "PiRational": (("coeff",), lambda v: PiRational(Fraction(2 if v else 1, 3))),
     "BasePoint": (
         ("alpha1", "alpha2", "alpha3"),
-        lambda v: BasePoint(Fraction(1, 2), Fraction(1, 3), Fraction(1, 4 if v else 5)),
+        lambda v: BasePoint(
+            PiRational(Fraction(1, 2)), PiRational(Fraction(1, 3)), PiRational(Fraction(1, 4 if v else 5))
+        ),
     ),
     "SeifertSignature": (("b", "fibers"), lambda v: SeifertSignature(0 if v else -1, POINCARE)),
     "FamilyId": (("kind", "params"), lambda v: FamilyId(FamilyKind.LENS, (5, 2 if v else 1))),
@@ -216,7 +218,7 @@ class TestFieldContract:
 SAMPLES = (
     POINCARE_SIG,
     ConeStructure(POINCARE_SIG, (TWO_PI,) * 3),
-    BasePoint(Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)),
+    BasePoint(PiRational(Fraction(1, 2)), PiRational(Fraction(1, 3)), PiRational(Fraction(1, 5))),
     FamilyId(FamilyKind.TETRAHEDRAL, (1,)),
     TREFOIL,
     SurgerySpec(TREFOIL, 1, 1),
@@ -247,7 +249,7 @@ ENTRY_CHECKS = [
     (surgery_of_line, "point", LinePoint, (TREFOIL, None)),
     (surgery_signature, "spec", SurgerySpec, (None,)),
     (classify_surgery_cone, "spec", SurgerySpec, (None, TWO_PI)),
-    (classify_surgery_cone, "beta", (PiRational, int, Fraction), (SurgerySpec(TREFOIL, 1, 1), None)),
+    (classify_surgery_cone, "beta", PiRational, (SurgerySpec(TREFOIL, 1, 1), None)),
     (line_of_surgery, "spec", SurgerySpec, (None,)),
     (render_svg, "model", PlotModel, (None,)),
     (export_csv, "model", PlotModel, (None,)),
