@@ -24,10 +24,9 @@ BACKEND = "python"
 _HOMES = {
     "arith": "Handedness PiRational fiber_coeffs",
     "base2d": "BasePoint base_limits classify_triangle curvature_parameter",
-    "cone3d": "ConeStructure FamilyDimension GeometryResult NO_STRUCTURE SphericityInterval classify_cone"
-    " family_dimension sphericity_limits",
+    "cone3d": "ConeStructure FamilyDimension classify_cone family_dimension sphericity_limits",
     "kernel": "RegionClass",
-    "seifert": "FamilyId FamilyKind GeometryType SeifertSignature euler_number homology_order"
+    "seifert": "FamilyId FamilyKind GeometryType NO_STRUCTURE SeifertSignature euler_number homology_order"
     " identify_family lens_params manifold_geometry named_family normalize orbifold_euler_char",
     "surgery": "LinePoint SurgerySpec TorusKnot atlas brieskorn_surgery classify_surgery_cone line_of_surgery"
     " nil_admissible spherical_orbifold_angles surgery_of_line surgery_signature x_limits",

@@ -16,7 +16,6 @@ from enum import Enum
 from fractions import Fraction
 from functools import total_ordering
 from operator import attrgetter
-from types import NoneType
 
 
 class Handedness(Enum):
@@ -34,15 +33,12 @@ class Handedness(Enum):
             raise ValueError("handedness must be 'left' or 'right', got %r" % (text,))
 
 
-_KIND_TEXT = {int: "an integer", str: "a string", NoneType: "None"}
-
-
 def _require(value, field: str, kinds=int) -> None:
     """ValueError naming the field unless value is of kinds, a type or a
     tuple of types; a bool is refused where an int is taken, never coerced."""
     if value.__class__ is bool or not isinstance(value, kinds):
         kinds = kinds if kinds.__class__ is tuple else (kinds,)
-        text = " or ".join(_KIND_TEXT.get(kind) or "a " + kind.__name__ for kind in kinds)
+        text = " or ".join("an integer" if kind is int else "a " + kind.__name__ for kind in kinds)
         raise ValueError("%s must be %s, got %r" % (field, text, value))
 
 

@@ -54,8 +54,10 @@ def _write_files(outputs) -> None:
     """Write each (path, chunks), or none if a path cannot be opened or is,
     by os.path.samefile, the file of an earlier path (through a link too).
 
-    Every path is first opened for appending, which truncates nothing; on
-    a failure the files those opens created are removed.
+    Every path is first opened for appending, which truncates nothing.  A
+    failure in the opens or in the writes (a full disk, an error raised
+    by the chunks) removes the files this call created and re-raises.  A
+    file that existed before and was already rewritten is not restored.
     """
     created = []
     try:
@@ -66,13 +68,13 @@ def _write_files(outputs) -> None:
                 created.append(os.path.realpath(path))
             if any(os.path.samefile(path, other) for other, _ in outputs[:index]):
                 raise ValueError("--out and --csv name the same file %r" % path)
+        for path, chunks in outputs:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.writelines(chunks)
     except (OSError, ValueError):
         for path in created:
             os.remove(path)
         raise
-    for path, chunks in outputs:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.writelines(chunks)
 
 
 def _arg(parse):
@@ -165,11 +167,10 @@ def _cmd_cone(args) -> int:
     from .cone3d import ConeStructure, classify_cone
 
     cs = ConeStructure(args.sig, args.angles + [TWO_PI] * (3 - len(args.angles)))
-    result = classify_cone(cs)
     return _emit(
         args,
         {
-            "geometry": str(result),
+            "geometry": str(classify_cone(cs)),
             "region": classify_triangle(cs.base_point()).value,
         },
     )
@@ -180,13 +181,13 @@ def _cmd_limits(args) -> int:
 
     others = list(args.fibers)
     singular = others.pop(args.singular - 1)
-    interval = sphericity_limits(*others, singular)
+    lower, upper = sphericity_limits(*others, singular)
     return _emit(
         args,
         {
-            "beta_L": interval.beta_lower.text(),
-            "beta_U": interval.beta_upper.text(),
-            "ratio": str(interval.ratio()) if interval.beta_lower else None,
+            "beta_L": lower.text(),
+            "beta_U": upper.text(),
+            "ratio": str(upper / lower) if lower else None,
         },
     )
 

@@ -9,7 +9,7 @@ and the region kernel places it in the angle cube.  kernel.CURVATURE_SIGN
 gives the sign (-1, 0, +1) of the base curvature on a region that
 carries a structure, and seifert's geometry table, read at that sign
 and at e != 0, gives the geometry.  Every other region carries no
-geometric Seifert conemanifold structure.
+geometric Seifert conemanifold structure, and the answer is NO_STRUCTURE.
 
 When one fibre of multiplicity a3 is singular and the other two, of
 multiplicities 1 < a1 <= a2, stay at 2*pi, the structure is spherical
@@ -20,42 +20,23 @@ exactly between the sphericity limits
 where (alpha_L, alpha_U) = base2d.base_limits(a1, a2) is the band of
 the singular fibre's base angle.  The base curvature has the sign of
 beta - beta_L below beta_U, so the geometry is Nil (Euclidean when
-e = 0) at beta_L and SL2R (H2xR) below it.  The ratio beta_U / beta_L,
-SphericityInterval.ratio, is free of a3; the width is 4*pi*a3/a2.
+e = 0) at beta_L and SL2R (H2xR) below it.  The ratio beta_U / beta_L
+is free of a3; the width is 4*pi*a3/a2.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
-from types import NoneType
 
 from . import kernel
 from .arith import PiRational, _Value, _require
 from .base2d import BasePoint, base_limits
-from .seifert import _GEOMETRIES, GeometryType, SeifertSignature, _euler_numerator, normalize, normalize_with_order
-
-
-class GeometryResult(_Value):
-    """Either one of the six geometries or no structure at all."""
-
-    __slots__ = ("geometry",)
-    _KINDS = ((GeometryType, NoneType),)
-
-    def __init__(self, geometry: GeometryType | None):
-        self._set(geometry)
-
-    def __str__(self):
-        return "NoStructure" if self.geometry is None else self.geometry.value
-
-
-NO_STRUCTURE = GeometryResult(None)
+from .seifert import (
+    _GEOMETRIES, NO_STRUCTURE, GeometryType, SeifertSignature, _euler_numerator, normalize, normalize_with_order,
+)
 
 # Region -> its row of _GEOMETRIES, read at e != 0; other regions and None carry no structure.
-_ROWS = {
-    region: tuple(map(GeometryResult, _GEOMETRIES[sign]))
-    for region, sign in kernel.CURVATURE_SIGN.items()
-}
+_ROWS = {region: _GEOMETRIES[sign] for region, sign in kernel.CURVATURE_SIGN.items()}
 _NO_ROW = (NO_STRUCTURE, NO_STRUCTURE)
 
 
@@ -106,8 +87,8 @@ class ConeStructure(_Value):
         )
 
 
-def classify_cone(cs: ConeStructure) -> GeometryResult:
-    """Geometry of the cone structure, or NO_STRUCTURE.
+def classify_cone(cs: ConeStructure) -> GeometryType:
+    """Geometry of the cone structure: one of the six, or NO_STRUCTURE.
 
     Decided on integers: base angle i is the unreduced num/(2*a_i*den)
     for beta_i = num/den * pi, and the twist is the sign of e*a1*a2*a3.
@@ -123,21 +104,10 @@ def classify_cone(cs: ConeStructure) -> GeometryResult:
     return _ROWS.get(region, _NO_ROW)[_euler_numerator(cs.sig.b, cs.sig.fibers) != 0]
 
 
-class SphericityInterval(_Value):
-    __slots__ = ("beta_lower", "beta_upper")
-    _KINDS = (PiRational, PiRational)
-
-    def __init__(self, beta_lower: PiRational, beta_upper: PiRational):
-        self._set(beta_lower, beta_upper)
-
-    def ratio(self) -> Fraction:
-        if self.beta_lower.coeff == 0:
-            raise ValueError("sphericity ratio undefined when beta_L = 0")
-        return self.beta_upper / self.beta_lower
-
-
-def sphericity_limits(a1: int, a2: int, a3: int) -> SphericityInterval:
-    """Sphericity interval of the angle on the singular fibre.
+def sphericity_limits(a1: int, a2: int, a3: int) -> tuple[PiRational, PiRational]:
+    """(beta_L, beta_U): the sphericity interval of the angle on the
+    singular fibre.  Their ratio is beta_U / beta_L, an exact Fraction;
+    it raises ZeroDivisionError when beta_L = 0 (a1 = a2 = 2).
 
     a3 is the multiplicity of the singular fibre (a3 >= 1); a1 and a2
     are the multiplicities of the two fibres kept at angle 2*pi, sorted
@@ -154,7 +124,7 @@ def sphericity_limits(a1: int, a2: int, a3: int) -> SphericityInterval:
     if a3 < 1:
         raise ValueError("singular multiplicity must be >= 1, got %d" % a3)
     lower, upper = base_limits(a1, a2)
-    return SphericityInterval(lower * (2 * a3), upper * (2 * a3))
+    return lower * (2 * a3), upper * (2 * a3)
 
 
 class FamilyDimension(Enum):

@@ -126,15 +126,21 @@ def _unique_fields(pairs) -> dict:
 
 
 class GeometryType(Enum):
+    """One of the six Seifert geometries, or NO_STRUCTURE."""
+
     SPHERICAL = "Spherical"
     NIL = "Nil"
     SL2R = "SL2R"
     S2XR = "S2xR"
     EUCLIDEAN = "Euclidean"
     H2XR = "H2xR"
+    NO_STRUCTURE = "NoStructure"
 
     def __str__(self):
         return self.value
+
+
+NO_STRUCTURE = GeometryType.NO_STRUCTURE
 
 
 # Scott's table: the sign of the base curvature (-1, 0, +1) picks the

@@ -46,8 +46,8 @@ from math import ceil, floor, gcd
 from . import kernel
 from .arith import TWO_PI, Handedness, PiRational, _Value, _check_knot, _fiber_coeffs, _require
 from .base2d import base_limits
-from .cone3d import _NO_ROW, _ROWS, ConeStructure, GeometryResult, classify_cone
-from .seifert import SeifertSignature
+from .cone3d import _NO_ROW, _ROWS, ConeStructure, classify_cone
+from .seifert import GeometryType, SeifertSignature
 
 # Kernel region (None outside the cube) -> its geometry names, untwisted
 # and twisted, read once from cone3d's rows.
@@ -172,8 +172,9 @@ def x_limits(knot: TorusKnot) -> tuple[Fraction, Fraction]:
     return 1 / alpha_upper.coeff, 1 / alpha_lower.coeff
 
 
-def classify_surgery_cone(spec: SurgerySpec, beta: PiRational) -> GeometryResult:
-    """Geometry of the surgered manifold with cone angle beta, a PiRational, on the core."""
+def classify_surgery_cone(spec: SurgerySpec, beta: PiRational) -> GeometryType:
+    """Geometry of the surgered manifold with cone angle beta, a PiRational,
+    on the core, or NO_STRUCTURE."""
     sig = surgery_signature(spec)
     _require(beta, "beta", PiRational)
     return classify_cone(ConeStructure(sig, (TWO_PI, TWO_PI, beta)))

@@ -16,7 +16,7 @@ from seifertgeo.arith import Handedness, PiRational, TWO_PI
 from seifertgeo.base2d import BasePoint, RegionClass, classify_triangle, curvature_parameter
 from seifertgeo.cone3d import ConeStructure, classify_cone, sphericity_limits
 from seifertgeo.plot import PlotWindow, build_plot, export_csv, render_svg
-from seifertgeo.seifert import SeifertSignature, manifold_geometry, normalize
+from seifertgeo.seifert import NO_STRUCTURE, SeifertSignature, manifold_geometry, normalize
 from seifertgeo.seifert import euler_number, homology_order
 from seifertgeo.surgery import (
     SurgerySpec,
@@ -58,9 +58,9 @@ def coprime_knots(r_max):
 def test_criterion_1_sphericity_tables():
     # prism bases: the spherical range of the (n, b)-fibre is (0, 2n*pi)
     for n in range(2, 11):
-        interval = sphericity_limits(2, 2, n)
-        assert interval.beta_lower == pi(0)
-        assert interval.beta_upper == pi(2 * n)
+        lower, upper = sphericity_limits(2, 2, n)
+        assert lower == pi(0)
+        assert upper == pi(2 * n)
 
     # tetrahedral base (2,3,3), octahedral (2,3,4), icosahedral (2,3,5)
     table = [
@@ -72,9 +72,7 @@ def test_criterion_1_sphericity_tables():
         ((3, 5), 2, pi(28, 15), pi(52, 15)),
     ]
     for (a1, a2), a3, lower, upper in table:
-        interval = sphericity_limits(a1, a2, a3)
-        assert interval.beta_lower == lower
-        assert interval.beta_upper == upper
+        assert sphericity_limits(a1, a2, a3) == (lower, upper)
 
     # Euclidean bases (3,3,3), (2,4,4), (2,3,6): every fibre enters the
     # spherical regime exactly at 2*pi
@@ -83,7 +81,7 @@ def test_criterion_1_sphericity_tables():
         ((4, 4), 2), ((2, 4), 4),
         ((3, 6), 2), ((2, 6), 3), ((2, 3), 6),
     ):
-        assert sphericity_limits(others[0], others[1], a3).beta_lower == TWO_PI
+        assert sphericity_limits(others[0], others[1], a3)[0] == TWO_PI
 
     # five table entries where older tabulations disagree with the
     # closed form; the sweep oracle sides with the formula each time
@@ -96,8 +94,8 @@ def test_criterion_1_sphericity_tables():
     ]
     step = Fraction(1, 100)
     for label, (a1, a2), a3, side, formula, tabulated in errata:
-        interval = sphericity_limits(a1, a2, a3)
-        want = interval.beta_lower if side == "lower" else interval.beta_upper
+        lower, upper = sphericity_limits(a1, a2, a3)
+        want = lower if side == "lower" else upper
         assert want == formula, label
 
         below = region_at(a1, a2, a3, PiRational(formula.coeff - step))
@@ -119,7 +117,7 @@ def test_criterion_1_sphericity_tables():
 
         # the tabulated value sits strictly inside the spherical range,
         # so no transition happens there
-        assert interval.beta_lower.coeff < tabulated.coeff < interval.beta_upper.coeff
+        assert lower.coeff < tabulated.coeff < upper.coeff
         for offset in (-step, Fraction(0), step):
             cls = region_at(a1, a2, a3, PiRational(tabulated.coeff + offset))
             assert cls is RegionClass.SPHERICAL_INTERIOR, label
@@ -141,8 +139,8 @@ def test_criterion_2_ratio_corollary():
     }
     for (a1, a2), ratio in want.items():
         for a3 in range(1, 51):
-            interval = sphericity_limits(a1, a2, a3)
-            assert interval.ratio() == ratio
+            lower, upper = sphericity_limits(a1, a2, a3)
+            assert upper / lower == ratio
     ok(2, "beta_U/beta_L = 5, 11/5, 7/3, 13/7, 19/11, independent of the singular fibre")
 
 
@@ -267,10 +265,10 @@ def test_criterion_6_geometry_table_consistency():
             region = classify_triangle(cs.base_point())
             assert (region is RegionClass.DEGENERATE_BOUNDARY) == hopf_like
             if hopf_like:
-                assert classify_cone(cs).geometry is None
+                assert classify_cone(cs) is NO_STRUCTURE
                 boundary += 1
             else:
-                assert classify_cone(cs).geometry is manifold_geometry(sig)
+                assert classify_cone(cs) is manifold_geometry(sig)
             total += 1
     assert boundary > 0
     ok(

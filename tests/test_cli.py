@@ -538,6 +538,20 @@ class TestExitCodes:
         assert payload["error"]["type"] == "domain"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_write_removes_the_created_csv(self, capsys, tmp_path):
+        # The opens succeed; writing the svg to a full device fails.
+        code, payload = run_json(
+            capsys,
+            [
+                "plot", "--knot", "3,2", "--hand", "left", "--xmax", "3",
+                "--out", "/dev/full", "--csv", str(tmp_path / "new.csv"),
+            ],
+        )
+        assert code == 1
+        assert payload["error"]["type"] == "domain"
+        assert list(tmp_path.iterdir()) == []
+
     def test_empty_csv_path_is_one_and_writes_no_svg(self, capsys, tmp_path):
         # an empty --csv is a path that cannot be opened, as an empty --out is
         code, payload = run_json(

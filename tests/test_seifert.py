@@ -11,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 from seifertgeo.arith import TWO_PI
 from seifertgeo.cone3d import ConeStructure, classify_cone
 from seifertgeo.seifert import (
+    _GEOMETRIES,
+    NO_STRUCTURE,
     FamilyId,
     FamilyKind,
     GeometryType,
@@ -229,10 +231,19 @@ class TestInvariants:
             assert chi == 2 - sum(1 - Fraction(1, a) for a, _ in fibers if a > 1)
         assert type(orbifold_euler_char(S(0, ((1, 0),)))) is Fraction
 
+    def test_geometry_type_is_six_geometries_and_no_structure(self):
+        assert len(GeometryType) == 7
+        rows = [geometry for row in _GEOMETRIES.values() for geometry in row]
+        assert len(rows) == 6
+        assert set(rows) == set(GeometryType) - {NO_STRUCTURE}
+        assert str(NO_STRUCTURE) == "NoStructure"
+
     def test_geometry_matches_scott_table(self):
         """Every criterion-6 signature, read at the signs of e*A and chi*A,
-        A = a1*a2*a3, both integers computed here."""
+        A = a1*a2*a3, both integers computed here; each of the six
+        geometries occurs and NO_STRUCTURE never does."""
         total = 0
+        seen = set()
         for fibers in CRITERION_6_TRIPLES:
             (a1, b1), (a2, b2), (a3, b3) = fibers
             big_a = a1 * a2 * a3
@@ -241,9 +252,12 @@ class TestInvariants:
             twist_a = b1 * a2 * a3 + b2 * a1 * a3 + b3 * a1 * a2
             for b in CRITERION_6_B:
                 # e*A = -(b*A + twist_a)
-                assert manifold_geometry(S(b, fibers)) is row[b * big_a + twist_a != 0]
+                geometry = manifold_geometry(S(b, fibers))
+                assert geometry is row[b * big_a + twist_a != 0]
+                seen.add(geometry)
                 total += 1
         assert total == 121072
+        assert seen == set(GeometryType) - {NO_STRUCTURE}
 
     def test_sweep_request_builds_no_fraction(self):
         """The sweep path decides on integers: counting Fraction.__new__ as

@@ -302,15 +302,15 @@ class TestClassify:
     def test_nil_orbifold_on_trefoil(self):
         spec = SurgerySpec(TorusKnot(3, 2, L), 4, -1)
         result = classify_surgery_cone(spec, PiRational(Fraction(2, 3)))
-        assert result.geometry is GeometryType.NIL
+        assert result is GeometryType.NIL
 
     def test_spherical_on_43(self):
         spec = SurgerySpec(TorusKnot(4, 3, L), 11, -1)
-        assert classify_surgery_cone(spec, PiRational(1)).geometry is GeometryType.SPHERICAL
+        assert classify_surgery_cone(spec, PiRational(1)) is GeometryType.SPHERICAL
 
     def test_poincare_manifold(self):
         spec = SurgerySpec(TorusKnot(3, 2, L), 1, -1)
-        assert classify_surgery_cone(spec, TWO_PI).geometry is GeometryType.SPHERICAL
+        assert classify_surgery_cone(spec, TWO_PI) is GeometryType.SPHERICAL
 
     def test_depends_only_on_x_and_euler_sign(self):
         # same abscissa and e-sign, same class, across slopes and knots

@@ -20,12 +20,11 @@ import seifertgeo
 from seifertgeo.arith import Handedness, PiRational, TWO_PI, _Value, fiber_coeffs
 from seifertgeo.base2d import BasePoint, base_limits, classify_triangle, curvature_parameter
 from seifertgeo.cone3d import (
-    ConeStructure, Dim, GeometryResult, SphericityInterval, classify_cone, family_dimension,
-    sphericity_limits,
+    ConeStructure, Dim, classify_cone, family_dimension, sphericity_limits,
 )
 from seifertgeo.plot import PlotModel, PlotPoint, PlotWindow, build_plot, export_csv, render_svg
 from seifertgeo.seifert import (
-    FamilyId, FamilyKind, GeometryType, SeifertSignature, euler_number, homology_order,
+    FamilyId, FamilyKind, SeifertSignature, euler_number, homology_order,
     identify_family, lens_params, manifold_geometry, named_family, normalize, orbifold_euler_char,
 )
 from seifertgeo.surgery import (
@@ -60,19 +59,11 @@ VALUES = {
     ),
     "SeifertSignature": (("b", "fibers"), lambda v: SeifertSignature(0 if v else -1, POINCARE)),
     "FamilyId": (("kind", "params"), lambda v: FamilyId(FamilyKind.LENS, (5, 2 if v else 1))),
-    "GeometryResult": (
-        ("geometry",),
-        lambda v: GeometryResult(GeometryType.NIL if v else GeometryType.SPHERICAL),
-    ),
     "ConeStructure": (
         ("sig", "angles"),
         lambda v: ConeStructure(
             SeifertSignature(-1, POINCARE), (TWO_PI, TWO_PI, PiRational(1 if v else 2))
         ),
-    ),
-    "SphericityInterval": (
-        ("beta_lower", "beta_upper"),
-        lambda v: SphericityInterval(PiRational(Fraction(5, 3)), PiRational(Fraction(24 if v else 25, 3))),
     ),
     "TorusKnot": (
         ("r", "s", "hand"),
@@ -190,8 +181,6 @@ class TestFieldContract:
         other = PiRational(1) if name == "LinePoint" else LinePoint(5, 1)
         for field in fields:
             for bad in (None, True, 1.5, "x", other):
-                if bad is None and (name, field) == ("GeometryResult", "geometry"):
-                    continue  # NoStructure
                 given = {f: getattr(value, f) for f in fields}
                 given[field] = bad
                 with pytest.raises(ValueError) as exc:
