@@ -28,7 +28,7 @@ _HOMES = {
     "kernel": "RegionClass",
     "seifert": "FamilyId FamilyKind GeometryType NO_STRUCTURE SeifertSignature euler_number homology_order"
     " identify_family lens_params manifold_geometry named_family normalize orbifold_euler_char",
-    "surgery": "LinePoint SurgerySpec TorusKnot atlas brieskorn_surgery classify_surgery_cone line_of_surgery"
+    "surgery": "SurgerySpec TorusKnot atlas brieskorn_surgery classify_surgery_cone line_of_surgery"
     " nil_admissible spherical_orbifold_angles surgery_of_line surgery_signature x_limits",
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names.split()}

@@ -58,7 +58,13 @@ def fiber_coeffs(r: int, s: int, hand: Handedness) -> tuple[int, int]:
     _require(s, "s")
     _require(hand, "hand", Handedness)
     _check_knot(r, s)
-    return _fiber_coeffs(r, s, hand)
+    eps = -1 if hand is Handedness.LEFT else 1
+    # b1*r == r*s + eps (mod s) reduces to b1 == eps * r^{-1} (mod s).
+    b1 = eps * pow(r, -1, s) % s
+    b2 = (r * s + eps - b1 * r) // s
+    assert 0 < b1 < s and 0 < b2 < r
+    assert -r * s + b1 * r + b2 * s == eps
+    return b1, b2
 
 
 def _check_knot(r: int, s: int) -> None:
@@ -67,17 +73,6 @@ def _check_knot(r: int, s: int) -> None:
         raise ValueError("torus knot needs r > s > 1, got (%d, %d)" % (r, s))
     if math.gcd(r, s) != 1:
         raise ValueError("torus knot parameters must be coprime, got (%d, %d)" % (r, s))
-
-
-def _fiber_coeffs(r: int, s: int, hand: Handedness) -> tuple[int, int]:
-    """fiber_coeffs of parameters already checked."""
-    eps = -1 if hand is Handedness.LEFT else 1
-    # b1*r == r*s + eps (mod s) reduces to b1 == eps * r^{-1} (mod s).
-    b1 = eps * pow(r, -1, s) % s
-    b2 = (r * s + eps - b1 * r) // s
-    assert 0 < b1 < s and 0 < b2 < r
-    assert -r * s + b1 * r + b2 * s == eps
-    return b1, b2
 
 
 class _Value:

@@ -3,8 +3,9 @@
 Subcommands: classify, cone, limits, surgery, identify, plot, atlas.
 Results go to standard output, as JSON with --json and as plain
 key/value text otherwise.  Exit codes: 0 success, 2 usage error
-(argparse), 1 domain error or a batch over WORK_LIMIT, reported as a
-JSON error object.
+(argparse), 1 a JSON error object whose type is "domain" (a value
+outside its domain), "limit" (a batch over WORK_LIMIT) or "io" (a
+file that cannot be opened or written).
 
 Each handler imports the modules beyond arith and seifert that it
 calls, so classify and identify load only those two.  A run whose first
@@ -200,7 +201,7 @@ def _cmd_surgery(args) -> int:
     p, q = args.slope
     spec = SurgerySpec(knot, p, q)
     sig = surgery_signature(spec)
-    point = line_of_surgery(spec)
+    m, n = line_of_surgery(spec)
     geometry = classify_surgery_cone(spec, args.beta)
     return _emit(
         args,
@@ -208,7 +209,7 @@ def _cmd_surgery(args) -> int:
             "knot": knot.to_json(),
             "slope": spec.slope_text(),
             "signature": sig.to_json(),
-            "line": {"m": point.m, "n": point.n},
+            "line": {"m": m, "n": n},
             "beta": args.beta.text(),
             "euler": str(euler_number(sig)),
             "geometry": str(geometry),
@@ -319,7 +320,7 @@ def run(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, ArithmeticError, OSError) as exc:
-        kind = "limit" if isinstance(exc, WorkLimitError) else "domain"
+        kind = "limit" if isinstance(exc, WorkLimitError) else "io" if isinstance(exc, OSError) else "domain"
         print(json.dumps({"error": {"type": kind, "message": str(exc)}}))
         return 1
 

@@ -11,10 +11,13 @@ the expression inside the absolute value.  m = 0 (the fibre slope
 p/q = -+ r*s, whose surgery is the reducible L(r,s)#L(s,r)) is
 excluded.  Surgeries are charted on the line model: the surgery lives
 on the ray l_{m/n} through the origin and the primitive point (m, n)
-with n = eps*q; the structure with cone angle beta around the core
-sits at abscissa x = 2*pi*m/beta.  classify_surgery_cone reads that
-structure as any other cone structure: it is classify_cone of the
-surgered signature with the angles (2*pi, 2*pi, beta).
+with n = eps*q.  That point is the core fibre (m, eps*q) (Moser), so a
+ray is a plain (m, n) pair: line_of_surgery computes it and
+surgery_signature takes it as its third fibre.  The structure with
+cone angle beta around the core sits at abscissa x = 2*pi*m/beta.
+classify_surgery_cone reads that structure as any other cone
+structure: it is classify_cone of the surgered signature with the
+angles (2*pi, 2*pi, beta).
 
 On each ray the core's base angle is pi/x, so the structure is
 spherical for x_U < x < x_L, where x_U and x_L are pi over the base
@@ -44,7 +47,7 @@ from fractions import Fraction
 from math import ceil, floor, gcd
 
 from . import kernel
-from .arith import TWO_PI, Handedness, PiRational, _Value, _check_knot, _fiber_coeffs, _require
+from .arith import TWO_PI, Handedness, PiRational, _Value, _check_knot, _require, fiber_coeffs
 from .base2d import base_limits
 from .cone3d import _NO_ROW, _ROWS, ConeStructure, classify_cone
 from .seifert import GeometryType, SeifertSignature
@@ -94,55 +97,45 @@ class SurgerySpec(_Value):
         return "%d/%d" % (self.p, self.q)
 
 
-class LinePoint(_Value):
-    """Primitive lattice point (m, n), m >= 1, naming the ray l_{m/n}."""
-
-    __slots__ = ("m", "n")
-    _KINDS = (int, int)
-
-    def __init__(self, m: int, n: int):
-        self._set(m, n)
-        if m < 1:
-            raise ValueError("line point needs m >= 1")
-        if gcd(m, abs(n)) != 1:
-            raise ValueError("line point (%d, %d) is not primitive" % (m, n))
+def surgery_signature(spec: SurgerySpec) -> SeifertSignature:
+    """Raw signature of the surgered manifold, core fibre last."""
+    core = line_of_surgery(spec)
+    knot = spec.knot
+    b1, b2 = fiber_coeffs(knot.r, knot.s, knot.hand)
+    return SeifertSignature(-1, ((knot.s, b1), (knot.r, b2), core))
 
 
-def _core(spec: SurgerySpec) -> tuple[int, int]:
-    """(m, eps): multiplicity of the core fibre and the sign that n = eps*q carries.
+def line_of_surgery(spec: SurgerySpec) -> tuple[int, int]:
+    """(m, n): the primitive point of the ray l_{m/n} that carries the
+    surgery, which is its core fibre (m, eps*q).
 
     Raises ValueError on the fibre slope -+r*s, where m = 0 and the
     surgery is reducible.
     """
+    _require(spec, "spec", SurgerySpec)
     t = spec.p + _euler_zero_slope(spec.knot) * spec.q
     if t == 0:
         raise ValueError(
             "slope %s is the exceptional fibre slope (m = 0): the surgery is reducible"
             % spec.slope_text()
         )
-    return abs(t), (1 if t > 0 else -1)
+    return (t, spec.q) if t > 0 else (-t, -spec.q)
 
 
-def surgery_signature(spec: SurgerySpec) -> SeifertSignature:
-    """Raw signature of the surgered manifold, core fibre last."""
-    _require(spec, "spec", SurgerySpec)
-    m, eps = _core(spec)
-    knot = spec.knot
-    b1, b2 = _fiber_coeffs(knot.r, knot.s, knot.hand)
-    return SeifertSignature(-1, ((knot.s, b1), (knot.r, b2), (m, eps * spec.q)))
+def surgery_of_line(knot: TorusKnot, m: int, n: int) -> SurgerySpec:
+    """Inverse chart: the slope whose surgery sits on the ray l_{m/n}.
 
-
-def line_of_surgery(spec: SurgerySpec) -> LinePoint:
-    _require(spec, "spec", SurgerySpec)
-    m, eps = _core(spec)
-    return LinePoint(m, eps * spec.q)
-
-
-def surgery_of_line(knot: TorusKnot, point: LinePoint) -> SurgerySpec:
-    """Inverse chart: the slope whose surgery sits on the ray l_{m/n}."""
+    (m, n) must be primitive with m >= 1; (0, +-1) would name the
+    reducible fibre slope.
+    """
     _require(knot, "knot", TorusKnot)
-    _require(point, "point", LinePoint)
-    [(_, _, p, q, _)] = _column(_euler_zero_slope(knot), point.m, point.n, point.n, None, None)
+    _require(m, "m")
+    _require(n, "n")
+    if m < 1:
+        raise ValueError("line point needs m >= 1")
+    if gcd(m, n) != 1:
+        raise ValueError("line point (%d, %d) is not primitive" % (m, n))
+    [(_, _, p, q, _)] = _column(_euler_zero_slope(knot), m, n, n, None, None)
     return SurgerySpec(knot, p, q)
 
 

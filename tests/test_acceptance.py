@@ -154,17 +154,17 @@ def test_criterion_3_trefoil_conclusions():
     for y in (1, 5, 7, 11):
         spec = SurgerySpec(trefoil, 6 * y - 2, -y)
         assert str(classify_surgery_cone(spec, pi(2, 3))) == "Nil"
-        assert line_of_surgery(spec).m == 2
+        assert line_of_surgery(spec)[0] == 2
         spec = SurgerySpec(trefoil, 6 * y - 3, -y)
         assert str(classify_surgery_cone(spec, pi(1))) == "Nil"
-        assert line_of_surgery(spec).m == 3
+        assert line_of_surgery(spec)[0] == 3
 
     # non-singular family (6-6y)/y: Nil manifolds, except that y = 1 is
     # the slope 0/1 with e = 0, which is the flat manifold
     for y in (5, 7, 11):
         spec = SurgerySpec(trefoil, 6 * y - 6, -y)
         assert str(classify_surgery_cone(spec, TWO_PI)) == "Nil"
-        assert line_of_surgery(spec).m == 6
+        assert line_of_surgery(spec)[0] == 6
     flat = SurgerySpec(trefoil, 0, 1)
     assert str(classify_surgery_cone(flat, TWO_PI)) == "Euclidean"
 
@@ -173,7 +173,7 @@ def test_criterion_3_trefoil_conclusions():
     for y in (1, 5, 7, 11):
         spec = SurgerySpec(mirror, 6 + 6 * y, y)
         assert str(classify_surgery_cone(spec, TWO_PI)) == "Nil"
-        assert line_of_surgery(spec).m == 6
+        assert line_of_surgery(spec)[0] == 6
 
     # x = 6 is the unique integer abscissa carrying Nil structures
     assert x_limits(trefoil)[1] == 6
@@ -230,13 +230,12 @@ def test_criterion_5_surgery_identities():
                     assert homology_order(sig) is None
                 else:
                     assert homology_order(sig) == p
-                point = line_of_surgery(spec)
-                m, n = point.m, point.n
+                m, n = line_of_surgery(spec)
                 if hand is L:
                     assert euler_number(sig) == Fraction(m - n * rs, rs * m)
                 else:
                     assert euler_number(sig) == Fraction(-(m + n * rs), rs * m)
-                back = surgery_of_line(knot, point)
+                back = surgery_of_line(knot, m, n)
                 if p == 0:
                     assert (back.p, back.q) == (0, 1)
                 else:

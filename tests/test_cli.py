@@ -506,7 +506,7 @@ class TestExitCodes:
             ],
         )
         assert code == 1
-        assert payload["error"]["type"] == "domain"
+        assert payload["error"]["type"] == "io"
 
     def test_overflow_is_one_and_writes_nothing(self, capsys, tmp_path):
         # A row index too large for a float overflows in render_svg.
@@ -535,7 +535,7 @@ class TestExitCodes:
             ],
         )
         assert code == 1
-        assert payload["error"]["type"] == "domain"
+        assert payload["error"]["type"] == "io"
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
@@ -549,7 +549,7 @@ class TestExitCodes:
             ],
         )
         assert code == 1
-        assert payload["error"]["type"] == "domain"
+        assert payload["error"]["type"] == "io"
         assert list(tmp_path.iterdir()) == []
 
     def test_empty_csv_path_is_one_and_writes_no_svg(self, capsys, tmp_path):
@@ -559,7 +559,7 @@ class TestExitCodes:
             ["plot", "--knot", "3,2", "--hand", "left", "--xmax", "2", "--out", str(tmp_path / "y.svg"), "--csv", ""],
         )
         assert code == 1
-        assert payload["error"]["type"] == "domain"
+        assert payload["error"]["type"] == "io"
         assert list(tmp_path.iterdir()) == []
 
     def test_unopenable_csv_keeps_existing_svg(self, capsys, tmp_path):
@@ -633,7 +633,7 @@ class TestExitCodes:
             ],
         )
         assert code == 1
-        assert payload["error"]["type"] == "domain"
+        assert payload["error"]["type"] == "io"
         assert list(tmp_path.iterdir()) == []
 
 

@@ -8,7 +8,6 @@ import pytest
 from seifertgeo.arith import Handedness, TWO_PI
 from seifertgeo.plot import PlotModel, PlotPoint, PlotWindow, build_plot, export_csv, render_svg
 from seifertgeo.surgery import (
-    LinePoint,
     TorusKnot,
     classify_surgery_cone,
     spherical_orbifold_angles,
@@ -70,7 +69,7 @@ class TestCSV:
                 m, n, p, q, x, geom = line.split(",")
                 m, n, p, q, x = map(int, (m, n, p, q, x))
                 assert x == m
-                spec = surgery_of_line(knot, LinePoint(m, n))
+                spec = surgery_of_line(knot, m, n)
                 assert (spec.p, spec.q) == (p, q)
                 assert str(classify_surgery_cone(spec, TWO_PI)) == geom
 

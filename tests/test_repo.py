@@ -180,19 +180,22 @@ def test_public_name_guard_sees_an_orphan():
 
 # Public names that no code reads yet, each with the reason it stays.
 UNREAD = {
+    "brieskorn_surgery": "printed by identify for a Brieskorn sphere, which is still to come",
     "curvature_parameter": "printed once it is exact: math.cos may differ in its last bit between C libraries",
+    "family_dimension": "printed by a structures command that is still to come",
     "nil_admissible": "printed by a knot command that is still to come",
+    "spherical_orbifold_angles": "printed by a knot command that is still to come",
+    "surgery_of_line": "read by a surgery --line option that is still to come",
 }
 
 
 def test_every_public_name_has_a_reader():
-    # a public name is read by code under src/ or by the benchmark harness,
-    # or named as a word in the README; the names of UNREAD, and only they,
-    # are not, so a listed name that gains a reader fails too
+    # a public name is read by code under src/ or by the benchmark harness;
+    # a README word is not a reader.  The names of UNREAD, and only they,
+    # are not read, so a listed name that gains a reader fails too
     sources = {
         path.name: path.read_text(encoding="utf-8")
         for path in sorted((ROOT / "src" / "seifertgeo").glob("*.py"))
     }
     elsewhere = [path.read_text(encoding="utf-8") for path in sorted((ROOT / "perfbench").glob("*.py"))]
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    assert sorted(_unread_names(sources, elsewhere, set(re.findall(r"\w+", readme)))) == sorted(UNREAD)
+    assert sorted(_unread_names(sources, elsewhere, set())) == sorted(UNREAD)

@@ -18,7 +18,6 @@ from seifertgeo.seifert import (
     identify_family,
 )
 from seifertgeo.surgery import (
-    LinePoint,
     SurgerySpec,
     TorusKnot,
     atlas,
@@ -156,8 +155,7 @@ class TestSurgerySignature:
                         sig = surgery_signature(spec)
                     except ValueError:
                         continue
-                    pt = line_of_surgery(spec)
-                    m, n = pt.m, pt.n
+                    m, n = line_of_surgery(spec)
                     if hand is L:
                         want = Fraction(m - n * rs, rs * m)
                     else:
@@ -167,19 +165,19 @@ class TestSurgerySignature:
 
 class TestLineModel:
     def test_poincare_point(self):
-        assert line_of_surgery(SurgerySpec(TorusKnot(3, 2, L), 1, -1)) == LinePoint(5, 1)
+        assert line_of_surgery(SurgerySpec(TorusKnot(3, 2, L), 1, -1)) == (5, 1)
 
     def test_euler_zero_point_back_to_slope(self):
-        spec = surgery_of_line(TorusKnot(3, 2, L), LinePoint(6, 1))
+        spec = surgery_of_line(TorusKnot(3, 2, L), 6, 1)
         assert (spec.p, spec.q) == (0, 1)
 
     def test_43_point(self):
-        spec = surgery_of_line(TorusKnot(4, 3, L), LinePoint(1, 1))
+        spec = surgery_of_line(TorusKnot(4, 3, L), 1, 1)
         assert (spec.p, spec.q) == (11, -1)
 
     def test_infinity(self):
-        assert line_of_surgery(SurgerySpec(TorusKnot(3, 2, L), 1, 0)) == LinePoint(1, 0)
-        spec = surgery_of_line(TorusKnot(3, 2, L), LinePoint(1, 0))
+        assert line_of_surgery(SurgerySpec(TorusKnot(3, 2, L), 1, 0)) == (1, 0)
+        spec = surgery_of_line(TorusKnot(3, 2, L), 1, 0)
         assert (spec.p, spec.q) == (1, 0)
 
     def test_round_trip(self):
@@ -194,7 +192,9 @@ class TestLineModel:
                         if math.gcd(p, abs(q)) != 1 or (p, q) == (r * s, fibre_q):
                             continue
                         spec = SurgerySpec(knot, p, q)
-                        assert surgery_of_line(knot, line_of_surgery(spec)) == spec, (r, s, hand, p, q)
+                        point = line_of_surgery(spec)
+                        assert surgery_of_line(knot, *point) == spec, (r, s, hand, p, q)
+                        assert surgery_signature(spec).fibers[2] == point, (r, s, hand, p, q)
                         checked += 1
         assert checked == 13684
 
@@ -216,14 +216,12 @@ class TestLineModel:
         assert spec.p >= 0 and spec.p * q == spec.q * p
 
     def test_primitive_validation(self):
-        with pytest.raises(ValueError):
-            LinePoint(4, 2)
-        with pytest.raises(ValueError):
-            LinePoint(-1, 1)
-        with pytest.raises(ValueError):
-            LinePoint(0, 1)
-        with pytest.raises(ValueError):
-            LinePoint(0, -1)
+        knot = TorusKnot(3, 2, L)
+        with pytest.raises(ValueError, match=r"^line point \(4, 2\) is not primitive$"):
+            surgery_of_line(knot, 4, 2)
+        for m, n in ((-1, 1), (0, 1), (0, -1)):
+            with pytest.raises(ValueError, match="^line point needs m >= 1$"):
+                surgery_of_line(knot, m, n)
 
 
 class TestXLimits:
@@ -328,7 +326,7 @@ class TestClassify:
             beta = PiRational(Fraction(2, k))
             results, signs = [], []
             for n in (n1, n2):
-                spec = surgery_of_line(knot, LinePoint(m, n))
+                spec = surgery_of_line(knot, m, n)
                 results.append(classify_surgery_cone(spec, beta))
                 signs.append(_sign(euler_number(surgery_signature(spec))))
             if signs[0] == signs[1]:
@@ -362,7 +360,7 @@ class TestColumnRayPath:
                 for m in range(1, 13):
                     for n in range(-16, 17):
                         if math.gcd(m, n) == 1:
-                            sig = surgery_signature(surgery_of_line(knot, LinePoint(m, n)))
+                            sig = surgery_signature(surgery_of_line(knot, m, n))
                             want[m, n] = [
                                 str(classify_cone(ConeStructure(sig, (TWO_PI, TWO_PI, beta))))
                                 for beta in betas
@@ -440,7 +438,7 @@ class TestRayOracle:
         for p, geometry in named:
             assert geometry in (TWISTED if p else UNTWISTED), (p, geometry)
         for m, n, p, q in want:
-            spec = surgery_of_line(torus, LinePoint(m, n))
+            spec = surgery_of_line(torus, m, n)
             assert (spec.p, spec.q) == (p, q)
 
 

@@ -28,7 +28,7 @@ from seifertgeo.seifert import (
     identify_family, lens_params, manifold_geometry, named_family, normalize, orbifold_euler_char,
 )
 from seifertgeo.surgery import (
-    LinePoint, SurgerySpec, TorusKnot, atlas, brieskorn_surgery, classify_surgery_cone, line_of_surgery,
+    SurgerySpec, TorusKnot, atlas, brieskorn_surgery, classify_surgery_cone, line_of_surgery,
     nil_admissible, spherical_orbifold_angles, surgery_of_line, surgery_signature, x_limits,
 )
 
@@ -73,7 +73,6 @@ VALUES = {
         ("knot", "p", "q"),
         lambda v: SurgerySpec(TorusKnot(5, 2, Handedness.LEFT), 1, 2 if v else -1),
     ),
-    "LinePoint": (("m", "n"), lambda v: LinePoint(5, 2 if v else 1)),
     "PlotWindow": (
         ("x_max", "y_min", "y_max"), lambda v: PlotWindow(Fraction(4), -2, 3 if v else 2)
     ),
@@ -178,7 +177,7 @@ class TestFieldContract:
     def test_a_wrong_type_in_any_field_raises_naming_it(self, name):
         fields, make = VALUES[name]
         value = make(False)
-        other = PiRational(1) if name == "LinePoint" else LinePoint(5, 1)
+        other = FamilyId(FamilyKind.GENERIC)
         for field in fields:
             for bad in (None, True, 1.5, "x", other):
                 given = {f: getattr(value, f) for f in fields}
@@ -211,7 +210,6 @@ SAMPLES = (
     FamilyId(FamilyKind.TETRAHEDRAL, (1,)),
     TREFOIL,
     SurgerySpec(TREFOIL, 1, 1),
-    LinePoint(5, 1),
     _model(),
 )
 
@@ -234,8 +232,7 @@ ENTRY_CHECKS = [
     (spherical_orbifold_angles, "knot", TorusKnot, (None,)),
     (nil_admissible, "knot", TorusKnot, (None,)),
     (atlas, "knot", TorusKnot, (None, 1, (0, 1), 1)),
-    (surgery_of_line, "knot", TorusKnot, (None, LinePoint(5, 1))),
-    (surgery_of_line, "point", LinePoint, (TREFOIL, None)),
+    (surgery_of_line, "knot", TorusKnot, (None, 5, 1)),
     (surgery_signature, "spec", SurgerySpec, (None,)),
     (classify_surgery_cone, "spec", SurgerySpec, (None, TWO_PI)),
     (classify_surgery_cone, "beta", PiRational, (SurgerySpec(TREFOIL, 1, 1), None)),
@@ -373,8 +370,9 @@ NOT_INTEGERS = {
     "SurgerySpec-p-float": (lambda: SurgerySpec(TREFOIL, 1.0, 2), "p"),
     "SurgerySpec-p-bool": (lambda: SurgerySpec(TREFOIL, True, 1), "p"),
     "SurgerySpec-q-float": (lambda: SurgerySpec(TREFOIL, 1, -1.0), "q"),
-    "LinePoint-m-bool": (lambda: LinePoint(True, 1), "m"),
-    "LinePoint-n-float": (lambda: LinePoint(5, 1.0), "n"),
+    "surgery_of_line-m-bool": (lambda: surgery_of_line(TREFOIL, True, 1), "m"),
+    "surgery_of_line-n-float": (lambda: surgery_of_line(TREFOIL, 5, 1.0), "n"),
+    "surgery_of_line-n-str": (lambda: surgery_of_line(TREFOIL, 5, "1"), "n"),
     "PlotWindow-x_max-float": (lambda: PlotWindow(20.5, 0, 3), "x_max"),
     "PlotWindow-x_max-bool": (lambda: PlotWindow(True, 0, 3), "x_max"),
     "PlotWindow-x_max-str": (lambda: PlotWindow("20", 0, 3), "x_max"),
