@@ -370,9 +370,10 @@ NOT_INTEGERS = {
     "SurgerySpec-p-float": (lambda: SurgerySpec(TREFOIL, 1.0, 2), "p"),
     "SurgerySpec-p-bool": (lambda: SurgerySpec(TREFOIL, True, 1), "p"),
     "SurgerySpec-q-float": (lambda: SurgerySpec(TREFOIL, 1, -1.0), "q"),
-    "surgery_of_line-m-bool": (lambda: surgery_of_line(TREFOIL, True, 1), "m"),
-    "surgery_of_line-n-float": (lambda: surgery_of_line(TREFOIL, 5, 1.0), "n"),
-    "surgery_of_line-n-str": (lambda: surgery_of_line(TREFOIL, 5, "1"), "n"),
+    # surgery_of_line's ray (m, n); the short ids keep each test name whole.
+    "ray-m-bool": (lambda: surgery_of_line(TREFOIL, True, 1), "m"),
+    "ray-n-float": (lambda: surgery_of_line(TREFOIL, 5, 1.0), "n"),
+    "ray-n-str": (lambda: surgery_of_line(TREFOIL, 5, "1"), "n"),
     "PlotWindow-x_max-float": (lambda: PlotWindow(20.5, 0, 3), "x_max"),
     "PlotWindow-x_max-bool": (lambda: PlotWindow(True, 0, 3), "x_max"),
     "PlotWindow-x_max-str": (lambda: PlotWindow("20", 0, 3), "x_max"),
