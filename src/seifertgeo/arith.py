@@ -76,32 +76,37 @@ def _check_knot(r: int, s: int) -> None:
 
 
 class _Value:
-    """Immutable value: equality, hash, repr and pickling by the fields in
-    __slots__.  _KINDS gives each field's type or tuple of types, in
-    __slots__ order; _set checks the fields against it and sets them."""
+    """Immutable value: equality, hash, repr and pickling by its fields,
+    the first len(_KINDS) names of __slots__ (_fields).  _KINDS gives each
+    field's type or tuple of types; _set checks the fields against it and
+    sets them.  Any later slot starts with _ and holds integers derived
+    from the fields when the value is built; it takes no part in those
+    four, and unpickling recomputes it through __init__."""
 
     __slots__ = ()
     _KINDS = ()
 
     def __init_subclass__(cls):
         cls.__slots__ = cls.__slots__ or cls.__mro__[1].__slots__  # __slots__ = () keeps the parent's fields
-        cls._key = attrgetter(*cls.__slots__)
+        cls._fields = cls.__slots__[:len(cls._KINDS)]
+        cls._key = attrgetter(*cls._fields)
 
     @classmethod
     def _check(cls, *values):
         """Check the leading fields given against _KINDS."""
-        for name, kinds, value in zip(cls.__slots__, cls._KINDS, values):
+        for name, kinds, value in zip(cls._fields, cls._KINDS, values):
             _require(value, name, kinds)
 
     def _set(self, *values):
         self._check(*values)
-        for name, value in zip(self.__slots__, values):
+        for name, value in zip(self._fields, values):
             object.__setattr__(self, name, value)
 
     @classmethod
     def _unchecked(cls, *values):
         """A value whose fields are valid by construction: __init__ and its
-        checks are skipped.  Never for fields taken from outside."""
+        checks are skipped, and values fill every slot, private ones
+        included.  Never for fields taken from outside."""
         self = object.__new__(cls)
         for name, value in zip(cls.__slots__, values):
             object.__setattr__(self, name, value)
@@ -116,11 +121,11 @@ class _Value:
         return hash(self._key(self))
 
     def __repr__(self):
-        fields = ("%s=%r" % (name, getattr(self, name)) for name in self.__slots__)
+        fields = ("%s=%r" % (name, getattr(self, name)) for name in self._fields)
         return "%s(%s)" % (type(self).__name__, ", ".join(fields))
 
     def __reduce__(self):
-        return type(self), tuple([getattr(self, name) for name in self.__slots__])
+        return type(self), tuple([getattr(self, name) for name in self._fields])
 
     def __setattr__(self, name, value=None):
         raise AttributeError("%s is immutable: cannot change %r" % (type(self).__name__, name))
@@ -144,7 +149,7 @@ class PiRational(_Value):
     are ordered by their coefficient.
     """
 
-    __slots__ = ("coeff",)
+    __slots__ = ("coeff", "_ratio")
     _KINDS = ((int, Fraction),)
 
     def __init__(self, coeff):
@@ -153,6 +158,7 @@ class PiRational(_Value):
         if value < 0:
             raise ValueError("angle must be non-negative, got %s*pi" % value)
         object.__setattr__(self, "coeff", value)
+        object.__setattr__(self, "_ratio", value.as_integer_ratio())
 
     @classmethod
     def parse(cls, text: str) -> "PiRational":
@@ -169,9 +175,8 @@ class PiRational(_Value):
         return cls(Fraction(num, den))
 
     def text(self) -> str:
-        if self.coeff.denominator == 1:
-            return "%dpi" % self.coeff.numerator
-        return "%d/%dpi" % (self.coeff.numerator, self.coeff.denominator)
+        num, den = self._ratio
+        return "%dpi" % num if den == 1 else "%d/%dpi" % (num, den)
 
     def __str__(self):
         return self.text()

@@ -50,13 +50,8 @@ class BasePoint(_Value):
 def classify_triangle(point: BasePoint) -> RegionClass:
     """Region of the cube containing the point, decided exactly."""
     _require(point, "point", BasePoint)
-    c1, c2, c3 = point.coeffs()
     # A BasePoint lies in the cube, so the kernel never returns None for one.
-    return kernel.classify_region(
-        c1.numerator, c1.denominator,
-        c2.numerator, c2.denominator,
-        c3.numerator, c3.denominator,
-    )
+    return kernel.classify_region(*point.alpha1._ratio, *point.alpha2._ratio, *point.alpha3._ratio)
 
 
 def curvature_parameter(point: BasePoint) -> float:

@@ -5,7 +5,9 @@ A cone structure assigns each fibre (a_i, b_i) a cone angle beta_i in
 
     alpha_i = beta_i / (2 * a_i),
 
-and the region kernel places it in the angle cube.  kernel.CURVATURE_SIGN
+and the region kernel places it in the angle cube.  A cone structure
+keeps the kernel's six integers (num_i, 2*a_i*den_i) for beta_i =
+num_i/den_i * pi, and its signature keeps e*a1*a2*a3.  kernel.CURVATURE_SIGN
 gives the sign (-1, 0, +1) of the base curvature on a region that
 carries a structure, and seifert's geometry table, read at that sign
 and at e != 0, gives the geometry.  Every other region carries no
@@ -32,7 +34,7 @@ from . import kernel
 from .arith import PiRational, _Value, _require
 from .base2d import BasePoint, base_limits
 from .seifert import (
-    _GEOMETRIES, NO_STRUCTURE, GeometryType, SeifertSignature, _euler_numerator, normalize, normalize_with_order,
+    _GEOMETRIES, NO_STRUCTURE, GeometryType, SeifertSignature, normalize, normalize_with_order,
 )
 
 # Region -> its row of _GEOMETRIES, read at e != 0; other regions and None carry no structure.
@@ -50,7 +52,7 @@ class ConeStructure(_Value):
     stored signature.
     """
 
-    __slots__ = ("sig", "angles")
+    __slots__ = ("sig", "angles", "_ints")  # _ints: the kernel's (n1, 2*a1*d1, n2, 2*a2*d2, n3, 2*a3*d3)
     _KINDS = (SeifertSignature, (tuple, list))
 
     def __init__(self, sig: SeifertSignature, angles):
@@ -65,9 +67,7 @@ class ConeStructure(_Value):
         norm, (i, j, k) = normalize_with_order(sig)
         x1, x2, x3 = angles[i], angles[j], angles[k]
         (a1, _), (a2, _), (a3, _) = f1, f2, f3 = norm.fibers
-        n1, d1 = x1.coeff.as_integer_ratio()
-        n2, d2 = x2.coeff.as_integer_ratio()
-        n3, d3 = x3.coeff.as_integer_ratio()
+        (n1, d1), (n2, d2), (n3, d3) = x1._ratio, x2._ratio, x3._ratio
         if n1 > 2 * a1 * d1 or n2 > 2 * a2 * d2 or n3 > 2 * a3 * d3:
             a, beta = next((a, beta) for a, beta in ((a1, x1), (a2, x2), (a3, x3)) if beta.coeff > 2 * a)
             raise ValueError("cone angle %s exceeds 2*pi*%d on a fibre of multiplicity %d" % (beta, a, a))
@@ -75,11 +75,12 @@ class ConeStructure(_Value):
         if f1 == f2 and n1 * d2 > n2 * d1:
             x1, n1, d1, x2, n2, d2 = x2, n2, d2, x1, n1, d1
         if f2 == f3 and n2 * d3 > n3 * d2:
-            x2, n2, d2, x3 = x3, n3, d3, x2
+            x2, n2, d2, x3, n3, d3 = x3, n3, d3, x2, n2, d2
             if f1 == f2 and n1 * d2 > n2 * d1:
-                x1, x2 = x2, x1
+                x1, n1, d1, x2, n2, d2 = x2, n2, d2, x1, n1, d1
         object.__setattr__(self, "sig", norm)
         object.__setattr__(self, "angles", (x1, x2, x3))
+        object.__setattr__(self, "_ints", (n1, 2 * a1 * d1, n2, 2 * a2 * d2, n3, 2 * a3 * d3))
 
     def base_point(self) -> BasePoint:
         return BasePoint(
@@ -91,17 +92,12 @@ def classify_cone(cs: ConeStructure) -> GeometryType:
     """Geometry of the cone structure: one of the six, or NO_STRUCTURE.
 
     Decided on integers: base angle i is the unreduced num/(2*a_i*den)
-    for beta_i = num/den * pi, and the twist is the sign of e*a1*a2*a3.
+    for beta_i = num/den * pi, and the twist is the sign of e*a1*a2*a3;
+    the structure and its signature keep both.
     """
     if cs.__class__ is not ConeStructure:
         _require(cs, "cs", ConeStructure)
-    (a1, _), (a2, _), (a3, _) = cs.sig.fibers
-    x1, x2, x3 = cs.angles
-    n1, d1 = x1.coeff.as_integer_ratio()
-    n2, d2 = x2.coeff.as_integer_ratio()
-    n3, d3 = x3.coeff.as_integer_ratio()
-    region = kernel.classify_region(n1, 2 * a1 * d1, n2, 2 * a2 * d2, n3, 2 * a3 * d3)
-    return _ROWS.get(region, _NO_ROW)[_euler_numerator(cs.sig.b, cs.sig.fibers) != 0]
+    return _ROWS.get(kernel.classify_region(*cs._ints), _NO_ROW)[cs.sig._e != 0]
 
 
 def sphericity_limits(a1: int, a2: int, a3: int) -> tuple[PiRational, PiRational]:

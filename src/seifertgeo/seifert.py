@@ -21,13 +21,13 @@ Euclidean-base families, Brieskorn homology spheres).
 The geometry is one lookup in _GEOMETRIES, Scott's table indexed by the
 sign of the base curvature (here the sign of chi) and by e != 0; cone3d
 and plot read the same table.  Both are signs of integers over the
-positive a1*a2*a3: chi*a1*a2*a3 (_chi_numerator) and e*a1*a2*a3
-(_euler_numerator), from which the homology order, the lens parameters
-and the family parameters also come.  euler_number and
-orbifold_euler_char build their Fractions only for callers and output;
-no decision reads them.  Each named family is fixed by its multiplicity
-set, which also fixes a constant L, and its parameter is m = -e*L, as
-in Orlik, Seifert Manifolds, LNM 291 (1972).
+positive a1*a2*a3: chi*a1*a2*a3 (_chi_numerator) and e*a1*a2*a3, which
+a signature computes once and keeps as _e; the homology order, the lens
+parameters and the family parameters also come from _e.  euler_number
+and orbifold_euler_char build their Fractions only for callers and
+output; no decision reads them.  Each named family is fixed by its
+multiplicity set, which also fixes a constant L, and its parameter is
+m = -e*L, as in Orlik, Seifert Manifolds, LNM 291 (1972).
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .arith import _Value, _require
 
 
 class SeifertSignature(_Value):
-    __slots__ = ("b", "fibers")
+    __slots__ = ("b", "fibers", "_e")  # _e = e*a1*a2*a3
     _KINDS = (int, tuple)
 
     def __init__(self, b: int, fibers):
@@ -76,6 +76,7 @@ class SeifertSignature(_Value):
                     raise ValueError("fibre pair (%d, %d) is not coprime" % (a, bi))
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "fibers", fibers)
+        object.__setattr__(self, "_e", -(b * a1 * a2 * a3 + b1 * a2 * a3 + b2 * a1 * a3 + b3 * a1 * a2))
 
     def multiplicities(self) -> tuple[int, int, int]:
         (a1, _), (a2, _), (a3, _) = self.fibers
@@ -170,8 +171,8 @@ def normalize_with_order(sig: SeifertSignature) -> tuple[SeifertSignature, tuple
     q3, r3 = divmod(b3, a3)
     # Sorting the triples (-a, b mod a, i) is the stable sort by (-a, b mod a).
     (n1, s1, i), (n2, s2, j), (n3, s3, k) = sorted(((-a1, r1, 0), (-a2, r2, 1), (-a3, r3, 2)))
-    # Valid by construction: gcd(a, b mod a) = gcd(a, b) = 1 and a is unchanged.
-    norm = SeifertSignature._unchecked(sig.b + q1 + q2 + q3, ((-n1, s1), (-n2, s2), (-n3, s3)))
+    # Valid by construction: gcd(a, b mod a) = gcd(a, b) = 1 and a is unchanged, and so is e.
+    norm = SeifertSignature._unchecked(sig.b + q1 + q2 + q3, ((-n1, s1), (-n2, s2), (-n3, s3)), sig._e)
     return norm, (i, j, k)
 
 
@@ -179,12 +180,6 @@ def normalize(sig: SeifertSignature) -> SeifertSignature:
     if sig.__class__ is not SeifertSignature:
         _require(sig, "sig", SeifertSignature)
     return normalize_with_order(sig)[0]
-
-
-def _euler_numerator(b: int, fibers) -> int:
-    """e*a1*a2*a3 of (b; fibers), unreduced; normalization leaves it unchanged."""
-    (a1, b1), (a2, b2), (a3, b3) = fibers
-    return -(b * a1 * a2 * a3 + b1 * a2 * a3 + b2 * a1 * a3 + b3 * a1 * a2)
 
 
 def _chi_numerator(fibers) -> int:
@@ -197,7 +192,7 @@ def euler_number(sig: SeifertSignature) -> Fraction:
     """Euler number e = -b - sum(b_i / a_i) of the fibration."""
     _require(sig, "sig", SeifertSignature)
     (a1, _), (a2, _), (a3, _) = sig.fibers
-    return Fraction(_euler_numerator(sig.b, sig.fibers), a1 * a2 * a3)
+    return Fraction(sig._e, a1 * a2 * a3)
 
 
 def orbifold_euler_char(sig: SeifertSignature) -> Fraction:
@@ -211,19 +206,19 @@ def manifold_geometry(sig: SeifertSignature) -> GeometryType:
     """Geometry of the manifold: _GEOMETRIES[sign of chi][e != 0].
 
     Both are signs of integers over the positive a1*a2*a3: chi*a1*a2*a3
-    (_chi_numerator) and e*a1*a2*a3 (_euler_numerator).
+    (_chi_numerator) and e*a1*a2*a3 (the signature's _e).
     """
     if sig.__class__ is not SeifertSignature:
         _require(sig, "sig", SeifertSignature)
     chi = _chi_numerator(sig.fibers)
-    return _GEOMETRIES[(chi > 0) - (chi < 0)][_euler_numerator(sig.b, sig.fibers) != 0]
+    return _GEOMETRIES[(chi > 0) - (chi < 0)][sig._e != 0]
 
 
 def homology_order(sig: SeifertSignature):
     """Order of H1, which is |e| * a1 * a2 * a3; None means infinite (e == 0)."""
     if sig.__class__ is not SeifertSignature:
         _require(sig, "sig", SeifertSignature)
-    return abs(_euler_numerator(sig.b, sig.fibers)) or None
+    return abs(sig._e) or None
 
 
 def lens_params(sig: SeifertSignature) -> tuple[int, int]:
@@ -253,7 +248,7 @@ def lens_params(sig: SeifertSignature) -> tuple[int, int]:
         raise ValueError("lens parameters need at most two exceptional fibres")
     exceptional += [(1, 0)] * (2 - len(exceptional))
     (a1, b1), (a2, b2) = exceptional
-    m = -_euler_numerator(sig.b, sig.fibers)
+    m = -sig._e
     if m == 0:
         raise ValueError("m = 0: the Euler number vanishes, not a lens space")
     c = b * a1 + b1
@@ -333,7 +328,7 @@ def identify_family(sig: SeifertSignature) -> FamilyId:
         _require(sig, "sig", SeifertSignature)
     (a1, _), (a2, _), (a3, _) = sig.fibers
     if a1 == 1 or a2 == 1 or a3 == 1:  # at most two exceptional fibres
-        if _euler_numerator(sig.b, sig.fibers) == 0:
+        if sig._e == 0:
             return GENERIC
         m, n = lens_params(sig)
         p = abs(m)
@@ -344,7 +339,7 @@ def identify_family(sig: SeifertSignature) -> FamilyId:
 
     mults = tuple(sorted((a1, a2, a3)))
     # |H1| = 1 makes the a_i pairwise coprime: gcd(a_i, a_j) divides each term of e*a1*a2*a3.
-    if abs(_euler_numerator(sig.b, sig.fibers)) == 1:
+    if abs(sig._e) == 1:
         return FamilyId._unchecked(FamilyKind.BRIESKORN, mults)
     return _named_family(sig, mults)
 
@@ -370,7 +365,7 @@ def _named_family(sig: SeifertSignature, mults: tuple[int, int, int]) -> FamilyI
         return GENERIC
     kind, L = family
     a1, a2, a3 = mults
-    m = -_euler_numerator(sig.b, sig.fibers) * L // (a1 * a2 * a3)
+    m = -sig._e * L // (a1 * a2 * a3)
     if kind is FamilyKind.PRISM:
         return FamilyId._unchecked(kind, (L, m))
     if kind in _NIL_KINDS:

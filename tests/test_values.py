@@ -2,12 +2,16 @@
 
 Equal values compare and hash equal, fields cannot be assigned or
 deleted, construction works positionally and by field name, the repr
-reads Name(field=value, ...), and values survive pickle and copy.
+reads Name(field=value, ...), and values survive pickle and copy.  The
+integers a value derives from its fields and keeps in private slots
+match a recomputation and take no part in any of these.
 """
 
 import copy
 import importlib
 import inspect
+import itertools
+import math
 import pickle
 import pkgutil
 import types
@@ -15,6 +19,7 @@ import typing
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import seifertgeo
 from seifertgeo.arith import Handedness, PiRational, TWO_PI, _Value, fiber_coeffs
@@ -138,6 +143,13 @@ class TestValueContract:
             assert type(clone) is type(value)
             assert clone == value
             assert hash(clone) == hash(value)
+            assert _private(clone) == _private(value)
+
+
+def _private(value):
+    """The private integers a value keeps in the slots after its fields."""
+    cls = type(value)
+    return tuple(getattr(value, name) for name in cls.__slots__[len(cls._fields):])
 
 
 class TestDefaults:
@@ -171,7 +183,21 @@ class TestFieldContract:
         classes = _value_classes()
         assert sorted(cls.__name__ for cls in classes) == CHECKED
         for cls in classes:
-            assert len(cls._KINDS) == len(cls.__slots__), cls.__name__
+            assert len(cls._KINDS) == len(cls._fields), cls.__name__
+            assert cls._fields == cls.__slots__[:len(cls._fields)], cls.__name__
+            assert all(name.startswith("_") for name in cls.__slots__[len(cls._fields):]), cls.__name__
+
+    @pytest.mark.parametrize("name", CHECKED)
+    def test_private_integers_take_no_part_in_equality_hash_repr_or_pickle(self, name):
+        fields, make = VALUES[name]
+        value = make(False)
+        cls = type(value)
+        assert cls._fields == fields
+        public = tuple(getattr(value, field) for field in fields)
+        twin = cls._unchecked(*public, *[("not", "derived")] * (len(cls.__slots__) - len(fields)))
+        assert twin == value and hash(twin) == hash(value)
+        assert repr(twin) == repr(value)
+        assert twin.__reduce__() == value.__reduce__() == (cls, public)
 
     @pytest.mark.parametrize("name", CHECKED)
     def test_a_wrong_type_in_any_field_raises_naming_it(self, name):
@@ -326,7 +352,7 @@ class TestConeStructureInputs:
         assert sub != _Signature(0, POINCARE) and sub != self.SIG
         assert repr(sub) == "_Signature(b=-1, fibers=((2, 1), (3, 1), (5, 1)))"
         for clone in (pickle.loads(pickle.dumps(sub)), copy.copy(sub), copy.deepcopy(sub)):
-            assert type(clone) is _Signature and clone == sub
+            assert type(clone) is _Signature and clone == sub and clone._e == sub._e == -1
         with pytest.raises(ValueError, match="^fibers must be a tuple, got 'x'$"):
             _Signature._check(-1, "x")
 
@@ -336,6 +362,63 @@ class TestConeStructureInputs:
         sub = _Signature(normal.b, normal.fibers)
         assert normalize(sub).__class__ is SeifertSignature
         assert normalize(sub) == normal and hash(normalize(sub)) == hash(normal)
+
+
+# Raw fibres: a <= 12 and any coprime b_i, negative ones included.
+FIBRE = st.tuples(st.integers(1, 12), st.integers(-30, 30)).filter(lambda f: math.gcd(*f) == 1)
+COEFF = st.fractions(min_value=0, max_value=2, max_denominator=24)
+SIGNATURE_CLASSES = st.sampled_from((SeifertSignature, _Signature))
+
+
+def _euler_times_multiplicities(b, fibers):
+    """e*a1*a2*a3 from e = -b - sum(b_i / a_i), in Fractions."""
+    e = (-b - sum(Fraction(bi, a) for a, bi in fibers)) * math.prod(a for a, _ in fibers)
+    assert e.denominator == 1
+    return e.numerator
+
+
+class TestStoredIntegers:
+    """The integers a value derives from its fields when it is built."""
+
+    @given(SIGNATURE_CLASSES, st.integers(-5, 5), st.lists(FIBRE, min_size=1, max_size=3))
+    @settings(max_examples=400)
+    def test_a_signature_keeps_e_times_its_multiplicities(self, cls, b, fibers):
+        sig = cls(b, fibers)
+        assert sig._e == _euler_times_multiplicities(b, fibers)
+        assert normalize(sig)._e == sig._e
+
+    @given(
+        SIGNATURE_CLASSES,
+        st.integers(-5, 5),
+        FIBRE,
+        st.lists(st.integers(-2, 2), min_size=2, max_size=3),
+        FIBRE,
+        st.lists(COEFF.map(PiRational), min_size=3, max_size=3),
+    )
+    @settings(max_examples=200)
+    def test_a_cone_structure_keeps_its_kernel_integers_in_every_angle_order(
+        self, cls, b, tied, shifts, other, angles
+    ):
+        # Two or three fibres that tie once reduced, so the constructor reorders their angles.
+        a, bi = tied
+        sig = cls(b, ([(a, bi + k * a) for k in shifts] + [other])[:3])
+        for order in set(itertools.permutations(angles)):
+            cs = ConeStructure(sig, order)
+            ints = ()
+            for (ai, _), beta in zip(cs.sig.fibers, cs.angles):
+                ints += (beta.coeff.numerator, 2 * ai * beta.coeff.denominator)
+            assert cs._ints == ints
+            assert cs.sig._e == sig._e
+
+    @given(COEFF, st.integers(1, 6), st.integers(0, 4))
+    def test_an_angle_keeps_its_integer_pair(self, coeff, k, num):
+        angle = PiRational(coeff)
+        derived = (
+            angle, PiRational(num), angle * k, angle / k, angle * Fraction(1, k),
+            PiRational.parse(angle.text()), pickle.loads(pickle.dumps(angle)), copy.copy(angle),
+        )
+        for x in derived:
+            assert x._ratio == x.coeff.as_integer_ratio()
 
 
 class TestPiRationalOrder:
