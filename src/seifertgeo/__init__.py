@@ -23,7 +23,7 @@ BACKEND = "python"
 # a submodule.
 _HOMES = {
     "arith": "Handedness PiRational fiber_coeffs",
-    "base2d": "BasePoint base_limits classify_triangle curvature_parameter",
+    "base2d": "BasePoint classify_triangle curvature_parameter",
     "cone3d": "ConeStructure FamilyDimension classify_cone family_dimension sphericity_limits",
     "kernel": "RegionClass",
     "seifert": "FamilyId FamilyKind GeometryType NO_STRUCTURE SeifertSignature euler_number homology_order"

@@ -144,9 +144,9 @@ class PiRational(_Value):
     or a Fraction, so 2/3*pi is PiRational(Fraction(2, 3)); a float,
     whose binary value is rarely the rational meant, is refused.  The
     textual form is "<num>/<den>pi"; integer multiples drop the
-    denominator ("2pi").  An angle times or over an int or Fraction is
-    an angle, the ratio of two angles is an exact Fraction, and angles
-    are ordered by their coefficient.
+    denominator ("2pi").  The ratio of two angles is an exact Fraction,
+    and angles are ordered by their coefficient; no other arithmetic is
+    defined on them.
     """
 
     __slots__ = ("coeff", "_ratio")
@@ -181,19 +181,12 @@ class PiRational(_Value):
     def __str__(self):
         return self.text()
 
-    def __mul__(self, k):
-        if isinstance(k, (int, Fraction)):
-            return PiRational(self.coeff * k)
-        return NotImplemented
-
     def __truediv__(self, other):
-        if isinstance(other, PiRational):
-            if other.coeff == 0:
-                raise ZeroDivisionError("division by zero angle")
-            return self.coeff / other.coeff
-        if isinstance(other, (int, Fraction)):
-            return PiRational(self.coeff / other)
-        return NotImplemented
+        if not isinstance(other, PiRational):
+            return NotImplemented
+        if other.coeff == 0:
+            raise ZeroDivisionError("division by zero angle")
+        return self.coeff / other.coeff
 
     def __lt__(self, other):
         return self.coeff < other.coeff if other.__class__ is PiRational else NotImplemented

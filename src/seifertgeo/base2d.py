@@ -80,21 +80,17 @@ def curvature_parameter(point: BasePoint) -> float:
     return num / den
 
 
-def base_limits(a1: int, a2: int) -> tuple[PiRational, PiRational]:
-    """Sphericity interval (alpha_L, alpha_U) of the third base angle.
+def _band(a1: int, a2: int) -> tuple[int, int, int]:
+    """(A, lower, upper): the sphericity band of the third base angle.
 
     For fixed cone points of orders 1 < a1 <= a2 and a free third angle
     alpha, the double triangle is spherical exactly for
 
-        (a1*a2 - a2 - a1)/(a1*a2) * pi < alpha < (a1*a2 - a2 + a1)/(a1*a2) * pi
+        lower/A * pi < alpha < upper/A * pi,
 
-    (the upper bound capped by the cube at pi, where the edge point is
-    still spherical).
+    with A = a1*a2, lower = A - a2 - a1 and upper = A - a2 + a1.  When
+    a1 = a2, upper/A = 1 and the edge point alpha = pi is still
+    spherical.  Callers establish 1 < a1 <= a2; nothing is checked here.
     """
-    _require(a1, "a1")
-    _require(a2, "a2")
-    if not 1 < a1 <= a2:
-        raise ValueError("base limits need 1 < a1 <= a2, got (%d, %d)" % (a1, a2))
-    lower = PiRational(Fraction(a1 * a2 - a2 - a1, a1 * a2))
-    upper = PiRational(Fraction(a1 * a2 - a2 + a1, a1 * a2))
-    return lower, upper
+    a12 = a1 * a2
+    return a12, a12 - a2 - a1, a12 - a2 + a1

@@ -194,14 +194,14 @@ def _cmd_limits(args) -> int:
 
 
 def _cmd_surgery(args) -> int:
-    from .surgery import SurgerySpec, TorusKnot, classify_surgery_cone, line_of_surgery, surgery_signature
+    from .surgery import SurgerySpec, TorusKnot, classify_surgery_cone, surgery_signature
 
     r, s = args.knot
     knot = TorusKnot(r, s, args.hand)
     p, q = args.slope
     spec = SurgerySpec(knot, p, q)
     sig = surgery_signature(spec)
-    m, n = line_of_surgery(spec)
+    m, n = sig.fibers[2]  # the core fibre is the ray's primitive point
     geometry = classify_surgery_cone(spec, args.beta)
     return _emit(
         args,

@@ -14,25 +14,27 @@ and at e != 0, gives the geometry.  Every other region carries no
 geometric Seifert conemanifold structure, and the answer is NO_STRUCTURE.
 
 When one fibre of multiplicity a3 is singular and the other two, of
-multiplicities 1 < a1 <= a2, stay at 2*pi, the structure is spherical
-exactly between the sphericity limits
+multiplicities 1 < a1 <= a2, stay at 2*pi, the singular fibre's base
+angle has the band lower/A * pi < alpha < upper/A * pi of
+(A, lower, upper) = base2d._band(a1, a2), so the structure is
+spherical exactly between the sphericity limits
 
-    beta_L = 2*a3*alpha_L,      beta_U = 2*a3*alpha_U,
+    beta_L = 2*a3*lower/A * pi,      beta_U = 2*a3*upper/A * pi.
 
-where (alpha_L, alpha_U) = base2d.base_limits(a1, a2) is the band of
-the singular fibre's base angle.  The base curvature has the sign of
-beta - beta_L below beta_U, so the geometry is Nil (Euclidean when
-e = 0) at beta_L and SL2R (H2xR) below it.  The ratio beta_U / beta_L
-is free of a3; the width is 4*pi*a3/a2.
+The base curvature has the sign of beta - beta_L below beta_U, so the
+geometry is Nil (Euclidean when e = 0) at beta_L and SL2R (H2xR) below
+it.  The ratio beta_U / beta_L = upper/lower is free of a3; the width
+is 4*pi*a3/a2.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from fractions import Fraction
 
 from . import kernel
 from .arith import PiRational, _Value, _require
-from .base2d import BasePoint, base_limits
+from .base2d import BasePoint, _band
 from .seifert import (
     _GEOMETRIES, NO_STRUCTURE, GeometryType, SeifertSignature, normalize, normalize_with_order,
 )
@@ -83,9 +85,9 @@ class ConeStructure(_Value):
         object.__setattr__(self, "_ints", (n1, 2 * a1 * d1, n2, 2 * a2 * d2, n3, 2 * a3 * d3))
 
     def base_point(self) -> BasePoint:
-        return BasePoint(
-            *(beta / (2 * a) for (a, _), beta in zip(self.sig.fibers, self.angles))
-        )
+        """The base angles beta_i / (2*a_i), read from the kernel's integers."""
+        n1, d1, n2, d2, n3, d3 = self._ints
+        return BasePoint(PiRational(Fraction(n1, d1)), PiRational(Fraction(n2, d2)), PiRational(Fraction(n3, d3)))
 
 
 def classify_cone(cs: ConeStructure) -> GeometryType:
@@ -119,8 +121,8 @@ def sphericity_limits(a1: int, a2: int, a3: int) -> tuple[PiRational, PiRational
         )
     if a3 < 1:
         raise ValueError("singular multiplicity must be >= 1, got %d" % a3)
-    lower, upper = base_limits(a1, a2)
-    return lower * (2 * a3), upper * (2 * a3)
+    a12, lower, upper = _band(a1, a2)
+    return PiRational(Fraction(2 * a3 * lower, a12)), PiRational(Fraction(2 * a3 * upper, a12))
 
 
 class FamilyDimension(Enum):

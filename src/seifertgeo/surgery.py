@@ -19,13 +19,14 @@ classify_surgery_cone reads that structure as any other cone
 structure: it is classify_cone of the surgered signature with the
 angles (2*pi, 2*pi, beta).
 
-On each ray the core's base angle is pi/x, so the structure is
-spherical for x_U < x < x_L, where x_U and x_L are pi over the base
-limits alpha_U and alpha_L of base2d.base_limits(s, r).  It is Nil at
-the integer-or-not abscissa x_L (when the Euler number is nonzero) and
-SL2R beyond it.  Integer abscissas x in (x_U, x_L) are the spherical
-orbifold labels, the range floor(x_U) + 1 .. ceil(x_L) - 1; the cone
-angle there is 2*pi/x.
+On each ray the core's base angle is pi/x.  The band
+lower/A * pi < pi/x < upper/A * pi of (A, lower, upper) =
+base2d._band(s, r) makes the structure spherical for x_U < x < x_L,
+with x_U = A/upper and x_L = A/lower.  It is Nil at the integer-or-not
+abscissa x_L (when the Euler number is nonzero) and SL2R beyond it.
+Integer abscissas x in (x_U, x_L) are the spherical orbifold labels,
+the range floor(x_U) + 1 .. ceil(x_L) - 1; the cone angle there is
+2*pi/x.
 
 atlas and plot.build_plot decide each ray from integers alone, one
 column (m fixed) at a time, in two steps.  The kernel step,
@@ -48,7 +49,7 @@ from math import ceil, floor, gcd
 
 from . import kernel
 from .arith import TWO_PI, Handedness, PiRational, _Value, _check_knot, _require, fiber_coeffs
-from .base2d import base_limits
+from .base2d import _band
 from .cone3d import _NO_ROW, _ROWS, ConeStructure, classify_cone
 from .seifert import GeometryType, SeifertSignature
 
@@ -161,8 +162,8 @@ def _column(z: int, m: int, n_lo: int, n_hi: int, flat, twisted) -> list[tuple]:
 def x_limits(knot: TorusKnot) -> tuple[Fraction, Fraction]:
     """(x_U, x_L): abscissas of the sphericity limits on every ray."""
     _require(knot, "knot", TorusKnot)
-    alpha_lower, alpha_upper = base_limits(knot.s, knot.r)
-    return 1 / alpha_upper.coeff, 1 / alpha_lower.coeff
+    a12, lower, upper = _band(knot.s, knot.r)
+    return Fraction(a12, upper), Fraction(a12, lower)
 
 
 def classify_surgery_cone(spec: SurgerySpec, beta: PiRational) -> GeometryType:

@@ -12,10 +12,10 @@ from seifertgeo.arith import PiRational
 from seifertgeo.base2d import (
     BasePoint,
     RegionClass,
-    base_limits,
     classify_triangle,
     curvature_parameter,
 )
+from seifertgeo.cone3d import sphericity_limits
 
 
 def pt(*coeffs):
@@ -231,34 +231,34 @@ class TestCurvature:
         assert all(count > 50 for count in seen.values())
 
 
+def alpha_limits(a1, a2):
+    """The band (alpha_L, alpha_U) of the third base angle: alpha = beta/2
+    on a singular fibre of multiplicity 1."""
+    lower, upper = sphericity_limits(a1, a2, 1)
+    return lower.coeff / 2, upper.coeff / 2
+
+
 class TestBaseLimits:
     def test_2_3(self):
-        assert base_limits(2, 3) == (PiRational(Fraction(1, 6)), PiRational(Fraction(5, 6)))
+        assert alpha_limits(2, 3) == (Fraction(1, 6), Fraction(5, 6))
 
     def test_2_2(self):
-        assert base_limits(2, 2) == (PiRational(0), PiRational(1))
+        assert alpha_limits(2, 2) == (0, 1)
 
     def test_3_3(self):
-        assert base_limits(3, 3) == (PiRational(Fraction(1, 3)), PiRational(1))
-
-    def test_rejects_bad_order(self):
-        with pytest.raises(ValueError):
-            base_limits(3, 2)
-        with pytest.raises(ValueError):
-            base_limits(1, 5)
+        assert alpha_limits(3, 3) == (Fraction(1, 3), 1)
 
     def test_amplitude(self):
         for a1 in range(2, 9):
             for a2 in range(a1, 12):
-                lo, hi = base_limits(a1, a2)
-                assert hi.coeff - lo.coeff == Fraction(2, a2)
+                lo, hi = alpha_limits(a1, a2)
+                assert hi - lo == Fraction(2, a2)
 
     def test_sweep_matches_classifier(self):
         # the class along (pi/a1, pi/a2, t) changes exactly at the limits
         for a1, a2 in ((2, 3), (2, 2), (3, 3), (3, 4), (2, 7), (4, 5)):
-            lo, hi = base_limits(a1, a2)
+            lo_c, hi_c = alpha_limits(a1, a2)
             f1, f2 = Fraction(1, a1), Fraction(1, a2)
-            lo_c, hi_c = lo.coeff, hi.coeff
             den = 2 * a1 * a2 * 7
             for k in range(0, den + 1):
                 t = Fraction(k, den)

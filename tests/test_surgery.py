@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from seifertgeo.arith import Handedness, PiRational, TWO_PI, fiber_coeffs
-from seifertgeo.cone3d import ConeStructure, classify_cone
+from seifertgeo.cone3d import ConeStructure, classify_cone, sphericity_limits
 from seifertgeo.plot import PlotWindow, build_plot
 from seifertgeo.seifert import (
     GeometryType,
@@ -243,6 +243,13 @@ class TestXLimits:
             want = (Fraction(rs, rs - r + s), Fraction(rs, rs - r - s))
             for hand in (L, R):
                 assert x_limits(TorusKnot(r, s, hand)) == want, (r, s, hand)
+
+    def test_inverts_the_sphericity_limits_of_the_core(self):
+        # On a ray the core's base angle is pi/x = beta/2.
+        for r, s in coprime_knots(13):
+            beta_lower, beta_upper = sphericity_limits(s, r, 1)
+            for hand in (L, R):
+                assert x_limits(TorusKnot(r, s, hand)) == (2 / beta_upper.coeff, 2 / beta_lower.coeff)
 
     def test_low_limit_below_two_iff(self):
         for r, s in coprime_knots(100):
