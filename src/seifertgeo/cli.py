@@ -8,9 +8,8 @@ outside its domain), "limit" (a batch over WORK_LIMIT) or "io" (a
 file that cannot be opened or written).
 
 Each handler imports the modules beyond arith and seifert that it
-calls, so classify and identify load only those two.  A run whose first
-argument names a subcommand builds a parser with that subparser alone;
-each parser is built once per process.
+calls, so classify and identify load only those two.  The argument
+parser is built once per process.
 """
 
 from __future__ import annotations
@@ -292,19 +291,16 @@ COMMANDS = {
 
 
 @functools.cache
-def _build_parser(command) -> argparse.ArgumentParser:
-    """Parser with the subparser of command alone, or of all for None; its
-    usage line names every command either way."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built on the first call and then kept."""
     parser = argparse.ArgumentParser(
         prog="seifertgeo",
         description="Geometries of Seifert conemanifold structures and torus knot surgeries",
     )
     # Hidden, so it stays out of the usage line that every usage error repeats.
     parser.add_argument("--version", action="version", version="seifertgeo " + __version__, help=argparse.SUPPRESS)
-    metavar = None if command is None else "{%s}" % ",".join(COMMANDS)
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in COMMANDS if command is None else (command,):
-        func, help_text, arguments = COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (func, help_text, arguments) in COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--json", action="store_true", help="emit JSON")
         for flag, options in arguments:
@@ -314,9 +310,7 @@ def _build_parser(command) -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    parser = _build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, ArithmeticError, OSError) as exc:

@@ -177,8 +177,13 @@ def normalize_with_order(sig: SeifertSignature) -> tuple[SeifertSignature, tuple
 
 
 def normalize(sig: SeifertSignature) -> SeifertSignature:
-    if sig.__class__ is not SeifertSignature:
-        _require(sig, "sig", SeifertSignature)
+    """Normal form of sig: each b_i reduced to 0 <= b_i < a_i with b
+    taking up the quotients, so e is unchanged, and the fibres sorted by
+    decreasing a_i, ties by increasing b_i.  A SeifertSignature already
+    in normal form comes back as itself; a subclass instance comes back
+    as a new SeifertSignature.
+    """
+    _require(sig, "sig", SeifertSignature)
     return normalize_with_order(sig)[0]
 
 
@@ -235,8 +240,7 @@ def lens_params(sig: SeifertSignature) -> tuple[int, int]:
     same lens space; identify_family prints its one label.  m = 0 (that
     is e = 0) is an error.
     """
-    if sig.__class__ is not SeifertSignature:
-        _require(sig, "sig", SeifertSignature)
+    _require(sig, "sig", SeifertSignature)
     b = sig.b
     exceptional = []
     for a, bi in sig.fibers:
@@ -353,8 +357,7 @@ def named_family(sig: SeifertSignature) -> FamilyId:
     order; the prism is Prism(n, m), and a Euclidean-base family adds
     the least normalized b_i with a_i > 2.  Generic otherwise.
     """
-    if sig.__class__ is not SeifertSignature:
-        _require(sig, "sig", SeifertSignature)
+    _require(sig, "sig", SeifertSignature)
     return _named_family(sig, tuple(sorted(sig.multiplicities())))
 
 

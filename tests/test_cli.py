@@ -205,8 +205,7 @@ class TestRepeatedRuns:
     """The parser is built once per process; no option outlives its run."""
 
     def test_parser_is_built_once(self):
-        assert cli._build_parser(None) is cli._build_parser(None)
-        assert cli._build_parser("classify") is cli._build_parser("classify")
+        assert cli._build_parser() is cli._build_parser()
 
     @settings(
         max_examples=200,
@@ -214,11 +213,11 @@ class TestRepeatedRuns:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(first=st.text(max_size=12) | st.sampled_from(sorted(cli.COMMANDS)))
-    def test_at_most_one_parser_per_command(self, capsys, first):
+    def test_one_parser_for_every_first_argument(self, capsys, first):
         with pytest.raises(SystemExit):
             run([first, "--help"])
         capsys.readouterr()
-        assert cli._build_parser.cache_info().currsize <= len(cli.COMMANDS) + 1
+        assert cli._build_parser.cache_info().currsize == 1
 
     def test_surgery_beta_does_not_leak(self, capsys):
         argv = ["surgery", "--knot", "3,2", "--hand", "left", "--slope", "4/-1"]
@@ -298,8 +297,7 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
-# (argv, exit code, digest of stdout, digest of stderr) at 80 columns.  A
-# parser built for one command prints what the full parser prints.  The
+# (argv, exit code, digest of stdout, digest of stderr) at 80 columns.  The
 # text is argparse's, which changes between Python versions.
 PARSER_TEXT = [
     (["--help"], 0, "31760e4eb7cbcf94", "e3b0c44298fc1c14"),
@@ -333,19 +331,6 @@ class TestParserText:
             got = exc.code
         captured = capsys.readouterr()
         assert (got, _digest(captured.out), _digest(captured.err)) == (code, out, err)
-
-    @pytest.mark.parametrize(
-        "argv", [argv for argv, *_ in PARSER_TEXT if argv and argv[0] in cli.COMMANDS]
-    )
-    def test_one_command_parser_prints_what_the_full_parser_prints(self, capsys, argv):
-        printed = []
-        for command in (None, argv[0]):
-            try:
-                outcome = vars(cli._build_parser(command).parse_args(argv))
-            except SystemExit as exc:
-                outcome = exc.code
-            printed.append((outcome, capsys.readouterr()))
-        assert printed[0] == printed[1]
 
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
