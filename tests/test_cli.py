@@ -332,6 +332,27 @@ class TestParserText:
         captured = capsys.readouterr()
         assert (got, _digest(captured.out), _digest(captured.err)) == (code, out, err)
 
+    @pytest.mark.parametrize(
+        "argv", [argv for argv, *_ in PARSER_TEXT if argv and argv[0] in cli.COMMANDS]
+    )
+    def test_shared_parser_prints_what_a_new_parser_prints(self, capsys, argv):
+        # The kept parser has first parsed every row of PARSER_TEXT, so any
+        # state one command left on it would show against a parser built now.
+        def outcome(parser, argv):
+            try:
+                return vars(parser.parse_args(argv))
+            except SystemExit as exc:
+                return exc.code
+
+        shared = cli._build_parser()
+        for other, *_ in PARSER_TEXT:
+            outcome(shared, other)
+        capsys.readouterr()
+        printed = []
+        for parser in (shared, cli._build_parser.__wrapped__()):
+            printed.append((outcome(parser, argv), capsys.readouterr()))
+        assert printed[0] == printed[1]
+
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["--version"])
