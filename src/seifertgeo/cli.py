@@ -179,9 +179,7 @@ def _cmd_cone(args) -> int:
 def _cmd_limits(args) -> int:
     from .cone3d import sphericity_limits
 
-    others = list(args.fibers)
-    singular = others.pop(args.singular - 1)
-    lower, upper = sphericity_limits(*others, singular)
+    lower, upper = sphericity_limits(*args.fibers)
     return _emit(
         args,
         {
@@ -271,8 +269,7 @@ COMMANDS = {
     "classify": (_cmd_classify, "invariants and geometry of a signature", [_SIG]),
     "cone": (_cmd_cone, "geometry of a cone structure", [_SIG, _opt("--angles", _arg(_angles))]),
     "limits": (_cmd_limits, "sphericity limits of a singular fibre", [
-        _opt("--fibers", _arg(_ints("a1,a2,a3", ","))),
-        _opt("--singular", _arg(_int), choices=(1, 2, 3), default=3),
+        _opt("--fibers", _arg(_ints("a1,a2,a3", ",")), help="a1,a2,a3; a3 is the singular fibre"),
     ]),
     "surgery": (_cmd_surgery, "classify a Dehn surgery on a torus knot", [
         _KNOT, _HAND, _opt("--slope", _arg(_ints("p/q", "/"))),

@@ -103,8 +103,8 @@ class TestLimits:
         assert payload == {"beta_L": "5/3pi", "beta_U": "25/3pi", "ratio": "5"}
 
     def test_singular_position(self, capsys):
-        _, first = run_json(capsys, ["limits", "--fibers", "5,2,3", "--singular", "3"])
-        _, second = run_json(capsys, ["limits", "--fibers", "2,3,5", "--singular", "1"])
+        _, first = run_json(capsys, ["limits", "--fibers", "5,2,3"])
+        _, second = run_json(capsys, ["limits", "--fibers", "3,5,2"])
         assert first == {"beta_L": "9/5pi", "beta_U": "21/5pi", "ratio": "7/3"}
         assert second == {"beta_L": "28/15pi", "beta_U": "52/15pi", "ratio": "13/7"}
 
@@ -304,7 +304,7 @@ PARSER_TEXT = [
     (["-h"], 0, "31760e4eb7cbcf94", "e3b0c44298fc1c14"),
     (["classify", "--help"], 0, "c41dbce1d0e05632", "e3b0c44298fc1c14"),
     (["cone", "--help"], 0, "7bef49ff5eb13d59", "e3b0c44298fc1c14"),
-    (["limits", "--help"], 0, "0c25e5e106bc2266", "e3b0c44298fc1c14"),
+    (["limits", "--help"], 0, "ac50412715ef3a73", "e3b0c44298fc1c14"),
     (["surgery", "--help"], 0, "709dfabe367b1ed8", "e3b0c44298fc1c14"),
     (["identify", "--help"], 0, "3925e256a395da2f", "e3b0c44298fc1c14"),
     (["plot", "--help"], 0, "f4e40f24bc8f02b9", "e3b0c44298fc1c14"),
@@ -313,7 +313,7 @@ PARSER_TEXT = [
     (["frobnicate"], 2, "e3b0c44298fc1c14", "4413417a4da773a6"),
     (["classify"], 2, "e3b0c44298fc1c14", "4628de0c43f56565"),
     (["classify", "--sig", "nope"], 2, "e3b0c44298fc1c14", "656d615e9b4c8c96"),
-    (["limits", "--fibers", "2,3,5", "--singular", "4"], 2, "e3b0c44298fc1c14", "1cff4bc3ce63775d"),
+    (["limits", "--fibers", "2,3,5", "--singular", "1"], 2, "e3b0c44298fc1c14", "c9daafc567a14b9b"),
     (["classify", "--sig", POINCARE, "extra"], 2, "e3b0c44298fc1c14", "e6705158fb100550"),
     (["--json", "classify"], 2, "e3b0c44298fc1c14", "4628de0c43f56565"),
     (["classify", "--sig", POINCARE, "--json"], 0, "97cb8eb538f9b0a1", "e3b0c44298fc1c14"),
@@ -394,21 +394,11 @@ class TestExitCodes:
         assert code == 0
         assert payload["euler"] == "0"
 
-    @pytest.mark.parametrize("singular", ["0", "4"])
-    def test_bad_singular_is_two(self, capsys, singular):
-        with pytest.raises(SystemExit) as exc:
-            run(["limits", "--fibers", "2,3,5", "--singular", singular, "--json"])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "--singular: invalid choice: %s" % singular in captured.err
-
     # One command per integer option; V is replaced by the value under test.
     INTEGER_OPTIONS = {
         "--knot": ["surgery", "--knot=V,2", "--hand", "left", "--slope", "1/1"],
         "--slope": ["surgery", "--knot", "3,2", "--hand", "left", "--slope=V/1"],
         "--fibers": ["limits", "--fibers=2,V,5"],
-        "--singular": ["limits", "--fibers", "2,3,5", "--singular=V"],
         "--xmax": ["plot", "--knot", "3,2", "--hand", "left", "--xmax=V", "--out", "p.svg"],
         "--ymin": ["plot", "--knot", "3,2", "--hand", "left", "--xmax", "3", "--ymin=V",
                    "--ymax", "5", "--out", "p.svg"],
@@ -729,10 +719,7 @@ _PATH = st.sampled_from(["out.txt", "other.txt", "missing/out.txt", ".", ""])
 _OPTIONS = {
     "classify": {"--sig": _SIG},
     "cone": {"--sig": _SIG, "--angles": st.lists(_ANGLE, min_size=1, max_size=4).map(",".join)},
-    "limits": {
-        "--fibers": st.builds("{},{},{}".format, *[st.integers(-1, 12)] * 3),
-        "--singular": _INT,
-    },
+    "limits": {"--fibers": st.builds("{},{},{}".format, *[st.integers(-1, 12)] * 3)},
     "surgery": {
         "--knot": _KNOT, "--hand": _HAND,
         "--slope": st.builds("{}/{}".format, st.integers(-40, 40), st.integers(-9, 9)),
