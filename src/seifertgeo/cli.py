@@ -8,14 +8,13 @@ outside its domain), "limit" (a batch over WORK_LIMIT) or "io" (a
 file that cannot be opened or written).
 
 Each handler imports the modules beyond arith and seifert that it
-calls, so classify and identify load only those two.  The argument
-parser is built once per process.
+calls, so classify and identify load only those two.  Each run builds
+the argument parser of every command.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import itertools
 import json
 import os
@@ -287,27 +286,31 @@ COMMANDS = {
 }
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The parser of every command, built on the first call and then kept."""
+class _Command(argparse.ArgumentParser):
+    """A command's parser, which reports stray arguments with its own usage."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        args, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error("unrecognized arguments: %s" % " ".join(extra))
+        return args, extra
+
+
+def run(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="seifertgeo",
         description="Geometries of Seifert conemanifold structures and torus knot surgeries",
     )
     # Hidden, so it stays out of the usage line that every usage error repeats.
     parser.add_argument("--version", action="version", version="seifertgeo " + __version__, help=argparse.SUPPRESS)
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Command)
     for name, (func, help_text, arguments) in COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--json", action="store_true", help="emit JSON")
         for flag, options in arguments:
             cmd.add_argument(flag, **options)
         cmd.set_defaults(func=func)
-    return parser
-
-
-def run(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, ArithmeticError, OSError) as exc:

@@ -202,10 +202,7 @@ class TestIdentify:
 
 
 class TestRepeatedRuns:
-    """The parser is built once per process; no option outlives its run."""
-
-    def test_parser_is_built_once(self):
-        assert cli._build_parser() is cli._build_parser()
+    """Runs in one process, each with a parser of its own: no option outlives its run."""
 
     @settings(
         max_examples=200,
@@ -213,11 +210,11 @@ class TestRepeatedRuns:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(first=st.text(max_size=12) | st.sampled_from(sorted(cli.COMMANDS)))
-    def test_one_parser_for_every_first_argument(self, capsys, first):
-        with pytest.raises(SystemExit):
+    def test_help_after_any_first_argument_exits_0_or_2(self, capsys, first):
+        with pytest.raises(SystemExit) as exc:
             run([first, "--help"])
         capsys.readouterr()
-        assert cli._build_parser.cache_info().currsize == 1
+        assert exc.value.code in (0, 2)
 
     def test_surgery_beta_does_not_leak(self, capsys):
         argv = ["surgery", "--knot", "3,2", "--hand", "left", "--slope", "4/-1"]
@@ -313,11 +310,24 @@ PARSER_TEXT = [
     (["frobnicate"], 2, "e3b0c44298fc1c14", "4413417a4da773a6"),
     (["classify"], 2, "e3b0c44298fc1c14", "4628de0c43f56565"),
     (["classify", "--sig", "nope"], 2, "e3b0c44298fc1c14", "656d615e9b4c8c96"),
-    (["limits", "--fibers", "2,3,5", "--singular", "1"], 2, "e3b0c44298fc1c14", "c9daafc567a14b9b"),
-    (["classify", "--sig", POINCARE, "extra"], 2, "e3b0c44298fc1c14", "e6705158fb100550"),
+    (["limits", "--fibers", "2,3,5", "--singular", "1"], 2, "e3b0c44298fc1c14", "da744ff44cd917d5"),
+    (["classify", "--sig", POINCARE, "extra"], 2, "e3b0c44298fc1c14", "0b884b8f1e565bb5"),
     (["--json", "classify"], 2, "e3b0c44298fc1c14", "4628de0c43f56565"),
+    (["--json", "classify", "--sig", POINCARE], 2, "e3b0c44298fc1c14", "653da1f9fb66841e"),
     (["classify", "--sig", POINCARE, "--json"], 0, "97cb8eb538f9b0a1", "e3b0c44298fc1c14"),
 ]
+
+
+# A valid argv of each command; plot and atlas write ./out.
+VALID = {
+    "classify": ["classify", "--sig", POINCARE, "--json"],
+    "cone": ["cone", "--sig", POINCARE, "--angles", "2pi", "--json"],
+    "limits": ["limits", "--fibers", "2,3,5", "--json"],
+    "surgery": ["surgery", "--knot", "3,2", "--hand", "left", "--slope", "1/1", "--json"],
+    "identify": ["identify", "--sig", POINCARE, "--json"],
+    "plot": ["plot", "--knot", "3,2", "--hand", "left", "--xmax", "3", "--out", "out"],
+    "atlas": ["atlas", "--knot", "3,2", "--hand", "left", "--mmax", "2", "--nrange", "0..1", "--kmax", "1", "--out", "out"],
+}
 
 
 class TestParserText:
@@ -332,26 +342,16 @@ class TestParserText:
         captured = capsys.readouterr()
         assert (got, _digest(captured.out), _digest(captured.err)) == (code, out, err)
 
-    @pytest.mark.parametrize(
-        "argv", [argv for argv, *_ in PARSER_TEXT if argv and argv[0] in cli.COMMANDS]
-    )
-    def test_shared_parser_prints_what_a_new_parser_prints(self, capsys, argv):
-        # The kept parser has first parsed every row of PARSER_TEXT, so any
-        # state one command left on it would show against a parser built now.
-        def outcome(parser, argv):
-            try:
-                return vars(parser.parse_args(argv))
-            except SystemExit as exc:
-                return exc.code
-
-        shared = cli._build_parser()
-        for other, *_ in PARSER_TEXT:
-            outcome(shared, other)
-        capsys.readouterr()
-        printed = []
-        for parser in (shared, cli._build_parser.__wrapped__()):
-            printed.append((outcome(parser, argv), capsys.readouterr()))
-        assert printed[0] == printed[1]
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    def test_stray_argument_names_its_command(self, capsys, monkeypatch, tmp_path, command):
+        monkeypatch.chdir(tmp_path)
+        assert run(VALID[command]) == 0
+        with pytest.raises(SystemExit) as exc:
+            run(VALID[command] + ["extra"])
+        assert exc.value.code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0].startswith("usage: seifertgeo %s " % command)
+        assert lines[-1] == "seifertgeo %s: error: unrecognized arguments: extra" % command
 
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
