@@ -353,6 +353,32 @@ class TestParserText:
         assert lines[0].startswith("usage: seifertgeo %s " % command)
         assert lines[-1] == "seifertgeo %s: error: unrecognized arguments: extra" % command
 
+    @pytest.mark.parametrize(
+        "argv",
+        [argv for argv, *_ in PARSER_TEXT if argv and argv[0] in cli.COMMANDS] + list(VALID.values()),
+    )
+    def test_run_after_every_row_prints_what_a_fresh_process_prints(self, capsys, monkeypatch, tmp_path, argv):
+        # Every row of PARSER_TEXT and every valid command runs first in this
+        # process, so any state a run left behind would show against a new one.
+        monkeypatch.setenv("COLUMNS", "80")
+        # the package this process imported, also for a relative PYTHONPATH
+        monkeypatch.setenv("PYTHONPATH", os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__))))
+        monkeypatch.chdir(tmp_path)
+        proc = subprocess.run(
+            [sys.executable, "-m", "seifertgeo", *argv], capture_output=True, text=True
+        )
+
+        def outcome(argv):
+            try:
+                code = run(argv)
+            except SystemExit as exc:
+                code = exc.code
+            return (code, *capsys.readouterr())
+
+        for other in [row for row, *_ in PARSER_TEXT] + list(VALID.values()):
+            outcome(other)
+        assert outcome(argv) == (proc.returncode, proc.stdout, proc.stderr)
+
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["--version"])
