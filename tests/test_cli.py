@@ -30,6 +30,15 @@ def run_json(capsys, argv):
     return code, json.loads(out)
 
 
+def outcome(capsys, argv):
+    """(exit code, stdout, stderr) of one run, also when argparse exits."""
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
 def kv(lines):
     pairs = {}
     for line in lines:
@@ -335,12 +344,8 @@ class TestParserText:
     @pytest.mark.parametrize("argv, code, out, err", PARSER_TEXT)
     def test_golden(self, capsys, monkeypatch, argv, code, out, err):
         monkeypatch.setenv("COLUMNS", "80")
-        try:
-            got = run(argv)
-        except SystemExit as exc:
-            got = exc.code
-        captured = capsys.readouterr()
-        assert (got, _digest(captured.out), _digest(captured.err)) == (code, out, err)
+        got, stdout, stderr = outcome(capsys, argv)
+        assert (got, _digest(stdout), _digest(stderr)) == (code, out, err)
 
     @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
     def test_stray_argument_names_its_command(self, capsys, monkeypatch, tmp_path, command):
@@ -367,23 +372,62 @@ class TestParserText:
         proc = subprocess.run(
             [sys.executable, "-m", "seifertgeo", *argv], capture_output=True, text=True
         )
-
-        def outcome(argv):
-            try:
-                code = run(argv)
-            except SystemExit as exc:
-                code = exc.code
-            return (code, *capsys.readouterr())
-
         for other in [row for row, *_ in PARSER_TEXT] + list(VALID.values()):
-            outcome(other)
-        assert outcome(argv) == (proc.returncode, proc.stdout, proc.stderr)
+            outcome(capsys, other)
+        assert outcome(capsys, argv) == (proc.returncode, proc.stdout, proc.stderr)
 
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["--version"])
         assert exc.value.code == 0
         assert capsys.readouterr().out == "seifertgeo %s\n" % __version__
+
+
+# (argv, exit code, part of a line of stdout, or of stderr for exit code 2)
+OUTPUT_LINES = {
+    "help": (["--help"], 0, "usage: seifertgeo [-h] {classify,cone,limits,surgery,identify,plot,atlas} ..."),
+    "unknown-command": (["frobnicate"], 2, "invalid choice: 'frobnicate'"),
+    "option-before-command": (["--json", "classify", "--sig", POINCARE], 2, "usage: seifertgeo [-h]"),
+    "nil": (["classify", "--json", "--sig", '{"b":-1,"fibers":[[3,1],[3,1],[3,2]]}'], 0, '"geometry": "Nil"'),
+    "euclidean": (["classify", "--json", "--sig", '{"b":-1,"fibers":[[3,1],[3,1],[3,1]]}'], 0,
+                  '"chi": "0", "geometry": "Euclidean"'),
+    "sl2r": (["classify", "--json", "--sig", '{"b":-1,"fibers":[[2,1],[3,1],[7,1]]}'], 0, '"geometry": "SL2R"'),
+    "h2xr": (["classify", "--json", "--sig", '{"b":-2,"fibers":[[3,1],[6,5],[6,5]]}'], 0, '"geometry": "H2xR"'),
+    "s2xr": (["classify", "--json", "--sig", '{"b":0,"fibers":[[1,0]]}'], 0, '"chi": "2", "geometry": "S2xR"'),
+    "identify-unsorted": (["identify", "--json", "--sig", '{"b":-1,"fibers":[[3,1],[5,1],[2,1]]}'], 0,
+                          '"family": "I(1)-compatible Brieskorn(2,3,5)"'),
+    "brieskorn-237": (["identify", "--json", "--sig", '{"b":-1,"fibers":[[2,1],[3,1],[7,1]]}'], 0,
+                      '"family": "Brieskorn(2,3,7)"'),
+    "lens-3-1": (["identify", "--json", "--sig", '{"b":-1,"fibers":[[3,1]]}'], 0, '"family": "Lens(2,1)"'),
+    "lens-3-2": (["identify", "--json", "--sig", '{"b":0,"fibers":[[3,2]]}'], 0, '"family": "Lens(2,1)"'),
+    "euclidean-face": (["cone", "--json", "--sig", '{"b":-1,"fibers":[[2,1],[3,1],[6,1]]}', "--angles", "2pi"], 0,
+                       '{"geometry": "Euclidean", "region": "EuclideanFace"}'),
+    "cone-5pi": (["cone", "--json", "--sig", POINCARE, "--angles", "2pi,2pi,5pi"], 0, '"region": "SphericalInterior"'),
+    "cone-4pi-first": (["cone", "--json", "--sig", '{"b":-1,"fibers":[[5,1],[3,1],[2,1]]}', "--angles", "4pi,2pi,2pi"],
+                       0, '"region": "SphericalInterior"'),
+    "cone-4pi": (["cone", "--json", "--sig", POINCARE, "--angles", "2pi,2pi,4pi"], 0, '"geometry": "Spherical"'),
+    "cone-9pi": (["cone", "--json", "--sig", POINCARE, "--angles", "2pi,2pi,9pi"], 0, '"geometry": "NoStructure"'),
+    "cone-too-large": (["cone", "--json", "--sig", POINCARE, "--angles", "5pi,2pi,2pi"], 1,
+                       "exceeds 2*pi*2 on a fibre of multiplicity 2"),
+    "cone-b-2": (["cone", "--json", "--sig", '{"b":-2,"fibers":[[2,3],[3,1],[5,1]]}', "--angles", "2pi,2pi,5pi"], 0,
+                 '"region": "SphericalInterior"'),
+    "cone-b-2-too-large": (["cone", "--json", "--sig", '{"b":-2,"fibers":[[2,3],[3,1],[5,1]]}', "--angles",
+                            "5pi,2pi,2pi"], 1, "exceeds 2*pi*2 on a fibre of multiplicity 2"),
+    "limits-325": (["limits", "--json", "--fibers", "3,2,5"], 0, '"beta_U": "25/3pi"'),
+    "limits-223": (["limits", "--json", "--fibers", "2,2,3"], 0, '"ratio": null'),
+    "limits-singular": (["limits", "--fibers", "2,3,5", "--singular", "1"], 2,
+                        "seifertgeo limits: error: unrecognized arguments: --singular 1"),
+    "negative-slope": (["surgery", "--knot", "3,2", "--hand", "left", "--slope=-1/2", "--json"], 0, '"slope": "1/-2"'),
+}
+
+
+@pytest.mark.parametrize("name", OUTPUT_LINES)
+def test_output_line(capsys, monkeypatch, name):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv, code, part = OUTPUT_LINES[name]
+    got, out, err = outcome(capsys, argv)
+    assert got == code
+    assert part in (err if code == 2 else out)
 
 
 class TestExitCodes:
@@ -506,10 +550,13 @@ class TestExitCodes:
               "--beta", "\u0662pi"], "cannot parse angle"),
             (["cone", "--sig", POINCARE, "--angles", "2pi,1/\u0663pi"], "cannot parse angle"),
             (["cone", "--sig", POINCARE, "--angles", "\uff12pi"], "cannot parse angle"),
+            (["cone", "--sig", POINCARE, "--angles=-1pi"], "angle must be non-negative, got -1*pi"),
+            (["classify", "--sig", '{"b":0,"fibers":[[2,1],[4,2],[3,1]]}'], "fibre pair (4, 2) is not coprime"),
+            (["classify", "--sig", '{"b":0,"fibers":[[2,1],[0,1],[3,1]]}'], "fibre multiplicity must be >= 1, got 0"),
         ],
         ids=["beta-zero-den", "angle-zero-den", "float", "str", "bool", "overflow",
              "beta-junk", "beta-zero-den-reason", "beta-arabic-indic", "angles-arabic-indic",
-             "angles-fullwidth"],
+             "angles-fullwidth", "negative-angle", "not-coprime", "zero-multiplicity"],
     )
     def test_malformed_number_is_two(self, capsys, argv, reason):
         with pytest.raises(SystemExit) as exc:
@@ -572,6 +619,7 @@ class TestExitCodes:
         )
         assert code == 1
         assert payload["error"]["type"] == "io"
+        assert "No space left on device" in payload["error"]["message"]
         assert list(tmp_path.iterdir()) == []
 
     def test_empty_csv_path_is_one_and_writes_no_svg(self, capsys, tmp_path):
@@ -794,11 +842,7 @@ class TestFuzz:
         # Small enough that any batch the limit admits runs in milliseconds.
         monkeypatch.setattr(cli, "WORK_LIMIT", 2000)
         monkeypatch.chdir(tmp_path)
-        try:
-            code = run(argv)
-        except SystemExit as exc:
-            code = exc.code
-        out = capsys.readouterr().out
+        code, out, _ = outcome(capsys, argv)
         assert code in (0, 1, 2)
         if "--json" in argv and code != 2:
             json.loads(out)

@@ -6,7 +6,8 @@ merely agree with itself.  Each digest covers every knot with r <= 13,
 both hands, in the order of knots() below; each text is followed by a
 NUL byte.  The windows off that grid (a non-integer x_max, a single
 row) and a hand-built model whose points lie outside its window are
-pinned the same way.
+pinned the same way.  The files the seifertgeo command writes for
+plot and atlas are pinned whole, one digest per file.
 """
 
 import hashlib
@@ -17,6 +18,7 @@ from fractions import Fraction
 
 import pytest
 
+from seifertgeo import cli
 from seifertgeo.arith import Handedness
 from seifertgeo.plot import PlotModel, PlotPoint, PlotWindow, build_plot, export_csv, render_svg
 from seifertgeo.surgery import TorusKnot, atlas
@@ -125,3 +127,34 @@ def test_hand_built_model():
     assert digest([render_svg(model), export_csv(model)]) == (
         "14c8016eb8c4ccd9f26ec83892ad877fddb4ee14a55bde39ea086a8095333899"
     )
+
+
+# Command lines that write files named after their id, each run in an empty
+# directory: the count it prints, and every file it leaves, with the SHA-256
+# of its bytes as sha256sum prints it.
+CLI_RUNS = {
+    "p": ("plot --knot 3,2 --hand left --xmax 20 --out p.svg --csv p.csv", "points", 256),
+    "r": ("plot --knot 3,2 --hand right --xmax 20 --ymin -20 --ymax 0 --out r.svg --csv r.csv", "points", 256),
+    "c": ("plot --knot 3,2 --hand left --xmax 3 --ymin 0 --ymax 1 --out c.svg --csv c.csv", "points", 4),
+    "a": ("atlas --knot 3,2 --hand left --mmax 12 --nrange=-8..8 --kmax 6 --out a.json", "records", 762),
+}
+CLI_DIGESTS = """\
+3b96c76ca77127d02addc9d4028879c6d6b0792a7676cb32e9c4a2b3cd028f36  p.svg
+65369f5d5ca77a18a52accfa9646fb1dc1e7c7acc4b308f979dc99cb25cc6fda  p.csv
+8b2efff0a63ca31d689258fce1873ce31e129d1146783a541f3d5866974177c2  r.svg
+31ffd6be247d64dbd092271f6aefb9ecf0fa7ef1b755783939891a1197b2fb09  r.csv
+54767783b94193ae73c29cb29ae29c3d73b38bb867eb2db1aed781a3f6d677b1  c.svg
+fb631774eab294807037cffa974995c8376fc9b5e1fc1f900c1765528d8da2a1  c.csv
+ac5380ff4ab1aa7b2bf5f1673ef88fb84ea396c9f5954d6e5cd7650645bf8a3e  a.json
+"""
+
+
+@pytest.mark.parametrize("name", CLI_RUNS)
+def test_cli_writes_the_pinned_files(capsys, monkeypatch, tmp_path, name):
+    command, key, count = CLI_RUNS[name]
+    monkeypatch.chdir(tmp_path)
+    assert cli.run(command.split() + ["--json"]) == 0
+    assert json.loads(capsys.readouterr().out)[key] == count
+    written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.iterdir()}
+    pinned = {path: sha for sha, path in map(str.split, CLI_DIGESTS.splitlines())}
+    assert written == {path: sha for path, sha in pinned.items() if path.startswith(name + ".")}

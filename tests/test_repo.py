@@ -7,6 +7,7 @@ import re
 import shlex
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -72,6 +73,24 @@ def test_version_matches_pyproject():
     text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     (version,) = re.findall(r'^version = "([^"]+)"$', text, re.M)
     assert seifertgeo.__version__ == version
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["classify", "--sig", '{"b":-1,"fibers":[[2,1],[3,1],[5,1]]}'], 0),
+        (["surgery", "--knot", "3,2", "--hand", "left", "--slope", "6/-1"], 1),
+        (["classify"], 2),
+    ],
+    ids=["valid", "domain-error", "usage-error"],
+)
+def test_console_script_exits_with_the_code_of_run(monkeypatch, argv, code):
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.findall(r'^seifertgeo = "([^"]+)"$', text, re.M) == ["seifertgeo.cli:main"]
+    monkeypatch.setattr(sys, "argv", ["seifertgeo", *argv])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == code
 
 
 def _unused_imports(source: str) -> list[str]:
