@@ -80,14 +80,17 @@ class ConeStructure(_Value):
             x2, n2, d2, x3, n3, d3 = x3, n3, d3, x2, n2, d2
             if f1 == f2 and n1 * d2 > n2 * d1:
                 x1, n1, d1, x2, n2, d2 = x2, n2, d2, x1, n1, d1
-        object.__setattr__(self, "sig", norm)
-        object.__setattr__(self, "angles", (x1, x2, x3))
-        object.__setattr__(self, "_ints", (n1, 2 * a1 * d1, n2, 2 * a2 * d2, n3, 2 * a3 * d3))
+        _set_sig(self, norm)
+        _set_angles(self, (x1, x2, x3))
+        _set_ints(self, (n1, 2 * a1 * d1, n2, 2 * a2 * d2, n3, 2 * a3 * d3))
 
     def base_point(self) -> BasePoint:
         """The base angles beta_i / (2*a_i), read from the kernel's integers."""
         n1, d1, n2, d2, n3, d3 = self._ints
         return BasePoint(PiRational(Fraction(n1, d1)), PiRational(Fraction(n2, d2)), PiRational(Fraction(n3, d3)))
+
+
+_set_sig, _set_angles, _set_ints = ConeStructure._setters
 
 
 def classify_cone(cs: ConeStructure) -> GeometryType:

@@ -74,9 +74,9 @@ class SeifertSignature(_Value):
                     raise ValueError("fibre multiplicity must be >= 1, got %d" % a)
                 if gcd(a, bi) != 1:
                     raise ValueError("fibre pair (%d, %d) is not coprime" % (a, bi))
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "fibers", fibers)
-        object.__setattr__(self, "_e", -(b * a1 * a2 * a3 + b1 * a2 * a3 + b2 * a1 * a3 + b3 * a1 * a2))
+        _set_b(self, b)
+        _set_fibers(self, fibers)
+        _set_e(self, -(b * a1 * a2 * a3 + b1 * a2 * a3 + b2 * a1 * a3 + b3 * a1 * a2))
 
     def multiplicities(self) -> tuple[int, int, int]:
         (a1, _), (a2, _), (a3, _) = self.fibers
@@ -113,6 +113,9 @@ class SeifertSignature(_Value):
     def __str__(self):
         pairs = ",".join("(%d,%d)" % f for f in self.fibers)
         return "<%d; %s>" % (self.b, pairs)
+
+
+_set_b, _set_fibers, _set_e = SeifertSignature._setters
 
 
 def _unique_fields(pairs) -> dict:

@@ -84,15 +84,14 @@ class SurgerySpec(_Value):
     _KINDS = (TorusKnot, int, int)
 
     def __init__(self, knot: TorusKnot, p: int, q: int):
-        self._set(knot, p, q)
-        if p < 0:  # the sign lives in q
-            p, q = -p, -q
+        self._check(knot, p, q)
+        p, q = (-p, -q) if p < 0 else (p, q)  # the sign lives in q
         if (p, q) == (0, 0):
             raise ValueError("slope 0/0 is not a surgery")
         if gcd(p, abs(q)) != 1:
             raise ValueError("slope %d/%d is not reduced" % (p, q))
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q if p else 1)  # 0/-1 is stored as 0/1
+        for setter, value in zip(self._setters, (knot, p, q if p else 1)):  # 0/-1 is stored as 0/1
+            setter(self, value)
 
     def slope_text(self) -> str:
         return "%d/%d" % (self.p, self.q)

@@ -16,6 +16,9 @@ import seifertgeo
 from seifertgeo import cli
 
 ROOT = Path(__file__).resolve().parent.parent
+# the files of the package under test: the checkout's src/ only when that is
+# what was imported, and site-packages when the package is installed
+PACKAGE = Path(seifertgeo.__file__).parent
 
 
 @pytest.mark.skipif(
@@ -127,10 +130,22 @@ def test_unused_import_guard_sees_an_orphan():
 def test_no_unused_imports():
     unused = {
         path.name: found
-        for path in sorted((ROOT / "src" / "seifertgeo").glob("*.py"))
+        for path in sorted(PACKAGE.glob("*.py"))
         if (found := _unused_imports(path.read_text(encoding="utf-8")))
     }
     assert unused == {}
+
+
+def test_slots_are_filled_only_through_their_descriptors():
+    # _Value._setters is the one way to fill a slot: no module of the
+    # package calls object.__setattr__
+    calls = [
+        "%s line %d" % (path.name, node.lineno)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__setattr__"
+    ]
+    assert calls == []
 
 
 def _public_defs(tree: ast.Module) -> list[tuple[str, int, bool]]:
@@ -209,12 +224,12 @@ UNREAD = {
 
 
 def test_every_public_name_has_a_reader():
-    # a public name is read by code under src/ or by the benchmark harness;
+    # a public name is read by code of the package or by the benchmark harness;
     # a README word is not a reader.  The names of UNREAD, and only they,
     # are not read, so a listed name that gains a reader fails too
     sources = {
         path.name: path.read_text(encoding="utf-8")
-        for path in sorted((ROOT / "src" / "seifertgeo").glob("*.py"))
+        for path in sorted(PACKAGE.glob("*.py"))
     }
     elsewhere = [path.read_text(encoding="utf-8") for path in sorted((ROOT / "perfbench").glob("*.py"))]
     assert sorted(_unread_names(sources, elsewhere, set())) == sorted(UNREAD)
